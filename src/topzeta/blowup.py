@@ -107,8 +107,6 @@ class DivisorRecord:
     kind: str  # "exceptional" | "strict-branch"
     N: int
     nu: int
-    birth_step: int
-    eparam: str = ""
 
 
 @dataclass(frozen=True)
@@ -231,9 +229,6 @@ class ChartState:
                 return c.exponent
         raise KeyError(ident)
 
-    def record(self, ident: str) -> DivisorRecord:
-        return self.divisors[ident]
-
     def occurrences(self) -> Iterator[Occurrence]:
         """Owned divisor appearances, leaves in path order, divisors in
         birth order.  Off-axis x-parallel appearances own nothing and are
@@ -311,9 +306,7 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
         if c.through_origin:
             state.strict_records.append(DivisorRecord(
                 ident=c.ident, kind="strict-branch",
-                N=c.exponent, nu=1, birth_step=0,
-                eparam=f"strict branch of common factor {c.root_eq}",
-            ))
+                N=c.exponent, nu=1))
     return state
 
 
@@ -433,13 +426,8 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
         raise CenterNotOverOrigin("ideal is trivial at the requested center")
 
     ident = f"E{len(state.divisor_order) + 1}"
-    rec = DivisorRecord(
-        ident=ident, kind="exceptional", N=N, nu=nu,
-        birth_step=len(state.log),
-        eparam=f"projective line with birth coordinate in chart "
-               f"{_path_str(chart.path + (STEP_A,))}",
-    )
-    state.divisors[ident] = rec
+    state.divisors[ident] = DivisorRecord(
+        ident=ident, kind="exceptional", N=N, nu=nu)
     state.divisor_order.append(ident)
 
     child_a = _child(chart, "A", ident)
@@ -458,18 +446,6 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
     ))
     state.complete = False
     return state
-
-
-def _path_str(path: tuple) -> str:
-    if not path:
-        return "root"
-    out = []
-    for s in path:
-        if s[0] == "T":
-            out.append(f"T({s[1]},{s[2]})")
-        else:
-            out.append(s[0])
-    return ".".join(out)
 
 
 # --- orders and restrictions -------------------------------------------------

@@ -29,7 +29,7 @@ from .family import admissible, build, expected_chain, realize_pole
 from .generic import certify_generic
 from .poly import BiPoly, frac_str, parse_poly, poly_to_str
 from .principalize import principalize, verify_minimality
-from .zeta import pole_report
+from .zeta import ZetaReport, pole_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -138,7 +138,7 @@ def cmd_zeta(args) -> int:
     else:
         print("\n".join(_zeta_lines(report)))
     if args.check:
-        _run_checks(result.diagram)
+        _run_checks(result.diagram, report)
     return EXIT_OK
 
 
@@ -151,7 +151,7 @@ def cmd_poles(args) -> int:
         for p in report.poles:
             print(f"{frac_str(p.location)} (order {p.order})")
     if args.check:
-        _run_checks(result.diagram)
+        _run_checks(result.diagram, report)
     return EXIT_OK
 
 
@@ -182,12 +182,12 @@ def cmd_classify(args) -> int:
             else:
                 print(f"{entry['s']}: no pole")
     if args.check:
-        _run_checks(diagram)
+        _run_checks(diagram, report)
     return EXIT_OK
 
 
-def _run_checks(diagram: IntersectionDiagram) -> None:
-    chk = cross_check(diagram)
+def _run_checks(diagram: IntersectionDiagram, report: ZetaReport) -> None:
+    chk = cross_check(diagram, report)
     if not chk.passed:
         raise errors.InternalInvariantError(chk.detail)
     bad = [r for r in validate_all(diagram) if not r.passed]
@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
         status = "pass" if r.passed else "FAIL " + "; ".join(r.failures)
         print(f"{r.name}: {status}")
 
-    chk = cross_check(diagram)
+    chk = cross_check(diagram, pole_report(diagram))
     print(f"criterion-vs-zeta: {'pass' if chk.passed else 'FAIL ' + chk.detail}")
     ok = ok and chk.passed
 
@@ -331,14 +331,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _guarded(run, args, err) -> int:
+    """Run one command; a refusal prints its prefixed line to err and
+    returns its documented exit code."""
+    try:
+        return run(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=err)
+        return EXIT_INPUT
+    except _UNSUPPORTED_ERRORS as exc:
+        print(f"unsupported: {exc}", file=err)
+        return EXIT_UNSUPPORTED
+    except errors.InternalInvariantError as exc:
+        print(f"internal invariant violated: {exc}", file=err)
+        return EXIT_INTERNAL
+
+
 def _batch_worker(command: str, options: dict, path: str) -> tuple[int, str]:
-    """One isolated run, output captured; safe in a worker process."""
+    """One isolated run, output and refusal captured together; safe in a
+    worker process."""
     args = argparse.Namespace(**options)
     args.gens_file = [path]
     args.generators = []
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = COMMANDS[command](args)
+        code = _guarded(COMMANDS[command], args, buf)
     return code, buf.getvalue()
 
 
@@ -350,7 +367,8 @@ def _invoke(args) -> int:
 
     options = {k: v for k, v in vars(args).items() if k != "func"}
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(files))) as pool:
             outcomes = list(pool.map(
                 _batch_worker, [args.command] * len(files),
                 [options] * len(files), files))
@@ -366,17 +384,7 @@ def _invoke(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
-    try:
-        return _invoke(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _UNSUPPORTED_ERRORS as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except errors.InternalInvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    return _guarded(_invoke, args, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .diagram import IntersectionDiagram, alphas
 from .errors import NonMinimalDiagram, NotACandidate
 from .poly import frac_str
-from .zeta import candidate_poles, pole_report
+from .zeta import ZetaReport, candidate_poles
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,11 @@ class CrossCheckReport:
     detail: str = ""
 
 
-def cross_check(diagram: IntersectionDiagram,
+def cross_check(diagram: IntersectionDiagram, report: ZetaReport,
                 assume_minimal: bool = False) -> CrossCheckReport:
-    """Assert that the classification agrees with direct pole extraction."""
+    """Assert that the classification agrees with the poles of the diagram's
+    zeta report."""
     by_criterion = poles_by_criterion(diagram, assume_minimal=assume_minimal)
-    report = pole_report(diagram)
     exact = report.pole_locations()
     if by_criterion == exact:
         return CrossCheckReport(True, by_criterion, exact)

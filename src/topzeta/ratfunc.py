@@ -27,8 +27,19 @@ def _primitive(nu: int, N: int) -> tuple[int, Factor]:
     return g, (nu // g, N // g)
 
 
-def _factor_poly(f: Factor) -> UniPoly:
-    return UniPoly([f[0], f[1]])
+def _div_factor(p: list[int], f: Factor) -> list[int] | None:
+    """p / (c + d*s) by synthetic division in Z[s], or None when the factor
+    does not divide p (exact for primitive factors by Gauss's lemma)."""
+    c, d = f
+    q = [0] * (len(p) - 1)
+    r = p[-1]
+    for k in range(len(p) - 1, 0, -1):
+        qk, rem = divmod(r, d)
+        if rem:
+            return None
+        q[k - 1] = qk
+        r = p[k - 1] - c * qk
+    return q if r == 0 else None
 
 
 def _factor_root(f: Factor) -> Fraction:
@@ -62,22 +73,24 @@ class RationalFunctionS:
               den: dict[Factor, int] | None = None) -> "RationalFunctionS":
         """Reduce and canonicalize: cancel factors against numerator roots,
         drop zero multiplicities, sort factors."""
-        den = dict(den or {})
+        den = {f: m for f, m in (den or {}).items() if m > 0}
         if num.is_zero():
             return cls(num, ())
+        # num = content * prim with prim primitive in Z[s]; by Gauss's lemma
+        # a primitive factor divides prim in Q[s] iff it does so in Z[s]
+        scale = math.lcm(*(c.denominator for c in num.coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in num.coeffs]
+        g = math.gcd(*ints)
+        prim = [c // g for c in ints]
         for f in list(den):
-            if den[f] <= 0:
-                del den[f]
-                continue
-            fp = _factor_poly(f)
-            root = _factor_root(f)
-            while den[f] > 0 and num.eval(root) == 0:
-                num = num.divexact(fp)
+            while den[f] and (q := _div_factor(prim, f)) is not None:
+                prim = q
                 den[f] -= 1
-            if den[f] == 0:
+            if not den[f]:
                 del den[f]
+        content = Fraction(g, scale)
         items = sorted(den.items(), key=_den_sort_key)
-        return cls(num, items)
+        return cls(UniPoly(content * c for c in prim), items)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -98,13 +111,6 @@ class RationalFunctionS:
                 raise ZeroDivisionError(f"evaluation at pole {s}")
             d *= v ** m
         return self.num.eval(s) / d
-
-    def denominator_poly(self) -> UniPoly:
-        d = UniPoly.const(1)
-        for f, m in self.den:
-            for _ in range(m):
-                d = d * _factor_poly(f)
-        return d
 
     def __str__(self) -> str:
         if self.num.is_zero():
@@ -155,24 +161,27 @@ def rf_sum_of_terms(
 
     common: dict[Factor, int] = {}
     for _, fs in parsed:
-        counts: dict[Factor, int] = {}
         for f in fs:
-            counts[f] = counts.get(f, 0) + 1
-        for f, m in counts.items():
-            common[f] = max(common.get(f, 0), m)
+            common[f] = max(common.get(f, 0), fs.count(f))
 
-    num = UniPoly()
+    # integer common denominator D; each term contributes c * L * D / d_i,
+    # with L the lcm of the coefficient denominators
+    D = [1]
+    for (c0, c1), m in common.items():
+        for _ in range(m):
+            D = [c0 * a + c1 * b for a, b in zip(D + [0], [0] + D)]
+    L = math.lcm(*(c.denominator for c, _ in parsed))
+    acc = [0] * len(D)
     for c, fs in parsed:
         if c == 0:
             continue
-        missing = dict(common)
+        q = D
         for f in fs:
-            missing[f] -= 1
-        piece = UniPoly.const(c)
-        for f, m in missing.items():
-            for _ in range(m):
-                piece = piece * _factor_poly(f)
-        num = num + piece
+            q = _div_factor(q, f)
+        k = c.numerator * (L // c.denominator)
+        for i, a in enumerate(q):
+            acc[i] += k * a
+    num = UniPoly(Fraction(a, L) for a in acc)
     return RationalFunctionS.build(num, common)
 
 

@@ -67,7 +67,7 @@ def test_criterion_2_criterion_equals_analysis(corpus_results):
                         "ideals; irrational centers excluded with reason"):
         assert len(corpus_results) >= 50
         for name, result in corpus_results:
-            rep = cross_check(result.diagram)
+            rep = cross_check(result.diagram, pole_report(result.diagram))
             assert rep.passed, f"{name}: {rep.detail}"
         for name, texts, reason in EXCLUDED:
             with pytest.raises(CenterNotRational):

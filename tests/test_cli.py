@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import sys
+
+import pytest
 
 from topzeta.cli import main
 
@@ -154,3 +157,48 @@ def test_gens_file_and_batch(capsys, tmp_path):
     assert f"== {f1} ==" in out and f"== {f2} ==" in out
     assert out.index(str(f1)) < out.index(str(f2))
     assert "-2 (order 1)" in out
+
+
+def test_batch_bad_file_keeps_good_reports(capsys, tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("x^4*y\nx^7 + x*y^4\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("x)\n")
+    irrational = tmp_path / "irrational.txt"
+    irrational.write_text("x^3\ny^2 - 2*x^2\n")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "zeta", "--gens-file", str(good),
+                             "--gens-file", str(bad), "--jobs", jobs)
+        assert code == 2 and err == ""
+        head, tail = out.split(f"== {bad} ==\n")
+        assert head.startswith(f"== {good} ==\n")
+        assert "Z = (5*s^2 + 16*s + 8)/((2+5s)(4+7s)(1+s))" in head
+        assert tail.startswith("error: ") and tail.count("\n") == 1
+    code, out, _ = run(capsys, "poles", "--gens-file", str(irrational),
+                       "--gens-file", str(bad), "--gens-file", str(good))
+    assert code == 3
+    assert f"== {irrational} ==\nunsupported: " in out
+    assert f"== {bad} ==\nerror: " in out
+    assert "-1 (order 1)" in out.split(f"== {good} ==")[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--check"), ("poles", "--check"), ("classify", "--check"),
+    ("verify",)])
+def test_pole_report_built_once_per_run(capsys, monkeypatch, argv):
+    import topzeta.zeta
+    original = topzeta.zeta.pole_report
+    calls = []
+
+    def counted(diagram):
+        calls.append(diagram)
+        return original(diagram)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "topzeta" or name.startswith("topzeta."):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    code, _, _ = run(capsys, *argv, "x^4*y", "x^7 + x*y^4")
+    assert code == 0
+    assert len(calls) == 1

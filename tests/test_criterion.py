@@ -11,6 +11,7 @@ from topzeta.errors import NonMinimalDiagram, NotACandidate
 from topzeta.family import build
 from topzeta.poly import parse_poly
 from topzeta.principalize import principalize
+from topzeta.zeta import pole_report
 
 GOLDEN = [parse_poly("x^4*y"), parse_poly("x^7 + x*y^4")]
 
@@ -82,12 +83,12 @@ def test_poles_by_criterion_origin_case():
 
 
 def test_cross_check_golden(golden):
-    assert cross_check(golden).passed
+    assert cross_check(golden, pole_report(golden)).passed
 
 
 def test_cross_check_corpus(corpus_results):
     for name, result in corpus_results:
-        rep = cross_check(result.diagram)
+        rep = cross_check(result.diagram, pole_report(result.diagram))
         assert rep.passed, f"{name}: {rep.detail}"
 
 
@@ -96,7 +97,7 @@ def test_cross_check_curves_and_condition_profile():
     and many-neighbor conditions ever fire."""
     for name, gens in curve_entries():
         result = principalize(gens)
-        rep = cross_check(result.diagram)
+        rep = cross_check(result.diagram, pole_report(result.diagram))
         assert rep.passed, f"{name}: {rep.detail}"
         for s0 in rep.criterion_poles:
             v = classify(result.diagram, s0)

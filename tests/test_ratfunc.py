@@ -1,9 +1,12 @@
 """Rational functions in s: assembly from terms, reduction, poles."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topzeta.poly import UniPoly
 from topzeta.ratfunc import RationalFunctionS, poles_of, rf_sum_of_terms
@@ -132,3 +135,106 @@ def test_term_validation():
         rf_sum_of_terms([(1, [(1, 1), (1, 1), (1, 1)])])
     with pytest.raises(ValueError):
         rf_sum_of_terms([(1, [(0, 0)])])
+
+
+# --- reference oracle: Fraction-coefficient products, root-test reduction ---
+
+def _reference_build(num, den):
+    """Cancel each factor while its root is a numerator root, then sort by
+    ratio nu/N."""
+    den = {f: m for f, m in den.items() if m > 0}
+    if num.is_zero():
+        return num, ()
+    for f in list(den):
+        while den[f] > 0 and num.eval(Fraction(-f[0], f[1])) == 0:
+            num = num.divexact(UniPoly([f[0], f[1]]))
+            den[f] -= 1
+        if den[f] == 0:
+            del den[f]
+    return num, tuple(sorted(den.items(),
+                             key=lambda i: (Fraction(*i[0]), i[0][1])))
+
+
+def _reference_sum(terms):
+    """Multiply every term by each linear factor it misses, over Q."""
+    parsed = []
+    for coeff, factors in terms:
+        c, fs = Fraction(coeff), []
+        for nu, N in factors:
+            g = math.gcd(nu, N)
+            c /= g
+            if N:
+                fs.append((nu // g, N // g))
+        parsed.append((c, fs))
+    common = {}
+    for _, fs in parsed:
+        for f in fs:
+            common[f] = max(common.get(f, 0), fs.count(f))
+    num = UniPoly()
+    for c, fs in parsed:
+        missing = dict(common)
+        for f in fs:
+            missing[f] -= 1
+        piece = UniPoly.const(c)
+        for f, m in missing.items():
+            for _ in range(m):
+                piece = piece * UniPoly([f[0], f[1]])
+        num = num + piece
+    return _reference_build(num, common)
+
+
+_coeff = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def _term_lists(draw):
+    """Terms over a small factor pool, so factors repeat within and across
+    terms; pool entries include N = 0 and non-primitive (nu, N).  With
+    `cancel`, every term reappears negated, with its factors and its
+    coefficient scaled by the same integer, so the sum is zero."""
+    pool = draw(st.lists(
+        st.tuples(st.integers(1, 7), st.integers(0, 6)),
+        min_size=1, max_size=5))
+    factor = st.sampled_from(pool).flatmap(
+        lambda f: st.integers(1, 3).map(lambda g: (g * f[0], g * f[1])))
+    terms = draw(st.lists(
+        st.tuples(_coeff, st.lists(factor, max_size=2)), max_size=12))
+    if draw(st.booleans()):
+        g = draw(st.integers(1, 4))
+        terms += [(-c * g ** len(fs), [(g * nu, g * N) for nu, N in fs])
+                  for c, fs in terms]
+        draw(st.randoms()).shuffle(terms)
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_lists())
+def test_sum_matches_reference(terms):
+    rf = rf_sum_of_terms(terms)
+    num, den = _reference_sum(terms)
+    assert rf.num == num and rf.den == den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_coeff, min_size=1, max_size=5),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=6),
+       st.dictionaries(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                       st.integers(-1, 3), max_size=4))
+def test_build_matches_reference(coeffs, roots, den):
+    """Numerators carrying some denominator factors, to any multiplicity."""
+    num = UniPoly(coeffs)
+    for nu, N in roots:
+        g = math.gcd(nu, N)
+        num = num * UniPoly([nu // g, N // g])
+    den = {(nu // math.gcd(nu, N), N // math.gcd(nu, N)): m
+           for (nu, N), m in den.items()}
+    rf = RationalFunctionS.build(num, den)
+    ref_num, ref_den = _reference_build(num, den)
+    assert rf.num == ref_num and rf.den == ref_den
+
+
+def test_sum_cancels_to_zero():
+    rf = rf_sum_of_terms([(1, [(1, 2), (3, 4)]), (-4, [(2, 4), (6, 8)])])
+    assert rf.is_zero() and rf.den == ()
