@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import (
     AllZero,
     CenterNotOverOrigin,
+    CenterNotRational,
     DegenerateLambda,
     InternalInvariantError,
     ResidualNotUnit,
@@ -36,9 +38,11 @@ from .poly import (
     BiPoly,
     UniPoly,
     gcd_bi_many,
+    rational_roots,
     squarefree_decomposition,
     squarefree_part,
     uni_gcd,
+    uni_to_str,
 )
 
 #: Point on a projective line over Q: a Fraction, or None for infinity.
@@ -154,6 +158,23 @@ class Chart:
             return ("y", -eq.terms.get((0, 0), Fraction(0)) / eq.terms[(0, 1)])
         return None
 
+    @cached_property
+    def axes(self) -> dict[str, tuple[str, Fraction]]:
+        """Axis of every divisor the chart can analyze, in birth order.
+
+        Cached: a chart's equations and point maps never change after it is
+        built."""
+        return {d: axis for d in self.exc
+                if d in self.pms and (axis := self.axis_of(d)) is not None}
+
+    def point_identity(self, pt: tuple[Fraction, Fraction]) -> frozenset:
+        """Chart-independent identity of a point: the (divisor, birth
+        coordinate) pairs over the analyzable divisors through it."""
+        return frozenset(
+            (d, self.pms[d].to_birth(pt[1] if var == "x" else pt[0]))
+            for d, (var, c) in self.axes.items()
+            if (pt[0] if var == "x" else pt[1]) == c)
+
     def pullback(self, p: BiPoly) -> BiPoly:
         """Pull a polynomial on the base through to this chart."""
         for step in self.path:
@@ -170,13 +191,16 @@ class Chart:
 
 @dataclass(frozen=True)
 class Occurrence:
-    """An analyzable appearance of an exceptional divisor in a leaf chart.
+    """An analyzable appearance of an exceptional divisor in a leaf chart,
+    and the one place that decides which points a chart speaks for.
 
     Leaf charts overlap, so each chart is authoritative only on its own
     {x = 0} locus; the owned loci partition the surface.  An occurrence with
-    axis ("x", 0) therefore speaks for the whole divisor, one with axis
-    ("y", beta) only for the single point t = 0, and off-axis x-parallels
-    for nothing.
+    axis ("x", 0) therefore owns the whole divisor, one with axis
+    ("y", beta) only the single point t = 0, and an off-axis x-parallel
+    owns nothing and is never yielded.  Every diagram point read from the
+    atlas (bad points, corners, branch points, generic crossings) is read
+    through `corners`, `owned_params` or `owned_zeros`.
     """
 
     leaf_index: int
@@ -190,12 +214,55 @@ class Occurrence:
         """"all" for a fully owned divisor, "point" for the t = 0 point."""
         return "all" if self.axis[0] == "x" else "point"
 
+    @property
+    def corners(self) -> list[tuple[Fraction, str]]:
+        """(parameter, partner) of each owned crossing with another
+        exceptional divisor of the chart, partners in birth order."""
+        opposite = "y" if self.mode == "all" else "x"
+        return [(c, d) for d, (var, c) in self.chart.axes.items()
+                if d != self.ident and var == opposite
+                and (self.mode == "all" or c == 0)]
+
     def param_point(self, t: Fraction) -> tuple[Fraction, Fraction]:
         var, c = self.axis
         return (c, t) if var == "x" else (t, c)
 
     def to_birth(self, t: Fraction) -> PPoint:
         return self.pm.to_birth(t)
+
+    def carrier_restrictions(self) -> list[tuple[str, UniPoly]]:
+        """Restriction of every carrier visible in the chart, in carrier
+        order."""
+        out = []
+        for c, eq in self.chart.carriers.items():
+            sigma = self.chart.restrict(eq, self.axis)
+            if sigma.is_zero():
+                raise InternalInvariantError(
+                    f"carrier {c} contains divisor {self.ident}")
+            out.append((c, sigma))
+        return out
+
+    def owned_params(self, locator: UniPoly, context: str) -> list[Fraction]:
+        """Parameters of the nonzero locator's zeros on the owned locus;
+        refuses the run when an owned zero is irrational."""
+        if self.mode == "point":
+            return [Fraction(0)] if locator.eval(0) == 0 else []
+        if locator.degree() <= 0:
+            return []
+        roots, cofactor = rational_roots(locator)
+        if cofactor.degree() > 0:
+            # a fully owned divisor is {x = 0}, parametrized by y
+            raise CenterNotRational(
+                f"{uni_to_str(squarefree_part(cofactor), 'y')} "
+                f"({context} on {self.ident})")
+        return [r for r, _ in roots]
+
+    def owned_zeros(self, p: UniPoly) -> Optional[tuple[UniPoly, bool]]:
+        """Birth-coordinate zero data of a nonzero restriction on the owned
+        locus, or None when it has no zero there."""
+        if self.mode == "point":
+            return point_zero_data(self.pm) if p.eval(0) == 0 else None
+        return zeros_in_birth(self.pm, p) if p.degree() > 0 else None
 
 
 @dataclass
@@ -230,37 +297,20 @@ class ChartState:
         raise KeyError(ident)
 
     def occurrences(self) -> Iterator[Occurrence]:
-        """Owned divisor appearances, leaves in path order, divisors in
-        birth order.  Off-axis x-parallel appearances own nothing and are
-        skipped."""
+        """Owning divisor appearances, leaves in path order, divisors in
+        birth order."""
         for idx, chart in enumerate(self.leaves):
-            for ident in self.divisor_order:
-                axis = chart.axis_of(ident)
-                if axis is None or ident not in chart.pms:
-                    continue
-                if axis[0] == "x" and axis[1] != 0:
-                    continue
-                yield Occurrence(idx, chart, ident, axis, chart.pms[ident])
+            for ident, axis in chart.axes.items():
+                if axis[0] == "y" or axis[1] == 0:
+                    yield Occurrence(idx, chart, ident, axis, chart.pms[ident])
 
     def corner_registry(self) -> dict[str, dict[PPoint, str]]:
         """Per divisor: birth coordinate of each crossing with another
-        exceptional divisor, with the partner's identity.
-
-        Only owned corners are read, i.e. those on a chart's {x = 0} axis;
-        the ownership partition guarantees each crossing is owned somewhere.
-        """
+        exceptional divisor, with the partner's identity."""
         reg: dict[str, dict[PPoint, str]] = {d: {} for d in self.divisor_order}
-        for chart in self.leaves:
-            axes = [(d, chart.axis_of(d)) for d in self.divisor_order]
-            axes = [(d, a) for d, a in axes if a is not None and d in chart.pms]
-            xs = [(d, a) for d, a in axes if a == ("x", 0)]
-            ys = [(d, a) for d, a in axes if a[0] == "y"]
-            for dx_id, (_, alpha) in xs:
-                for dy_id, (_, beta) in ys:
-                    lam_x = chart.pms[dx_id].to_birth(beta)
-                    lam_y = chart.pms[dy_id].to_birth(alpha)
-                    reg[dx_id][lam_x] = dy_id
-                    reg[dy_id][lam_y] = dx_id
+        for occ in self.occurrences():
+            for t, partner in occ.corners:
+                reg[occ.ident][occ.to_birth(t)] = partner
         return reg
 
 
@@ -316,12 +366,9 @@ def _translated(chart: Chart, dx: Fraction, dy: Fraction) -> Chart:
     pms = {}
     for d, eq in chart.exc.items():
         exc[d] = eq.translate(dx, dy)
-        pm = chart.pms.get(d)
-        if pm is not None:
-            axis = chart.axis_of(d)
-            if axis is not None:
-                # x-type divisors are parametrized by y and vice versa
-                pms[d] = pm.shift(dy if axis[0] == "x" else dx)
+    for d, (var, _) in chart.axes.items():
+        # x-type divisors are parametrized by y and vice versa
+        pms[d] = chart.pms[d].shift(dy if var == "x" else dx)
     return Chart(
         path=chart.path + (step,),
         exc=exc,
@@ -347,11 +394,10 @@ def _child(chart: Chart, side: str, new_ident: str) -> Chart:
         if new_eq.is_constant():
             continue  # divisor not visible in this chart
         exc[d] = new_eq
-        pm = chart.pms.get(d)
-        axis = chart.axis_of(d)
-        if pm is None or axis is None:
+        if d not in chart.axes:
             continue
-        var, c = axis
+        var, c = chart.axes[d]
+        pm = chart.pms[d]
         if side == "A":
             if var == "y" and c == 0:
                 pms[d] = pm                 # param x = a unchanged
@@ -525,44 +571,22 @@ def carrier_intersections(
     state: ChartState,
 ) -> dict[tuple[str, str], tuple[UniPoly, bool]]:
     """Birth-coordinate zero data of every carrier on every exceptional
-    divisor, assembled from the owned parts of the atlas."""
+    divisor it meets."""
     out: dict[tuple[str, str], tuple[UniPoly, bool]] = {}
     for occ in state.occurrences():
-        for c in state.carriers:
-            eq = occ.chart.carriers.get(c.ident)
-            if eq is None:
-                continue
-            sigma = occ.chart.restrict(eq, occ.axis)
-            if sigma.is_zero():
-                raise InternalInvariantError(
-                    f"carrier {c.ident} contains divisor {occ.ident}")
-            if occ.mode == "all":
-                data = zeros_in_birth(occ.pm, sigma)
-            elif sigma.eval(0) == 0:
-                data = point_zero_data(occ.pm)
-            else:
-                continue
-            if zero_count(data) == 0:
-                continue
-            key = (c.ident, occ.ident)
-            out[key] = union_zero_data(out.get(key), data)
+        for c, sigma in occ.carrier_restrictions():
+            data = occ.owned_zeros(sigma)
+            if data is not None:
+                key = (c, occ.ident)
+                out[key] = union_zero_data(out.get(key), data)
     return out
 
 
-@dataclass(frozen=True)
-class RestrictionPiece:
-    leaf_index: int
-    chart_path: tuple
-    divisor: str
-    axis: tuple[str, Fraction]
-    poly: UniPoly
-    pm: PointMap
-
-
-def restrict_residual_to(state: ChartState, ident: str,
-                         coeffs: list[Fraction]) -> list[RestrictionPiece]:
+def restrict_residual_to(
+    state: ChartState, ident: str, coeffs: list[Fraction],
+) -> list[tuple[Occurrence, UniPoly]]:
     """Restrictions of sum(coeffs_i * residual_i) to an exceptional divisor,
-    one piece per chart meeting it, with birth-coordinate transitions."""
+    one per occurrence of it."""
     if not state.complete:
         raise ResidualNotUnit("principalization is not complete")
     if all(Fraction(c) == 0 for c in coeffs):
@@ -574,14 +598,7 @@ def restrict_residual_to(state: ChartState, ident: str,
         combo = BiPoly.zero()
         for c, r in zip(coeffs, occ.chart.residual):
             combo = combo + r.scale(c)
-        pieces.append(RestrictionPiece(
-            leaf_index=occ.leaf_index,
-            chart_path=occ.chart.path,
-            divisor=ident,
-            axis=occ.axis,
-            poly=occ.chart.restrict(combo, occ.axis),
-            pm=occ.pm,
-        ))
+        pieces.append((occ, occ.chart.restrict(combo, occ.axis)))
     if not pieces:
         raise KeyError(f"divisor {ident} not visible in any leaf chart")
     return pieces

@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import partial
 
 from . import errors
 from .criterion import classify, cross_check
@@ -60,12 +61,23 @@ def _parse_fraction(text: str) -> Fraction:
         raise errors.OutOfRange(f"not a rational number: {text!r}") from exc
 
 
+def _read_text(path: str, refusal) -> str:
+    """Contents of an input file; an unreadable one raises the given input
+    error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise refusal(f"cannot read {path}: {reason}") from exc
+
+
 def _read_gens(args) -> list[BiPoly]:
     texts = list(args.generators)
     for path in getattr(args, "gens_file", None) or []:
-        with open(path, encoding="utf-8") as fh:
-            texts.extend(line.strip() for line in fh
-                         if line.strip() and not line.startswith("#"))
+        text = _read_text(path, partial(errors.ParseError, position=0))
+        texts.extend(line.strip() for line in text.split("\n")
+                     if line.strip() and not line.startswith("#"))
     if not texts:
         raise errors.AllZero("no generators given")
     return [parse_poly(t) for t in texts]
@@ -198,8 +210,8 @@ def _run_checks(diagram: IntersectionDiagram, report: ZetaReport) -> None:
 
 def cmd_verify(args) -> int:
     if args.diagram_json:
-        with open(args.diagram_json, encoding="utf-8") as fh:
-            diagram = load_json(fh.read())
+        diagram = load_json(
+            _read_text(args.diagram_json, errors.MalformedDiagram))
         reports = validate_all(diagram)
         ok = all(r.passed for r in reports)
         for r in reports:

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blowup import (
+    ChartState,
     carrier_intersections,
     divisor_order_of,
-    point_zero_data,
     restrict_residual_to,
     union_zero_data,
     zero_count,
-    zeros_in_birth,
 )
 from .diagram import alphas
 from .errors import DegenerateLambda, InternalInvariantError, RetriesExhausted
@@ -98,6 +97,15 @@ def verify_min_property(result: PrincipalizationResult,
     return out
 
 
+def _diagram_points(state: ChartState) -> tuple[dict, dict]:
+    """Corners and branch-point zero data of every exceptional curve, each
+    read from the atlas once."""
+    branches: dict[str, list] = {d: [] for d in state.divisor_order}
+    for (_, d), data in carrier_intersections(state).items():
+        branches[d].append(data)
+    return state.corner_registry(), branches
+
+
 def count_n(result: PrincipalizationResult, lam: list[Fraction],
             ident: str) -> int:
     """Distinct crossings of the generic member's strict transform with one
@@ -107,36 +115,33 @@ def count_n(result: PrincipalizationResult, lam: list[Fraction],
     no crossing sits at an existing diagram point; violations raise
     DegenerateLambda so the caller can resample.
     """
-    state = result.state
-    pieces = restrict_residual_to(state, ident, lam)
+    return _count_n(result.state, lam, ident, _diagram_points(result.state))
+
+
+def _count_n(state: ChartState, lam: list[Fraction], ident: str,
+             points: tuple[dict, dict]) -> int:
     data = None
-    for piece in pieces:
-        if piece.poly.is_zero():
+    for occ, p in restrict_residual_to(state, ident, lam):
+        if p.is_zero():
             raise DegenerateLambda(
                 f"combination vanishes along {ident}")
-        if piece.axis[0] == "x":
-            if uni_gcd(piece.poly, piece.poly.derivative()).degree() > 0:
-                raise DegenerateLambda(
-                    f"restriction to {ident} is not squarefree")
-            data = union_zero_data(data, zeros_in_birth(piece.pm, piece.poly))
-        elif piece.poly.eval(0) == 0:
-            # point-owned appearance: one crossing, must be simple
-            if piece.poly.derivative().eval(0) == 0:
-                raise DegenerateLambda(
-                    f"multiple crossing at the owned point of {ident}")
-            data = union_zero_data(data, point_zero_data(piece.pm))
+        if occ.owned_zeros(uni_gcd(p, p.derivative())) is not None:
+            raise DegenerateLambda(
+                f"restriction to {ident} is not squarefree")
+        zeros = occ.owned_zeros(p)
+        if zeros is not None:
+            data = union_zero_data(data, zeros)
     poly, inf = data if data is not None else (None, False)
 
-    corners = state.corner_registry()[ident]
+    corner_registry, branches = points
+    corners = corner_registry[ident]
     excluded_inf = any(lam0 is None for lam0 in corners)
-    hits = carrier_intersections(state)
-    branch_data = [v for (c, d), v in hits.items() if d == ident]
     if poly is not None:
         for lam0 in corners:
             if lam0 is not None and poly.eval(lam0) == 0:
                 raise DegenerateLambda(
                     f"crossing at a corner of {ident}")
-        for bpoly, binf in branch_data:
+        for bpoly, binf in branches[ident]:
             if uni_gcd(poly, bpoly).degree() > 0:
                 raise DegenerateLambda(
                     f"crossing at a branch point of {ident}")
@@ -156,6 +161,11 @@ def verify_relations(result: PrincipalizationResult,
     A mismatch here is an engine bug, not sample degeneracy: the counts were
     already certified.
     """
+    return _verify_relations(result, lam, _diagram_points(result.state))
+
+
+def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
+                      points: tuple[dict, dict]) -> GenericCheckReport:
     checks = verify_min_property(result, lam)
     for ident, c in checks.items():
         if not c.min_property_ok:
@@ -164,7 +174,7 @@ def verify_relations(result: PrincipalizationResult,
                 f"{c.N_min}")
     diagram = result.diagram
     for v in diagram.exceptional():
-        n = count_n(result, lam, v.ident)
+        n = _count_n(result.state, lam, v.ident, points)
         table = alphas(diagram, v.ident)
         m = len(table)
         total = sum((a for _, a in table), Fraction(0))
@@ -186,11 +196,12 @@ def certify_generic(result: PrincipalizationResult,
                     seed: int = 0) -> GenericCheckReport:
     """First accepted sample within the retry budget, with its full report."""
     l = len(result.gens)
+    points = _diagram_points(result.state)
     last = None
     for attempt in range(RETRY_BUDGET):
         lam = sample_lambda(l, seed, attempt)
         try:
-            report = verify_relations(result, lam)
+            report = _verify_relations(result, lam, points)
             report.retries = attempt
             return report
         except DegenerateLambda as exc:

@@ -24,56 +24,21 @@ from .blowup import (
     initial_state,
 )
 from .diagram import IntersectionDiagram, diagram_from_state
-from .errors import (
-    CenterNotRational,
-    InternalInvariantError,
-    StepBudgetExceeded,
-)
-from .poly import (
-    BiPoly,
-    UniPoly,
-    rational_roots,
-    squarefree_part,
-    uni_gcd,
-    uni_to_str,
-)
+from .errors import InternalInvariantError, StepBudgetExceeded
+from .poly import BiPoly, UniPoly, uni_gcd
 
 DEFAULT_MAX_STEPS = 512
 
 
-def _rational_points_of(locator: UniPoly, occ: Occurrence,
-                        context: str) -> list[Fraction]:
-    """Rational zeros of a locator polynomial on an occurrence; refuse the
-    run when irrational zeros remain."""
-    roots, cofactor = rational_roots(locator)
-    if cofactor.degree() > 0:
-        var = "y" if occ.axis[0] == "x" else "x"
-        raise CenterNotRational(
-            f"{uni_to_str(squarefree_part(cofactor), var)} "
-            f"({context} on {occ.ident})")
-    return [r for r, _ in roots]
-
-
-def _bad_values_on_occurrence(state: ChartState,
-                              occ: Occurrence) -> list[tuple[Fraction, str]]:
+def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
     """(parameter value, reason) pairs for bad points on the owned part of
-    one divisor appearance, reasons deterministic.
-
-    A fully owned appearance extracts rational zeros of each locator
-    polynomial and refuses irrational ones; a point-owned appearance only
-    evaluates the locators at t = 0.
-    """
+    one divisor appearance, reasons deterministic."""
     chart = occ.chart
-    pointwise = occ.mode == "point"
     found: list[tuple[Fraction, str]] = []
 
     def emit(locator: UniPoly, context: str, reason: str):
-        if pointwise:
-            if locator.eval(0) == 0:
-                found.append((Fraction(0), reason))
-        elif locator.degree() > 0:
-            for t in _rational_points_of(locator, occ, context):
-                found.append((t, reason))
+        for t in occ.owned_params(locator, context):
+            found.append((t, reason))
 
     # (a) residual ideal vanishes: common zeros of the restrictions
     restrictions = [chart.restrict(r, occ.axis) for r in chart.residual]
@@ -85,16 +50,7 @@ def _bad_values_on_occurrence(state: ChartState,
             f"residual ideal vanishes along divisor {occ.ident}")
     emit(locator, "residual zero locus", "residual-vanishes")
 
-    carrier_restrictions: list[tuple[str, UniPoly]] = []
-    for c in state.carriers:
-        eq = chart.carriers.get(c.ident)
-        if eq is None:
-            continue
-        sigma = chart.restrict(eq, occ.axis)
-        if sigma.is_zero():
-            raise InternalInvariantError(
-                f"carrier {c.ident} contains divisor {occ.ident}")
-        carrier_restrictions.append((c.ident, sigma))
+    carrier_restrictions = occ.carrier_restrictions()
 
     # (b)/(c) singular or tangential branch: multiple zeros of a restriction
     for ident, sigma in carrier_restrictions:
@@ -112,37 +68,13 @@ def _bad_values_on_occurrence(state: ChartState,
                  f"branches-meet:{ki}:{kj}")
 
     # (c) branch through a crossing of two exceptional divisors
-    corner_axis = "y" if occ.axis[0] == "x" else "x"
-    corner_values = []
-    for other in state.divisor_order:
-        if other == occ.ident:
-            continue
-        ax = chart.axis_of(other)
-        if ax is not None and ax[0] == corner_axis:
-            corner_values.append((other, ax[1]))
-    if pointwise:
-        corner_values = [(o, t) for o, t in corner_values if t == 0]
-    for other, t_corner in corner_values:
+    for t_corner, other in occ.corners:
         for ident, sigma in carrier_restrictions:
             if sigma.eval(t_corner) == 0:
                 found.append((t_corner, f"branch-at-corner:{ident}:{other}"))
 
     found.sort(key=lambda item: (item[0], item[1]))
     return found
-
-
-def _point_identity(state: ChartState, chart, coords) -> frozenset:
-    """Chart-independent identity of a point: the set of (divisor, birth
-    coordinate) pairs over the divisors through it."""
-    pairs = []
-    for d in chart.divisors_through(coords):
-        axis = chart.axis_of(d)
-        pm = chart.pms.get(d)
-        if axis is None or pm is None:
-            continue
-        t = coords[1] if axis[0] == "x" else coords[0]
-        pairs.append((d, pm.to_birth(t)))
-    return frozenset(pairs)
 
 
 def find_bad_points(state: ChartState) -> list[PointRecord]:
@@ -169,7 +101,7 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
 
     per_leaf: dict[int, list] = {}
     for occ in state.occurrences():
-        for t, reason in _bad_values_on_occurrence(state, occ):
+        for t, reason in _bad_values_on_occurrence(occ):
             coords = occ.param_point(t)
             per_leaf.setdefault(occ.leaf_index, []).append(
                 (coords, reason, occ))
@@ -180,7 +112,7 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
         hits = sorted(per_leaf[leaf_index],
                       key=lambda h: (h[0][0], h[0][1], h[1]))
         for coords, reason, occ in hits:
-            ident = _point_identity(state, occ.chart, coords)
+            ident = occ.chart.point_identity(coords)
             merged = False
             for i, known in enumerate(identities):
                 if known & ident:
@@ -255,12 +187,12 @@ def verify_minimality(result: PrincipalizationResult) -> MinimalityReport:
             failures.append(f"step {event.step}: chart not found in replay")
             break
         chart = state.leaves[leaf_index]
-        ident = _point_identity(state, chart, event.center)
+        ident = chart.point_identity(event.center)
         is_bad = any(
             (not ident and b.leaf_index == leaf_index
              and b.coords == event.center)
-            or (ident and ident & _point_identity(
-                state, state.leaves[b.leaf_index], b.coords))
+            or (ident and ident & state.leaves[b.leaf_index].point_identity(
+                b.coords))
             for b in bad
         )
         if not is_bad:

@@ -97,12 +97,6 @@ class ZetaReport:
     def pole_locations(self) -> set[Fraction]:
         return {p.location for p in self.poles}
 
-    def pole_order(self, s0: Fraction) -> int:
-        for p in self.poles:
-            if p.location == s0:
-                return p.order
-        return 0
-
     def to_json_dict(self) -> dict:
         return {
             "zeta": self.zeta.to_json_dict(),

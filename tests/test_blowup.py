@@ -7,9 +7,14 @@ import pytest
 from topzeta.blowup import (
     PointRecord,
     blow_up,
+    carrier_intersections,
     divisor_order_of,
     initial_state,
+    point_zero_data,
     restrict_residual_to,
+    union_zero_data,
+    zero_count,
+    zeros_in_birth,
 )
 from topzeta.errors import (
     AllZero,
@@ -238,15 +243,15 @@ def test_n_matches_min_multiplicity_of_pullbacks(gens):
 def test_restrict_residual_golden_e1():
     result = principalize(GOLDEN)
     pieces = restrict_residual_to(result.state, "E1", [Fraction(1), Fraction(1)])
-    full = [p for p in pieces if p.axis == ("x", Fraction(0))]
-    assert any(p.poly == UniPoly([1, 0, 0, 1]) for p in full)  # 1 + t^3
+    full = [p for occ, p in pieces if occ.axis == ("x", Fraction(0))]
+    assert any(p == UniPoly([1, 0, 0, 1]) for p in full)  # 1 + t^3
 
 
 def test_restrict_residual_golden_e3():
     result = principalize(GOLDEN)
     pieces = restrict_residual_to(result.state, "E3", [Fraction(1), Fraction(1)])
-    full = [p for p in pieces if p.axis == ("x", Fraction(0))]
-    assert any(p.poly == UniPoly([1, 1]) for p in full)  # y + 1
+    full = [p for occ, p in pieces if occ.axis == ("x", Fraction(0))]
+    assert any(p == UniPoly([1, 1]) for p in full)  # y + 1
 
 
 def test_restrict_residual_requires_completion():
@@ -261,3 +266,116 @@ def test_restrict_residual_zero_coeffs_flagged():
     result = principalize(GOLDEN)
     with pytest.raises(DegenerateLambda):
         restrict_residual_to(result.state, "E1", [Fraction(0), Fraction(0)])
+
+
+# --- the ownership walk against a per-divisor reference --------------------------
+
+def _reference_occurrences(state):
+    """(leaf, divisor, axis, point map) of every owning appearance, derived
+    per divisor in birth order from its local equation."""
+    out = []
+    for idx, chart in enumerate(state.leaves):
+        for ident in state.divisor_order:
+            axis = chart.axis_of(ident)
+            if axis is None or ident not in chart.pms:
+                continue
+            if axis[0] == "x" and axis[1] != 0:
+                continue
+            out.append((idx, ident, axis, chart.pms[ident]))
+    return out
+
+
+def _reference_corner_values(chart, divisor_order, ident, axis):
+    """Partners on the opposite axis, read with axis_of and no point-map
+    filter; a point-owned appearance keeps only t = 0."""
+    opposite = "y" if axis[0] == "x" else "x"
+    values = []
+    for other in divisor_order:
+        ax = chart.axis_of(other)
+        if other != ident and ax is not None and ax[0] == opposite:
+            values.append((ax[1], other))
+    if axis[0] == "y":
+        values = [(t, o) for t, o in values if t == 0]
+    return values
+
+
+def _reference_corner_registry(state):
+    reg = {d: {} for d in state.divisor_order}
+    for chart in state.leaves:
+        axes = [(d, chart.axis_of(d)) for d in state.divisor_order]
+        axes = [(d, a) for d, a in axes if a is not None and d in chart.pms]
+        xs = [(d, a) for d, a in axes if a == ("x", 0)]
+        ys = [(d, a) for d, a in axes if a[0] == "y"]
+        for dx_id, (_, alpha) in xs:
+            for dy_id, (_, beta) in ys:
+                reg[dx_id][chart.pms[dx_id].to_birth(beta)] = dy_id
+                reg[dy_id][chart.pms[dy_id].to_birth(alpha)] = dx_id
+    return reg
+
+
+def _reference_carrier_data(state):
+    out = {}
+    for idx, ident, axis, pm in _reference_occurrences(state):
+        chart = state.leaves[idx]
+        for c in state.carriers:
+            eq = chart.carriers.get(c.ident)
+            if eq is None:
+                continue
+            sigma = chart.restrict(eq, axis)
+            if axis[0] == "x":
+                data = zeros_in_birth(pm, sigma)
+            elif sigma.eval(0) == 0:
+                data = point_zero_data(pm)
+            else:
+                continue
+            if zero_count(data) == 0:
+                continue
+            key = (c.ident, ident)
+            out[key] = union_zero_data(out.get(key), data)
+    return out
+
+
+def _reference_point_identity(chart, coords):
+    pairs = []
+    for d in chart.divisors_through(coords):
+        axis = chart.axis_of(d)
+        pm = chart.pms.get(d)
+        if axis is None or pm is None:
+            continue
+        pairs.append((d, pm.to_birth(coords[1] if axis[0] == "x"
+                                     else coords[0])))
+    return frozenset(pairs)
+
+
+def _run_states(result):
+    """The state before each blow-up of the run, then the final state."""
+    state = initial_state(list(result.gens))
+    for ev in result.log:
+        yield state
+        leaf = next(i for i, ch in enumerate(state.leaves)
+                    if ch.path == ev.chart_path)
+        blow_up(state, PointRecord(leaf, ev.center, ()))
+    yield result.state
+
+
+def test_ownership_walk_matches_reference(corpus_results):
+    """Occurrences, their corners and point identities, the corner registry
+    and the carrier zero data equal the per-divisor reference walk at every
+    step of every corpus run."""
+    for name, result in corpus_results:
+        for state in _run_states(result):
+            occs = list(state.occurrences())
+            assert [(o.leaf_index, o.ident, o.axis, o.pm) for o in occs] \
+                == _reference_occurrences(state), name
+            for o in occs:
+                assert o.chart is state.leaves[o.leaf_index]
+                assert o.corners == _reference_corner_values(
+                    o.chart, state.divisor_order, o.ident, o.axis), name
+                for t in [Fraction(0)] + [t for t, _ in o.corners]:
+                    pt = o.param_point(t)
+                    assert o.chart.point_identity(pt) == \
+                        _reference_point_identity(o.chart, pt), name
+            assert state.corner_registry() == \
+                _reference_corner_registry(state), name
+            assert carrier_intersections(state) == \
+                _reference_carrier_data(state), name

@@ -174,12 +174,30 @@ def test_batch_bad_file_keeps_good_reports(capsys, tmp_path):
         assert head.startswith(f"== {good} ==\n")
         assert "Z = (5*s^2 + 16*s + 8)/((2+5s)(4+7s)(1+s))" in head
         assert tail.startswith("error: ") and tail.count("\n") == 1
+    missing = tmp_path / "missing.txt"
     code, out, _ = run(capsys, "poles", "--gens-file", str(irrational),
-                       "--gens-file", str(bad), "--gens-file", str(good))
+                       "--gens-file", str(bad), "--gens-file", str(missing),
+                       "--gens-file", str(good))
     assert code == 3
     assert f"== {irrational} ==\nunsupported: " in out
     assert f"== {bad} ==\nerror: " in out
+    assert f"== {missing} ==\nerror: cannot read {missing}: " in out
     assert "-1 (order 1)" in out.split(f"== {good} ==")[1]
+
+
+@pytest.mark.parametrize("content", [None, b"x^4*y\n\xff\n"],
+                         ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("command, option", [
+    ("zeta", "--gens-file"), ("verify", "--diagram-json")])
+def test_unreadable_input_file_exit_2(capsys, tmp_path, content, command,
+                                      option):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, command, option, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ import pytest
 from topzeta.blowup import divisor_order_of
 from topzeta.diagram import alphas
 from topzeta.errors import DegenerateLambda
+from topzeta.family import build
 from topzeta.generic import (
     certify_generic,
     count_n,
@@ -141,3 +142,40 @@ def test_resample_on_non_squarefree_restriction():
 def test_degenerate_all_zero_rejected(golden):
     with pytest.raises(DegenerateLambda):
         count_n(golden, [Fraction(0), Fraction(0)], "E1")
+
+
+
+@pytest.mark.parametrize("gens, retries", [
+    (GOLDEN, 0),
+    (build(8, 0), 0),
+    ([parse_poly("x^2 + 2*x*y"), parse_poly("y^2")], 1),
+], ids=["golden", "build(8,0)", "resampled"])
+def test_certify_generic_reads_diagram_points_once(monkeypatch, gens,
+                                                   retries):
+    """Corners and carrier zero data are read from the atlas once per call,
+    however many divisors and retries there are."""
+    import sys
+
+    from topzeta.blowup import ChartState, carrier_intersections
+
+    result = principalize(gens)
+    calls = []
+    registry = ChartState.corner_registry
+
+    def counted_registry(state):
+        calls.append("corner_registry")
+        return registry(state)
+
+    def counted_hits(state):
+        calls.append("carrier_intersections")
+        return carrier_intersections(state)
+
+    monkeypatch.setattr(ChartState, "corner_registry", counted_registry)
+    for name, mod in list(sys.modules.items()):
+        if name == "topzeta" or name.startswith("topzeta."):
+            for attr, val in list(vars(mod).items()):
+                if val is carrier_intersections:
+                    monkeypatch.setattr(mod, attr, counted_hits)
+    report = certify_generic(result, seed=0)
+    assert report.retries >= retries
+    assert sorted(calls) == ["carrier_intersections", "corner_registry"]
