@@ -195,12 +195,12 @@ class Occurrence:
     and the one place that decides which points a chart speaks for.
 
     Leaf charts overlap, so each chart is authoritative only on its own
-    {x = 0} locus; the owned loci partition the surface.  An occurrence with
-    axis ("x", 0) therefore owns the whole divisor, one with axis
-    ("y", beta) only the single point t = 0, and an off-axis x-parallel
-    owns nothing and is never yielded.  Every diagram point read from the
-    atlas (bad points, corners, branch points, generic crossings) is read
-    through `corners`, `owned_params` or `owned_zeros`.
+    {x = 0} locus; the owned loci partition the surface.  Translations only
+    move along y, so every x-parallel divisor is the axis x = 0: an
+    occurrence with axis ("x", 0) owns the whole divisor, one with axis
+    ("y", beta) only the single point t = 0.  Every diagram point read from
+    the atlas (bad points, corners, branch points, generic crossings) is
+    read through `corners`, `owned_params` or `owned_zeros`.
     """
 
     leaf_index: int
@@ -220,8 +220,7 @@ class Occurrence:
         exceptional divisor of the chart, partners in birth order."""
         opposite = "y" if self.mode == "all" else "x"
         return [(c, d) for d, (var, c) in self.chart.axes.items()
-                if d != self.ident and var == opposite
-                and (self.mode == "all" or c == 0)]
+                if d != self.ident and var == opposite]
 
     def param_point(self, t: Fraction) -> tuple[Fraction, Fraction]:
         var, c = self.axis
@@ -301,8 +300,7 @@ class ChartState:
         birth order."""
         for idx, chart in enumerate(self.leaves):
             for ident, axis in chart.axes.items():
-                if axis[0] == "y" or axis[1] == 0:
-                    yield Occurrence(idx, chart, ident, axis, chart.pms[ident])
+                yield Occurrence(idx, chart, ident, axis, chart.pms[ident])
 
     def corner_registry(self) -> dict[str, dict[PPoint, str]]:
         """Per divisor: birth coordinate of each crossing with another
@@ -360,21 +358,18 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
     return state
 
 
-def _translated(chart: Chart, dx: Fraction, dy: Fraction) -> Chart:
-    step = step_translate(dx, dy)
-    exc = {}
-    pms = {}
-    for d, eq in chart.exc.items():
-        exc[d] = eq.translate(dx, dy)
-    for d, (var, _) in chart.axes.items():
-        # x-type divisors are parametrized by y and vice versa
-        pms[d] = chart.pms[d].shift(dy if var == "x" else dx)
+def _translated(chart: Chart, dy: Fraction) -> Chart:
+    """The chart moved along y by dy; centres always lie on x = 0."""
+    shift = (lambda p: p.translate(0, dy))
+    # x-type divisors are parametrized by y, y-type ones by x
+    pms = {d: chart.pms[d].shift(dy) if var == "x" else chart.pms[d]
+           for d, (var, _) in chart.axes.items()}
     return Chart(
-        path=chart.path + (step,),
-        exc=exc,
+        path=chart.path + (step_translate(Fraction(0), dy),),
+        exc={d: shift(eq) for d, eq in chart.exc.items()},
         pms=pms,
-        carriers={k: v.translate(dx, dy) for k, v in chart.carriers.items()},
-        residual=[r.translate(dx, dy) for r in chart.residual],
+        carriers={k: shift(v) for k, v in chart.carriers.items()},
+        residual=[shift(r) for r in chart.residual],
     )
 
 
@@ -401,8 +396,6 @@ def _child(chart: Chart, side: str, new_ident: str) -> Chart:
         if side == "A":
             if var == "y" and c == 0:
                 pms[d] = pm                 # param x = a unchanged
-            elif var == "x" and c != 0:
-                pms[d] = pm.rescale(c)      # param y = c * b
         else:
             if var == "x" and c == 0:
                 pms[d] = pm                 # param y = b unchanged
@@ -452,8 +445,8 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
         raise CenterNotOverOrigin(
             "centers must be given in their owning chart, on its x-axis locus")
 
-    if (cx, cy) != (0, 0):
-        chart = _translated(chart, cx, cy)
+    if cy != 0:
+        chart = _translated(chart, cy)
     for d in through:
         if chart.axis_of(d) is None:
             raise InternalInvariantError(
@@ -512,12 +505,19 @@ def divisor_order_of(state: ChartState, g: BiPoly, ident: str) -> int:
     return _order_along(state, g, lambda ch: ch.exc.get(ident))
 
 
+_X, _Y = BiPoly.x(), BiPoly.y()
+
+
 def _order_along(state: ChartState, g: BiPoly, eq_of) -> int:
     for chart in state.leaves:
         eq = eq_of(chart)
         if eq is None:
             continue
         p = chart.pullback(g)
+        if eq == _X:
+            return p.x_order()
+        if eq == _Y:
+            return p.y_order()
         order = 0
         while True:
             try:

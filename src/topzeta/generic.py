@@ -83,18 +83,29 @@ def verify_min_property(result: PrincipalizationResult,
                         lam: list[Fraction]) -> dict[str, DivisorCheck]:
     """Order of the combination along each divisor versus the minimum over
     generators; inequality marks the sample as degenerate."""
+    return _verify_min_property(result, lam, _min_orders(result))
+
+
+def _min_orders(result: PrincipalizationResult) -> dict[str, int]:
+    """N_min of every divisor and strict branch through the origin: the
+    minimum order over the generators, which no sample changes."""
+    state = result.state
+    idents = list(state.divisor_order) + [
+        c.ident for c in state.carriers if c.through_origin]
+    return {ident: min(divisor_order_of(state, g, ident) for g in result.gens)
+            for ident in idents}
+
+
+def _verify_min_property(result: PrincipalizationResult, lam: list[Fraction],
+                         n_min: dict[str, int]) -> dict[str, DivisorCheck]:
     member = _member(result, lam)
     if member.is_zero():
         raise DegenerateLambda("combination is identically zero")
-    state = result.state
-    out: dict[str, DivisorCheck] = {}
-    idents = list(state.divisor_order) + [
-        c.ident for c in state.carriers if c.through_origin]
-    for ident in idents:
-        got = divisor_order_of(state, member, ident)
-        want = min(divisor_order_of(state, g, ident) for g in result.gens)
-        out[ident] = DivisorCheck(ident=ident, N_from_generic=got, N_min=want)
-    return out
+    return {ident: DivisorCheck(
+                ident=ident,
+                N_from_generic=divisor_order_of(result.state, member, ident),
+                N_min=want)
+            for ident, want in n_min.items()}
 
 
 def _diagram_points(state: ChartState) -> tuple[dict, dict]:
@@ -161,12 +172,14 @@ def verify_relations(result: PrincipalizationResult,
     A mismatch here is an engine bug, not sample degeneracy: the counts were
     already certified.
     """
-    return _verify_relations(result, lam, _diagram_points(result.state))
+    return _verify_relations(result, lam, _diagram_points(result.state),
+                             _min_orders(result))
 
 
 def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
-                      points: tuple[dict, dict]) -> GenericCheckReport:
-    checks = verify_min_property(result, lam)
+                      points: tuple[dict, dict],
+                      n_min: dict[str, int]) -> GenericCheckReport:
+    checks = _verify_min_property(result, lam, n_min)
     for ident, c in checks.items():
         if not c.min_property_ok:
             raise DegenerateLambda(
@@ -197,11 +210,12 @@ def certify_generic(result: PrincipalizationResult,
     """First accepted sample within the retry budget, with its full report."""
     l = len(result.gens)
     points = _diagram_points(result.state)
+    n_min = _min_orders(result)
     last = None
     for attempt in range(RETRY_BUDGET):
         lam = sample_lambda(l, seed, attempt)
         try:
-            report = _verify_relations(result, lam, points)
+            report = _verify_relations(result, lam, points, n_min)
             report.retries = attempt
             return report
         except DegenerateLambda as exc:

@@ -424,45 +424,31 @@ class BiPoly:
         return min(b for _, b in self.terms)
 
     def divide_x_power(self, k: int) -> "BiPoly":
-        return BiPoly({(a - k, b): c for (a, b), c in self.terms.items()})
+        return _normal({(a - k, b): c for (a, b), c in self.terms.items()})
 
     def divide_y_power(self, k: int) -> "BiPoly":
-        return BiPoly({(a, b - k): c for (a, b), c in self.terms.items()})
+        return _normal({(a, b - k): c for (a, b), c in self.terms.items()})
 
     # -- substitutions used by the blow-up kernel --
 
     def subst_chart_a(self) -> "BiPoly":
         """Pullback under (x, y) -> (x, x*y): monomial map (a,b) -> (a+b, b)."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in self.terms.items():
-            e = (a + b, b)
-            out[e] = out.get(e, Fraction(0)) + c
-        return BiPoly(out)
+        return _normal({(a + b, b): c for (a, b), c in self.terms.items()})
 
     def subst_chart_b(self) -> "BiPoly":
         """Pullback under (x, y) -> (x*y, y): monomial map (a,b) -> (a, a+b)."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in self.terms.items():
-            e = (a, a + b)
-            out[e] = out.get(e, Fraction(0)) + c
-        return BiPoly(out)
+        return _normal({(a, a + b): c for (a, b), c in self.terms.items()})
 
     def translate(self, dx, dy) -> "BiPoly":
         """p(x + dx, y + dy)."""
-        dx, dy = Fraction(dx), Fraction(dy)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in self.terms.items():
-            for i in range(a + 1):
-                ci = c * math.comb(a, i) * dx ** (a - i)
-                if ci == 0:
-                    continue
-                for j in range(b + 1):
-                    cij = ci * math.comb(b, j) * dy ** (b - j)
-                    if cij == 0:
-                        continue
-                    e = (i, j)
-                    out[e] = out.get(e, Fraction(0)) + cij
-        return BiPoly(out)
+        if not (dx or dy):
+            return BiPoly(self.terms)
+        terms = self.terms
+        if dy:
+            terms = _shift_rows(terms, Fraction(dy), 1)
+        if dx:
+            terms = _shift_rows(terms, Fraction(dx), 0)
+        return _normal(terms)
 
     def mult_at_point(self, pt: tuple[Fraction, Fraction]):
         """Lowest total degree of the Taylor expansion at pt."""
@@ -474,25 +460,29 @@ class BiPoly:
 
     def restrict_x(self, alpha) -> UniPoly:
         """p(alpha, t) as a univariate polynomial in t = y."""
-        alpha = Fraction(alpha)
-        out: dict[int, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            v = c * alpha ** a
-            if v:
-                out[b] = out.get(b, Fraction(0)) + v
-        deg = max(out) if out else -1
-        return UniPoly([out.get(i, Fraction(0)) for i in range(deg + 1)])
+        return self._restrict(alpha, 0)
 
     def restrict_y(self, beta) -> UniPoly:
         """p(t, beta) as a univariate polynomial in t = x."""
-        beta = Fraction(beta)
-        out: dict[int, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            v = c * beta ** b
-            if v:
-                out[a] = out.get(a, Fraction(0)) + v
-        deg = max(out) if out else -1
-        return UniPoly([out.get(i, Fraction(0)) for i in range(deg + 1)])
+        return self._restrict(beta, 1)
+
+    def _restrict(self, value, axis: int) -> UniPoly:
+        """Set the variable with exponent index `axis` to value: at 0 a
+        filter of the terms, elsewhere one power table per call."""
+        value = Fraction(value)
+        other = 1 - axis
+        if value == 0:
+            out = {e[other]: c for e, c in self.terms.items() if not e[axis]}
+        else:
+            powers = [Fraction(1)]
+            for _ in range(max((e[axis] for e in self.terms), default=0)):
+                powers.append(powers[-1] * value)
+            out = {}
+            for e, c in self.terms.items():
+                k = e[other]
+                out[k] = out.get(k, 0) + c * powers[e[axis]]
+        deg = max(out, default=-1)
+        return UniPoly([out.get(i, 0) for i in range(deg + 1)])
 
     def eval(self, px, py) -> Fraction:
         px, py = Fraction(px), Fraction(py)
@@ -537,6 +527,52 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({poly_to_str(self)})"
+
+
+def _shift_rows(terms: dict[tuple[int, int], Fraction], delta: Fraction,
+                axis: int) -> dict[tuple[int, int], Fraction]:
+    """Terms of p with the variable of exponent index `axis` replaced by
+    itself plus delta, in integer arithmetic.
+
+    Each row (the terms sharing the other exponent) is a polynomial r of
+    degree D in t.  With delta = u/v and L the lcm of the row's
+    denominators, L v^D r(z/v) has integer coefficients; the classical
+    Taylor shift by u turns them into those of L v^D r((z + u)/v), and
+    coefficient j of r(t + delta) is the shifted one over L v^(D - j).
+    """
+    u, v = delta.numerator, delta.denominator
+    rows: dict[int, dict[int, Fraction]] = {}
+    for e, c in terms.items():
+        rows.setdefault(e[1 - axis], {})[e[axis]] = c
+    out: dict[tuple[int, int], Fraction] = {}
+    for key, row in rows.items():
+        deg = max(row)
+        vpow = [1]
+        for _ in range(deg):
+            vpow.append(vpow[-1] * v)
+        den = math.lcm(*(c.denominator for c in row.values()))
+        a = [0] * (deg + 1)
+        for j, c in row.items():
+            a[j] = c.numerator * (den // c.denominator) * vpow[deg - j]
+        for i in range(deg):
+            acc = a[deg]
+            for j in range(deg - 1, i - 1, -1):
+                acc = a[j] + u * acc
+                a[j] = acc
+        for j, n in enumerate(a):
+            if n:
+                out[(key, j) if axis else (j, key)] = \
+                    Fraction(n, den * vpow[deg - j])
+    return out
+
+
+def _normal(terms: dict[tuple[int, int], Fraction]) -> BiPoly:
+    """A BiPoly over terms already in normal form (int exponents, nonzero
+    Fraction coefficients), as the kernel's exponent maps and shifts leave
+    them, without the constructor's per-term checks."""
+    p = BiPoly.__new__(BiPoly)
+    p.terms = terms
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +743,8 @@ class _Parser:
             k = self.take_int()
             if k > _EXPONENT_CAP:
                 raise DegreeCapExceeded(f"exponent {k} exceeds cap {_EXPONENT_CAP}")
+            # exact before expanding: Q[x, y] has no zero divisors
+            _check_degree(base.total_degree() * k)
             return base ** k
         return base
 
@@ -765,11 +803,14 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")
-    if result.total_degree() > DEGREE_CAP:
-        raise DegreeCapExceeded(
-            f"total degree {result.total_degree()} exceeds cap {DEGREE_CAP}"
-        )
+    _check_degree(result.total_degree())
     return result
+
+
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_CAP:
+        raise DegreeCapExceeded(
+            f"total degree {degree} exceeds cap {DEGREE_CAP}")
 
 
 def _monomial_str(a: int, b: int, c: Fraction,

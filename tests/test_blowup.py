@@ -379,3 +379,35 @@ def test_ownership_walk_matches_reference(corpus_results):
                 _reference_corner_registry(state), name
             assert carrier_intersections(state) == \
                 _reference_carrier_data(state), name
+
+
+def _reference_order(state, g, ident):
+    """Order along a divisor by repeated exact division of the pullback,
+    whatever its chart equation."""
+    for chart in state.leaves:
+        eq = chart.exc.get(ident, chart.carriers.get(ident))
+        if eq is None:
+            continue
+        p, order = chart.pullback(g), 0
+        while eq.divides(p):
+            p, order = p.divexact(eq), order + 1
+        return order
+    raise KeyError(ident)
+
+
+def test_divisor_order_matches_division_reference(corpus_results):
+    """The x_order / y_order shortcut for coordinate equations gives the
+    order repeated division gives, on every divisor of every corpus run."""
+    for name, result in corpus_results:
+        state = result.state
+        idents = list(state.divisor_order) + [
+            c.ident for c in state.carriers if c.through_origin]
+        member = BiPoly.zero()
+        for g in result.gens:
+            member = member + g
+        for g in list(result.gens) + [member]:
+            if g.is_zero():
+                continue
+            for ident in idents:
+                assert divisor_order_of(state, g, ident) == \
+                    _reference_order(state, g, ident), (name, ident)

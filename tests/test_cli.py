@@ -36,6 +36,14 @@ def test_principalize_parse_error_exit_2(capsys):
     assert "vanish" in err
 
 
+def test_power_over_degree_cap_exit_2(capsys):
+    # refused before the outer power expands
+    code, out, err = run(capsys, "zeta", "--", "((1+x+y)^30)^30", "y")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: total degree 900 exceeds cap 64")
+
+
 def test_principalize_irrational_exit_3(capsys):
     code, _, err = run(capsys, "principalize", "x^3", "y^2 - 2*x^2")
     assert code == 3

@@ -179,3 +179,23 @@ def test_certify_generic_reads_diagram_points_once(monkeypatch, gens,
     report = certify_generic(result, seed=0)
     assert report.retries >= retries
     assert sorted(calls) == ["carrier_intersections", "corner_registry"]
+
+
+def test_certify_generic_takes_generator_orders_once(monkeypatch):
+    """N_min depends only on the generators: each generator's order along
+    each divisor is taken once per call, however many samples are tried."""
+    import topzeta.generic as generic
+
+    result = principalize([parse_poly("x^2 + 2*x*y"), parse_poly("y^2")])
+    gens = {id(g) for g in result.gens}
+    seen = []
+
+    def counted(state, g, ident):
+        if id(g) in gens:
+            seen.append((id(g), ident))
+        return divisor_order_of(state, g, ident)
+
+    monkeypatch.setattr(generic, "divisor_order_of", counted)
+    report = certify_generic(result, seed=0)
+    assert report.retries >= 1
+    assert len(seen) == len(set(seen)) == len(gens) * len(report.per_divisor)

@@ -1,5 +1,6 @@
 """Exact arithmetic: parser, gcd, multiplicities, root counting."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,22 @@ def test_degree_cap_on_expansion():
         P("(x^2)^40")
 
 
+def test_degree_cap_before_power():
+    # refused before the outer power expands: degree 30 * 30
+    with pytest.raises(DegreeCapExceeded, match="total degree 900 exceeds"):
+        P("((1+x+y)^30)^30")
+    # a power over the cap refuses even when a later term cancels it
+    with pytest.raises(DegreeCapExceeded, match="total degree 70 exceeds"):
+        P("(x+y)^70 - (x+y)^70 + x")
+
+
+def test_degree_cap_after_product():
+    # each power is under the cap, the product is not: the final check
+    with pytest.raises(DegreeCapExceeded, match="total degree 65 exceeds"):
+        P("(1+x+y)^20*(1+x)^45")
+    assert P("(1+x)^64").total_degree() == 64
+
+
 @st.composite
 def bipolys(draw):
     n = draw(st.integers(1, 6))
@@ -97,6 +114,114 @@ def bipolys(draw):
 @settings(max_examples=150)
 def test_print_parse_roundtrip(p):
     assert parse_poly(poly_to_str(p)) == p
+
+
+# --- chart kernel against the per-term reference loops -------------------------
+
+def _reference_translate(p, dx, dy):
+    """p(x + dx, y + dy) by binomial expansion of every term in Fraction."""
+    dx, dy = Fraction(dx), Fraction(dy)
+    out = {}
+    for (a, b), c in p.terms.items():
+        for i in range(a + 1):
+            ci = c * math.comb(a, i) * dx ** (a - i)
+            if ci == 0:
+                continue
+            for j in range(b + 1):
+                cij = ci * math.comb(b, j) * dy ** (b - j)
+                if cij == 0:
+                    continue
+                out[(i, j)] = out.get((i, j), Fraction(0)) + cij
+    return BiPoly(out)
+
+
+def _reference_restrict_x(p, alpha):
+    alpha = Fraction(alpha)
+    out = {}
+    for (a, b), c in p.terms.items():
+        v = c * alpha ** a
+        if v:
+            out[b] = out.get(b, Fraction(0)) + v
+    deg = max(out) if out else -1
+    return UniPoly([out.get(i, Fraction(0)) for i in range(deg + 1)])
+
+
+def _reference_restrict_y(p, beta):
+    beta = Fraction(beta)
+    out = {}
+    for (a, b), c in p.terms.items():
+        v = c * beta ** b
+        if v:
+            out[a] = out.get(a, Fraction(0)) + v
+    deg = max(out) if out else -1
+    return UniPoly([out.get(i, Fraction(0)) for i in range(deg + 1)])
+
+
+def _assert_normal(p):
+    """The BiPoly invariant: int exponents, nonzero Fraction coefficients."""
+    for (a, b), c in p.terms.items():
+        assert type(a) is int and type(b) is int
+        assert type(c) is Fraction and c != 0
+
+
+#: Shifts: zero, small, negative, and with large denominators.
+shifts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-10**6, 10**6),
+              st.integers(1, 10**12)),
+)
+
+
+@given(bipolys(), shifts, shifts)
+@settings(max_examples=300, deadline=None)
+def test_translate_matches_reference(p, dx, dy):
+    q = p.translate(dx, dy)
+    assert q.terms == _reference_translate(p, dx, dy).terms
+    _assert_normal(q)
+
+
+@given(bipolys(), shifts)
+@settings(max_examples=200, deadline=None)
+def test_translate_along_y_matches_reference(p, dy):
+    # the only shift the blow-up kernel makes: dx = 0
+    q = p.translate(0, dy)
+    assert q.terms == _reference_translate(p, 0, dy).terms
+    _assert_normal(q)
+    assert q.translate(0, -dy) == p
+
+
+@given(bipolys(), shifts)
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_reference(p, value):
+    for v in (value, Fraction(0)):
+        assert p.restrict_x(v).coeffs == _reference_restrict_x(p, v).coeffs
+        assert p.restrict_y(v).coeffs == _reference_restrict_y(p, v).coeffs
+
+
+@given(bipolys())
+@settings(max_examples=100, deadline=None)
+def test_chart_maps_keep_normal_form(p):
+    for q in (p.subst_chart_a(), p.subst_chart_b(),
+              p.subst_chart_a().divide_x_power(p.subst_chart_a().x_order()),
+              p.subst_chart_b().divide_y_power(p.subst_chart_b().y_order())):
+        _assert_normal(q)
+
+
+def test_kernel_on_zero_polynomial():
+    z = BiPoly.zero()
+    for dx, dy in ((0, 0), (0, Fraction(-3, 7)), (Fraction(2), Fraction(5))):
+        assert z.translate(dx, dy).is_zero()
+    assert z.restrict_x(0).is_zero() and z.restrict_x(Fraction(-2, 3)).is_zero()
+    assert z.restrict_y(0).is_zero() and z.restrict_y(Fraction(9)).is_zero()
+
+
+def test_translate_dense_row():
+    # a full row of degree 40 at a shift with a large denominator
+    p = P("(1 + 2/3*y)^40*x^3 - 1/5*y^17")
+    dy = Fraction(-123456789, 10**9 + 7)
+    assert p.translate(0, dy) == _reference_translate(p, 0, dy)
+    assert p.translate(dy, 0) == _reference_translate(p, dy, 0)
 
 
 # --- multiplicity --------------------------------------------------------------
