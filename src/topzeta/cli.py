@@ -15,22 +15,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stdout
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import errors
 from .criterion import classify, cross_check
-from .diagram import (
-    IntersectionDiagram,
-    export_dot,
-    export_json,
-    load_json,
-    validate_all,
-)
+from .diagram import export_dot, export_json, load_json, validate_all
 from .family import admissible, build, expected_chain, realize_pole
 from .generic import certify_generic
 from .poly import BiPoly, frac_str, parse_poly, poly_to_str
 from .principalize import principalize, verify_minimality
-from .zeta import ZetaReport, pole_report
+from .zeta import pole_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,23 +68,29 @@ def _read_text(path: str, refusal) -> str:
 
 def _read_gens(args) -> list[BiPoly]:
     texts = list(args.generators)
-    for path in getattr(args, "gens_file", None) or []:
+    for path in args.gens_file or []:
         text = _read_text(path, partial(errors.ParseError, position=0))
-        texts.extend(line.strip() for line in text.split("\n")
-                     if line.strip() and not line.startswith("#"))
+        lines = (line.strip() for line in text.split("\n"))
+        texts.extend(line for line in lines
+                     if line and not line.startswith("#"))
     if not texts:
         raise errors.AllZero("no generators given")
     return [parse_poly(t) for t in texts]
 
 
-def _principalization_lines(result) -> list[str]:
-    lines = ["principalization log:"]
+# --- views: (result, report) -> (JSON payload, text lines) -------------------
+
+def _principalization_view(result, _report):
+    log, lines = [], ["principalization log:"]
     for ev in result.log:
+        center = [frac_str(c) for c in ev.center]
+        log.append({"step": ev.step, "center": center,
+                    "through": list(ev.divisors_through),
+                    "divisor": ev.new_divisor, "N": ev.N, "nu": ev.nu})
         through = ",".join(ev.divisors_through) or "origin"
         lines.append(
-            f"  step {ev.step}: blow up ({frac_str(ev.center[0])}, "
-            f"{frac_str(ev.center[1])}) on {through} -> {ev.new_divisor} "
-            f"(N={ev.N}, nu={ev.nu})")
+            f"  step {ev.step}: blow up ({center[0]}, {center[1]}) on "
+            f"{through} -> {ev.new_divisor} (N={ev.N}, nu={ev.nu})")
     if not result.log:
         lines.append("  identity: total transform already normal crossings")
     lines.append("components:")
@@ -98,39 +98,11 @@ def _principalization_lines(result) -> list[str]:
         lines.append(f"  {v.ident} ({v.N},{v.nu}) [{v.kind}]")
     edges = sorted(sorted(e) for e in result.diagram.edges)
     lines.append("edges: " + ("; ".join("--".join(e) for e in edges) or "none"))
-    return lines
+    payload = {"log": log, "diagram": json.loads(export_json(result.diagram))}
+    return payload, lines
 
 
-def cmd_principalize(args) -> int:
-    result = principalize(_read_gens(args), max_steps=args.max_blowups)
-    if args.dot:
-        sys.stdout.write(export_dot(result.diagram))
-    elif args.json:
-        payload = {
-            "log": [
-                {
-                    "step": ev.step,
-                    "center": [frac_str(ev.center[0]), frac_str(ev.center[1])],
-                    "through": list(ev.divisors_through),
-                    "divisor": ev.new_divisor,
-                    "N": ev.N,
-                    "nu": ev.nu,
-                }
-                for ev in result.log
-            ],
-            "diagram": json.loads(export_json(result.diagram)),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(_principalization_lines(result)))
-    if args.check:
-        report = verify_minimality(result)
-        if not report.passed:
-            raise errors.InternalInvariantError("; ".join(report.failures))
-    return EXIT_OK
-
-
-def _zeta_lines(report) -> list[str]:
+def _zeta_view(_result, report):
     lines = [f"Z = {report.zeta}", "terms:"]
     for chi, factors in report.terms:
         fac = "".join(
@@ -139,117 +111,115 @@ def _zeta_lines(report) -> list[str]:
         lines.append(f"  {chi} * {fac}")
     lines.append("candidates: " +
                  ", ".join(frac_str(c) for c in report.candidate_poles))
-    return lines
+    return report.to_json_dict(), lines
 
 
-def cmd_zeta(args) -> int:
-    result = principalize(_read_gens(args), max_steps=args.max_blowups)
-    report = pole_report(result.diagram)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print("\n".join(_zeta_lines(report)))
-    if args.check:
-        _run_checks(result.diagram, report)
-    return EXIT_OK
+def _poles_view(_result, report):
+    return report.to_json_dict(), [
+        f"{frac_str(p.location)} (order {p.order})" for p in report.poles]
 
 
-def cmd_poles(args) -> int:
-    result = principalize(_read_gens(args), max_steps=args.max_blowups)
-    report = pole_report(result.diagram)
-    if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        for p in report.poles:
-            print(f"{frac_str(p.location)} (order {p.order})")
-    if args.check:
-        _run_checks(result.diagram, report)
-    return EXIT_OK
-
-
-def cmd_classify(args) -> int:
-    result = principalize(_read_gens(args), max_steps=args.max_blowups)
-    diagram = result.diagram
-    report = pole_report(diagram)
-    payload = []
+def _classify_view(result, report):
+    payload, lines = [], []
     for s0 in report.candidate_poles:
-        verdict = classify(diagram, s0)
-        payload.append({
-            "s": frac_str(s0),
-            "pole": verdict.is_pole,
-            "conditions": [
-                {"condition": h.condition, "witness": h.witness}
-                for h in verdict.hits
-            ],
-        })
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for entry in payload:
-            if entry["pole"]:
-                conds = ", ".join(
-                    f"cond{c['condition']}[{c['witness']}]"
-                    for c in entry["conditions"])
-                print(f"{entry['s']}: pole via {conds}")
-            else:
-                print(f"{entry['s']}: no pole")
-    if args.check:
-        _run_checks(diagram, report)
-    return EXIT_OK
+        verdict = classify(result.diagram, s0)
+        hits = [{"condition": h.condition, "witness": h.witness}
+                for h in verdict.hits]
+        payload.append({"s": frac_str(s0), "pole": verdict.is_pole,
+                        "conditions": hits})
+        conds = ", ".join(f"cond{h.condition}[{h.witness}]"
+                          for h in verdict.hits)
+        lines.append(f"{frac_str(s0)}: pole via {conds}" if verdict.is_pole
+                     else f"{frac_str(s0)}: no pole")
+    return payload, lines
 
 
-def _run_checks(diagram: IntersectionDiagram, report: ZetaReport) -> None:
-    chk = cross_check(diagram, report)
+# --- --check steps: raise InternalInvariantError on a failed check ----------
+
+def _check_minimality(result, _report) -> None:
+    minim = verify_minimality(result)
+    if not minim.passed:
+        raise errors.InternalInvariantError("; ".join(minim.failures))
+
+
+def _check_report(result, report) -> None:
+    chk = cross_check(result.diagram, report)
     if not chk.passed:
         raise errors.InternalInvariantError(chk.detail)
-    bad = [r for r in validate_all(diagram) if not r.passed]
+    bad = [r for r in validate_all(result.diagram) if not r.passed]
     if bad:
         raise errors.InternalInvariantError(
             "; ".join(f"{r.name}: {', '.join(r.failures)}" for r in bad))
 
 
-def cmd_verify(args) -> int:
-    if args.diagram_json:
-        diagram = load_json(
-            _read_text(args.diagram_json, errors.MalformedDiagram))
-        reports = validate_all(diagram)
-        ok = all(r.passed for r in reports)
-        for r in reports:
-            status = "pass" if r.passed else "FAIL " + "; ".join(r.failures)
-            print(f"{r.name}: {status}")
-        return EXIT_OK if ok else EXIT_INPUT
+#: Subcommands that print a view: help text, view and --check step.
+VIEWS = {
+    "principalize": ("run the blow-up engine", _principalization_view,
+                     _check_minimality),
+    "zeta": ("local topological zeta function", _zeta_view, _check_report),
+    "poles": ("pole table", _poles_view, _check_report),
+    "classify": ("five-condition pole criterion", _classify_view,
+                 _check_report),
+}
 
-    gens = _read_gens(args)
-    result = principalize(gens, max_steps=args.max_blowups)
-    diagram = result.diagram
+
+def _print_validators(diagram) -> bool:
     reports = validate_all(diagram)
-    ok = all(r.passed for r in reports)
     for r in reports:
         status = "pass" if r.passed else "FAIL " + "; ".join(r.failures)
         print(f"{r.name}: {status}")
+    return all(r.passed for r in reports)
 
-    chk = cross_check(diagram, pole_report(diagram))
+
+def _print_suites(gens, result, report, seed: int) -> bool:
+    ok = _print_validators(result.diagram)
+    chk = cross_check(result.diagram, report)
     print(f"criterion-vs-zeta: {'pass' if chk.passed else 'FAIL ' + chk.detail}")
-    ok = ok and chk.passed
-
     minim = verify_minimality(result)
     print(f"minimality: {'pass' if minim.passed else 'FAIL'}")
-    ok = ok and minim.passed
-
+    ok = ok and chk.passed and minim.passed
     if len(gens) >= 2:
-        report = certify_generic(result, seed=args.seed)
-        print("lambda: (" + ", ".join(frac_str(c) for c in report.lam)
-              + f"), retries {report.retries}")
-        table = report.n_table()
+        generic = certify_generic(result, seed=seed)
+        print("lambda: (" + ", ".join(frac_str(c) for c in generic.lam)
+              + f"), retries {generic.retries}")
+        table = generic.n_table()
         if table:
             print("crossings with generic member: " + ", ".join(
                 f"{d}:{n}" for d, n in sorted(table.items())))
-        bad = [d for d, c in report.per_divisor.items()
+        bad = [d for d, c in generic.per_divisor.items()
                if not c.min_property_ok]
         print(f"min-property: {'pass' if not bad else 'FAIL ' + str(bad)}")
         print("numerical-data relations: pass")
         ok = ok and not bad
-    return EXIT_OK if ok else EXIT_INPUT
+    return ok
+
+
+def _run(args) -> int:
+    """The generator subcommands: read and principalize, build the pole
+    report once (principalize needs none), then print a view or the
+    verify suites."""
+    if args.command == "verify" and args.diagram_json:
+        diagram = load_json(
+            _read_text(args.diagram_json, errors.MalformedDiagram))
+        return EXIT_OK if _print_validators(diagram) else EXIT_INPUT
+    gens = _read_gens(args)
+    result = principalize(gens, max_steps=args.max_blowups)
+    report = None if args.command == "principalize" else pole_report(
+        result.diagram)
+    if args.command == "verify":
+        ok = _print_suites(gens, result, report, args.seed)
+        return EXIT_OK if ok else EXIT_INPUT
+    _, view, check = VIEWS[args.command]
+    if getattr(args, "dot", False):
+        sys.stdout.write(export_dot(result.diagram))
+    else:
+        payload, lines = view(result, report)
+        if args.json:
+            lines = [json.dumps(payload, indent=2)]
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    if args.check:
+        check(result, report)
+    return EXIT_OK
 
 
 def cmd_family(args) -> int:
@@ -278,59 +248,54 @@ def cmd_realize(args) -> int:
     return EXIT_OK
 
 
-COMMANDS = {
-    "principalize": cmd_principalize,
-    "zeta": cmd_zeta,
-    "poles": cmd_poles,
-    "classify": cmd_classify,
-    "verify": cmd_verify,
-}
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
-def _add_common(sub, gens: bool = True):
-    if gens:
-        sub.add_argument("generators", nargs="*",
-                         help="generator polynomials in x, y")
-        sub.add_argument("--gens-file", action="append",
-                         help="file with one generator per line; repeatable "
-                              "for batch processing")
-    sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument("--check", action="store_true",
-                     help="run cross-checks and validators")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-blowups", type=int, default=512)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel runs for multi-file batch input")
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The zp parser, built once per process and shared by every caller,
+    which must not modify it; each flag is declared only on the
+    subcommands that read it."""
     ap = argparse.ArgumentParser(
         prog="zp",
         description="Principalization and local topological zeta functions "
                     "of ideals in two variables over the origin.")
     subs = ap.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("principalize", help="run the blow-up engine")
-    _add_common(p)
-    p.add_argument("--dot", action="store_true", help="DOT diagram output")
-    p.set_defaults(func=cmd_principalize)
-
-    p = subs.add_parser("zeta", help="local topological zeta function")
-    _add_common(p)
-    p.set_defaults(func=cmd_zeta)
-
-    p = subs.add_parser("poles", help="pole table")
-    _add_common(p)
-    p.set_defaults(func=cmd_poles)
-
-    p = subs.add_parser("classify", help="five-condition pole criterion")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = subs.add_parser("verify", help="relation and structure suites")
-    _add_common(p)
-    p.add_argument("--diagram-json", help="validate a serialized diagram")
-    p.set_defaults(func=cmd_verify)
+    helps = {name: entry[0] for name, entry in VIEWS.items()}
+    helps["verify"] = "relation and structure suites"
+    for name, help_text in helps.items():
+        p = subs.add_parser(name, help=help_text)
+        p.set_defaults(func=_run)
+        p.add_argument("generators", nargs="*",
+                       help="generator polynomials in x, y")
+        p.add_argument("--gens-file", action="append",
+                       help="file with one generator per line (blank and "
+                            "# lines skipped); repeatable for batch "
+                            "processing")
+        p.add_argument("--max-blowups", type=_int_at_least(0), default=512)
+        p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                       help="parallel runs for multi-file batch input")
+        if name == "verify":
+            p.add_argument("--seed", type=int, default=0,
+                           help="generic-member sampling seed")
+            p.add_argument("--diagram-json",
+                           help="validate a serialized diagram instead")
+            continue
+        output = p.add_mutually_exclusive_group()
+        output.add_argument("--json", action="store_true", help="JSON output")
+        if name == "principalize":
+            output.add_argument("--dot", action="store_true",
+                                help="DOT diagram output")
+        p.add_argument("--check", action="store_true",
+                       help="replay the blow-up log" if name == "principalize"
+                       else "run cross-checks and validators")
 
     p = subs.add_parser("family", help="chain family (x^b*y, x^a + y^(b+1))")
     p.add_argument("a", type=int)
@@ -359,7 +324,7 @@ def _guarded(run, args, err) -> int:
         return EXIT_INTERNAL
 
 
-def _batch_worker(command: str, options: dict, path: str) -> tuple[int, str]:
+def _batch_worker(options: dict, path: str) -> tuple[int, str]:
     """One isolated run, output and refusal captured together; safe in a
     worker process."""
     args = argparse.Namespace(**options)
@@ -367,7 +332,7 @@ def _batch_worker(command: str, options: dict, path: str) -> tuple[int, str]:
     args.generators = []
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = _guarded(COMMANDS[command], args, buf)
+        code = _guarded(_run, args, buf)
     return code, buf.getvalue()
 
 
@@ -382,10 +347,9 @@ def _invoke(args) -> int:
         with ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(files))) as pool:
             outcomes = list(pool.map(
-                _batch_worker, [args.command] * len(files),
-                [options] * len(files), files))
+                _batch_worker, [options] * len(files), files))
     else:
-        outcomes = [_batch_worker(args.command, options, f) for f in files]
+        outcomes = [_batch_worker(options, f) for f in files]
     worst = EXIT_OK
     for path, (code, text) in zip(files, outcomes):
         print(f"== {path} ==")
@@ -395,7 +359,11 @@ def _invoke(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if getattr(args, "diagram_json", None) and (args.generators
+                                                or args.gens_file):
+        parser.error("--diagram-json takes no generators or --gens-file")
     return _guarded(_invoke, args, sys.stderr)
 
 

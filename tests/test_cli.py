@@ -1,17 +1,28 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from topzeta.cli import main
+from topzeta.cli import build_parser, main
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(capsys, *argv):
+    """Exit code and stderr of an argv the parser rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
 
 
 def test_principalize_text(capsys):
@@ -228,3 +239,94 @@ def test_pole_report_built_once_per_run(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *argv, "x^4*y", "x^7 + x*y^4")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_gens_file_skips_indented_comments(capsys, tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text("# golden pair\n  # indented note\n\n"
+                    "x^4*y\n\t#tabbed note\n  x^7 + x*y^4  \n")
+    code, out, err = run(capsys, "zeta", "--gens-file", str(path))
+    assert code == 0 and err == ""
+    assert "Z = (5*s^2 + 16*s + 8)/((2+5s)(4+7s)(1+s))" in out
+
+
+@pytest.mark.parametrize("extra", [
+    ("x", "y"), ("--gens-file", "a.txt"),
+    ("--gens-file", "a.txt", "--gens-file", "b.txt")],
+    ids=["generators", "gens-file", "batch"])
+def test_verify_diagram_json_refuses_generators(capsys, tmp_path, extra):
+    diagram = tmp_path / "d.json"
+    diagram.write_text(json.dumps(
+        {"vertices": [], "edges": [], "origin_case": None}))
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text("x\ny\n")
+    extra = [str(tmp_path / t) if t.endswith(".txt") else t for t in extra]
+    code, err = refused(capsys, "verify", "--diagram-json", str(diagram),
+                        *extra)
+    assert code == 2
+    assert "--diagram-json takes no generators" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zeta", "--max-blowups", "-1"), "--max-blowups: must be at least 0"),
+    (("poles", "--jobs", "0"), "--jobs: must be at least 1"),
+    (("classify", "--jobs", "-5"), "--jobs: must be at least 1"),
+    (("verify", "--jobs", "two"), "--jobs: invalid int value"),
+    (("principalize", "--dot", "--json"), "not allowed with argument"),
+], ids=["max-blowups-negative", "jobs-zero", "jobs-negative", "jobs-not-int",
+        "dot-and-json"])
+def test_out_of_range_flags_exit_2(capsys, argv, message):
+    code, err = refused(capsys, *argv, "x^4*y", "x^7 + x*y^4")
+    assert code == 2
+    assert message in err
+
+
+def test_zero_blowups_is_a_budget(capsys):
+    code, _, err = run(capsys, "zeta", "--max-blowups", "0", "x", "y")
+    assert code == 3
+    assert "within 0 blow-ups" in err
+    code, out, _ = run(capsys, "poles", "--max-blowups", "0", "x")
+    assert code == 0 and out == "-1 (order 1)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--json"), ("verify", "--check"),
+    ("principalize", "--seed", "1"), ("zeta", "--seed", "1"),
+    ("poles", "--seed", "1"), ("classify", "--seed", "1"),
+    ("zeta", "--dot"), ("verify", "--dot")], ids=" ".join)
+def test_unread_flags_exit_2(capsys, argv):
+    code, err = refused(capsys, *argv, "x", "y")
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def _replayed_ops() -> dict[str, list[str]]:
+    """Recorded benchmark operations by argv prefix (the flags before
+    "--"): all of a prefix with fewer than 100, else every 5th in sorted
+    key order."""
+    groups: dict[str, list[str]] = {}
+    for key in sorted(RECORDED):
+        argv = json.loads(key)
+        groups.setdefault(" ".join(argv[:argv.index("--")]), []).append(key)
+    return {prefix: keys if len(keys) < 100 else keys[::5]
+            for prefix, keys in groups.items()}
+
+
+#: exit code and stdout SHA-256 of each benchmark operation (read only)
+RECORDED = json.loads(EXPECTED.read_text(encoding="utf-8"))["ops"]
+REPLAYED = _replayed_ops()
+
+
+@pytest.mark.parametrize("prefix", sorted(REPLAYED))
+def test_recorded_outputs_unchanged(capsys, prefix):
+    mismatched = []
+    for key in REPLAYED[prefix]:
+        code, out, _ = run(capsys, *json.loads(key))
+        got = [code, hashlib.sha256(out.encode("utf-8")).hexdigest()]
+        if got != RECORDED[key]:
+            mismatched.append(key)
+    assert mismatched == []
