@@ -23,7 +23,7 @@ from .diagram import export_dot, export_json, load_json, validate_all
 from .family import admissible, build, expected_chain, realize_pole
 from .generic import certify_generic
 from .poly import BiPoly, frac_str, parse_poly, poly_to_str
-from .principalize import principalize, verify_minimality
+from .principalize import DEFAULT_MAX_STEPS, principalize, verify_minimality
 from .zeta import pole_report
 
 EXIT_OK = 0
@@ -203,11 +203,12 @@ def _run(args) -> int:
             _read_text(args.diagram_json, errors.MalformedDiagram))
         return EXIT_OK if _print_validators(diagram) else EXIT_INPUT
     gens = _read_gens(args)
-    result = principalize(gens, max_steps=args.max_blowups)
+    result = principalize(gens, max_steps=DEFAULT_MAX_STEPS
+                          if args.max_blowups is None else args.max_blowups)
     report = None if args.command == "principalize" else pole_report(
         result.diagram)
     if args.command == "verify":
-        ok = _print_suites(gens, result, report, args.seed)
+        ok = _print_suites(gens, result, report, args.seed or 0)
         return EXIT_OK if ok else EXIT_INPUT
     _, view, check = VIEWS[args.command]
     if getattr(args, "dot", False):
@@ -279,12 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file with one generator per line (blank and "
                             "# lines skipped); repeatable for batch "
                             "processing")
-        p.add_argument("--max-blowups", type=_int_at_least(0), default=512)
-        p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                       help="parallel runs for multi-file batch input")
+        # None marks a flag not given; verify --diagram-json refuses these
+        p.add_argument("--max-blowups", type=_int_at_least(0),
+                       help=f"blow-up budget (default {DEFAULT_MAX_STEPS})")
+        p.add_argument("--jobs", type=_int_at_least(1),
+                       help="parallel runs for multi-file batch input "
+                            "(default 1)")
         if name == "verify":
-            p.add_argument("--seed", type=int, default=0,
-                           help="generic-member sampling seed")
+            p.add_argument("--seed", type=int,
+                           help="generic-member sampling seed (default 0)")
             p.add_argument("--diagram-json",
                            help="validate a serialized diagram instead")
             continue
@@ -343,7 +347,7 @@ def _invoke(args) -> int:
         return args.func(args)
 
     options = {k: v for k, v in vars(args).items() if k != "func"}
-    if args.jobs > 1:
+    if (args.jobs or 1) > 1:
         with ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(files))) as pool:
             outcomes = list(pool.map(
@@ -361,9 +365,14 @@ def _invoke(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
-    if getattr(args, "diagram_json", None) and (args.generators
-                                                or args.gens_file):
-        parser.error("--diagram-json takes no generators or --gens-file")
+    if getattr(args, "diagram_json", None):
+        if args.generators or args.gens_file:
+            parser.error("--diagram-json takes no generators or --gens-file")
+        given = [flag for flag, value in (
+            ("--seed", args.seed), ("--max-blowups", args.max_blowups),
+            ("--jobs", args.jobs)) if value is not None]
+        if given:
+            parser.error(f"--diagram-json takes no {', '.join(given)}")
     return _guarded(_invoke, args, sys.stderr)
 
 

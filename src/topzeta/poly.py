@@ -9,6 +9,9 @@ depends on.
 Univariate polynomials are coefficient tuples indexed by degree.  They show
 up as restrictions of bivariate data to an exceptional line and as numerators
 of zeta functions.
+
+Products, translations, gcds and the squarefree split compute on integer
+numerators over one common denominator; what they return is over Q again.
 """
 
 from __future__ import annotations
@@ -28,6 +31,35 @@ DEGREE_CAP = 64
 
 #: Multiplicity of the zero polynomial at any point.
 INFINITE_MULT = math.inf
+
+
+# ---------------------------------------------------------------------------
+# integer numerators
+# ---------------------------------------------------------------------------
+
+def _numerators(cs: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of cs over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _product(p: dict[int, Fraction], q: dict[int, Fraction],
+             ) -> dict[int, Fraction]:
+    """p*q for polynomials given as {packed exponent: nonzero coefficient},
+    packed so that exponents add under multiplication: the integer
+    numerators of each factor over its common denominator are convolved,
+    and each nonzero output coefficient becomes one Fraction."""
+    pn, pd = _numerators(list(p.values()))
+    qn, qd = _numerators(list(q.values()))
+    qs = list(zip(q, qn))
+    acc: dict[int, int] = {}
+    for i, a in zip(p, pn):
+        for j, b in qs:
+            acc[i + j] = acc.get(i + j, 0) + a * b
+    den = pd * qd
+    if den == 1:
+        return {k: Fraction(n) for k, n in acc.items() if n}
+    return {k: Fraction(n, den) for k, n in acc.items() if n}
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +110,10 @@ class UniPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return _uni(out)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return _uni([-c for c in self.coeffs])
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -89,17 +121,14 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero() or other.is_zero():
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        out = _product({i: c for i, c in enumerate(self.coeffs) if c},
+                       {i: c for i, c in enumerate(other.coeffs) if c})
+        deg = len(self.coeffs) + len(other.coeffs) - 2
+        return _uni([out.get(i, _ZERO) for i in range(deg + 1)])
 
     def scale(self, c) -> "UniPoly":
         c = Fraction(c)
-        return UniPoly([a * c for a in self.coeffs])
+        return _uni([a * c for a in self.coeffs])
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -121,7 +150,7 @@ class UniPoly:
             if c:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
-        return UniPoly(quo), UniPoly(rem)
+        return _uni(quo), _uni(rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -133,7 +162,7 @@ class UniPoly:
         return q
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _uni([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, t) -> Fraction:
         t = Fraction(t)
@@ -153,7 +182,7 @@ class UniPoly:
     def reversed(self) -> "UniPoly":
         """Coefficients in reverse order: zeros become reciprocals of the
         nonzero zeros of self."""
-        return UniPoly(tuple(reversed(self.coeffs)))
+        return _uni(list(reversed(self.coeffs)))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -177,18 +206,26 @@ class UniPoly:
     __repr__ = __str__
 
 
+_ZERO = Fraction(0)
+
+
+def _uni(coeffs: list[Fraction]) -> UniPoly:
+    """A UniPoly over coefficients that are already Fractions, as the
+    arithmetic on UniPolys and the restrictions leave them: trailing zeros
+    are dropped, and the constructor's per-coefficient conversion is
+    skipped."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    p = UniPoly.__new__(UniPoly)
+    p.coeffs = tuple(coeffs)
+    return p
+
+
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor in Q[t]."""
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def uni_gcd_many(polys: Iterable[UniPoly]) -> UniPoly:
-    g = UniPoly()
-    for p in polys:
-        g = uni_gcd(g, p)
-    return g
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -237,14 +274,7 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
         p = UniPoly(p.coeffs[k:])
     if p.degree() <= 0:
         return roots, p.monic()
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    ints = [v // content for v in ints]
+    ints = _zprimitive(_numerators(list(p.coeffs))[0])
     a0, an = ints[0], ints[-1]
     cands: set[Fraction] = set()
     for num in _divisors(a0):
@@ -351,12 +381,11 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not self.terms or not other.terms:
             return BiPoly()
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return BiPoly(out)
+        # (a, b) packs to a*s + b, with s past the product's y-degree
+        s = max(b for _, b in self.terms) + max(b for _, b in other.terms) + 1
+        out = _product({a * s + b: c for (a, b), c in self.terms.items()},
+                       {a * s + b: c for (a, b), c in other.terms.items()})
+        return _normal({divmod(k, s): c for k, c in out.items()})
 
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
@@ -480,9 +509,9 @@ class BiPoly:
             out = {}
             for e, c in self.terms.items():
                 k = e[other]
-                out[k] = out.get(k, 0) + c * powers[e[axis]]
+                out[k] = out.get(k, _ZERO) + c * powers[e[axis]]
         deg = max(out, default=-1)
-        return UniPoly([out.get(i, 0) for i in range(deg + 1)])
+        return _uni([out.get(i, _ZERO) for i in range(deg + 1)])
 
     def eval(self, px, py) -> Fraction:
         px, py = Fraction(px), Fraction(py)
@@ -490,35 +519,6 @@ class BiPoly:
         for (a, b), c in self.terms.items():
             total += c * px ** a * py ** b
         return total
-
-    def derivative_x(self) -> "BiPoly":
-        return BiPoly({(a - 1, b): c * a for (a, b), c in self.terms.items() if a})
-
-    def derivative_y(self) -> "BiPoly":
-        return BiPoly({(a, b - 1): c * b for (a, b), c in self.terms.items() if b})
-
-    # -- conversion to/from Q[x][y], used by the gcd machinery --
-
-    def y_coefficients(self) -> list[UniPoly]:
-        """Coefficients of self as a polynomial in y over Q[x]."""
-        dy = max((b for _, b in self.terms), default=-1)
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(dy + 1)]
-        for (a, b), c in self.terms.items():
-            rows[b][a] = c
-        out = []
-        for row in rows:
-            deg = max(row) if row else -1
-            out.append(UniPoly([row.get(i, Fraction(0)) for i in range(deg + 1)]))
-        return out
-
-    @classmethod
-    def from_y_coefficients(cls, coeffs: list[UniPoly]) -> "BiPoly":
-        terms: dict[tuple[int, int], Fraction] = {}
-        for b, up in enumerate(coeffs):
-            for a, c in enumerate(up.coeffs):
-                if c:
-                    terms[(a, b)] = c
-        return cls(terms)
 
     # -- printing --
 
@@ -550,10 +550,10 @@ def _shift_rows(terms: dict[tuple[int, int], Fraction], delta: Fraction,
         vpow = [1]
         for _ in range(deg):
             vpow.append(vpow[-1] * v)
-        den = math.lcm(*(c.denominator for c in row.values()))
+        nums, den = _numerators(list(row.values()))
         a = [0] * (deg + 1)
-        for j, c in row.items():
-            a[j] = c.numerator * (den // c.denominator) * vpow[deg - j]
+        for j, n in zip(row, nums):
+            a[j] = n * vpow[deg - j]
         for i in range(deg):
             acc = a[deg]
             for j in range(deg - 1, i - 1, -1):
@@ -576,100 +576,244 @@ def _normal(terms: dict[tuple[int, int], Fraction]) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd and squarefree machinery over Q[x, y]
+# gcd and squarefree split: integer rows over Z[x][y]
 # ---------------------------------------------------------------------------
+#
+# A polynomial in Z[x] is a list of ints indexed by degree; a polynomial in
+# Z[x][y] is a list of such rows indexed by y-degree.  Neither has trailing
+# zeros, and zero is [].  A rows polynomial is primitive when the gcd of its
+# rows in Z[x] is 1; Gauss's lemma makes primitive gcds and quotients by
+# primitive divisors exact in these rows.
 
-def _content_primitive_y(p: BiPoly) -> tuple[UniPoly, list[UniPoly]]:
-    """Content in Q[x] and primitive coefficient list of p in (Q[x])[y]."""
-    coeffs = p.y_coefficients()
-    cont = uni_gcd_many(c for c in coeffs if not c.is_zero())
-    prim = [c.divexact(cont) if not c.is_zero() else c for c in coeffs]
-    return cont, prim
-
-
-def _pseudo_rem(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
-    """Pseudo-remainder of a by b in (Q[x])[y], both as coefficient lists."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        la = a[-1]
-        # multiply a by lb, subtract la * y^(da-db) * b
-        a = [c * lb for c in a]
-        for i in range(db + 1):
-            a[da - db + i] = a[da - db + i] - la * b[i]
-        while a and a[-1].is_zero():
-            a.pop()
+def _strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
     return a
 
 
-def _primitive(coeffs: list[UniPoly]) -> list[UniPoly]:
-    cont = uni_gcd_many(c for c in coeffs if not c.is_zero())
-    return [c.divexact(cont) if not c.is_zero() else c for c in coeffs]
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    else:
+        a = list(a)
+    for i, v in enumerate(b):
+        a[i] -= v
+    return _strip(a)
+
+
+def _zdivexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[x]; raises ValueError when b does not divide a."""
+    a, lead, db = list(a), b[-1], len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + db], lead)
+        if r:
+            raise ValueError("inexact division in Z[x]")
+        q[k] = c
+        if c:
+            for j, v in enumerate(b):
+                a[k + j] -= c * v
+    if any(a):
+        raise ValueError("inexact division in Z[x]")
+    return q
+
+
+def _zprem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b in Q[x]."""
+    a, lead, db = list(a), b[-1], len(b) - 1
+    while len(a) > db:
+        top = a.pop()
+        g = math.gcd(top, lead)
+        u, w, k = lead // g, top // g, len(a) - db
+        if u != 1:
+            a = [u * v for v in a]
+        for j in range(db):
+            a[k + j] -= w * b[j]
+        _strip(a)
+    return a
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd in Z[x] (content times primitive PRS), up to sign."""
+    if not a or not b:
+        return list(a or b)
+    c = math.gcd(math.gcd(*a), math.gcd(*b))
+    if len(a) == 1 or len(b) == 1:
+        return [c]
+    a, b = _zprimitive(a), _zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _zprimitive(_zprem(a, b))
+    return [c * v for v in a]
+
+
+def _zprimitive(a: list[int]) -> list[int]:
+    c = math.gcd(*a)
+    return a if c == 1 else [v // c for v in a]
+
+
+def _rows(p: BiPoly) -> list[list[int]]:
+    """p as integer rows, its denominators cleared."""
+    nums, _ = _numerators(list(p.terms.values()))
+    rows: list[list[int]] = [[] for _ in range(1 + max(b for _, b in p.terms))]
+    for (a, b), n in zip(p.terms, nums):
+        row = rows[b]
+        if len(row) <= a:
+            row.extend([0] * (a + 1 - len(row)))
+        row[a] = n
+    return rows
+
+
+def _from_rows(rows: list[list[int]]) -> BiPoly:
+    """The BiPoly of nonzero integer rows, made monic in grlex."""
+    terms = {(a, b): v for b, row in enumerate(rows)
+             for a, v in enumerate(row) if v}
+    lead = terms[max(terms, key=_grlex_key)]
+    return _normal({e: Fraction(v, lead) for e, v in terms.items()})
+
+
+def _rsub(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    a = a + [[]] * (len(b) - len(a))
+    return _strip([_zsub(u, v) for u, v in zip(a, b)] + a[len(b):])
+
+
+def _rdiff(a: list[list[int]]) -> list[list[int]]:
+    """Derivative along y."""
+    return [[i * v for v in row] for i, row in enumerate(a)][1:]
+
+
+def _content(a: list[list[int]]) -> list[int]:
+    """gcd in Z[x] of the rows, shortest first so that a constant stops
+    the polynomial gcds early."""
+    g: list[int] = []
+    for row in sorted((r for r in a if r), key=len):
+        g = _zgcd(g, row)
+        if len(g) == 1 and g[0] in (1, -1):
+            break
+    return g
+
+
+def _rdivexact(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """a / b in Z[x][y] for primitive b dividing a over Q."""
+    a, lead, db = list(a), b[-1], len(b) - 1
+    q: list[list[int]] = [[] for _ in range(len(a) - db)]
+    for k in range(len(q) - 1, -1, -1):
+        if a[k + db]:
+            c = q[k] = _zdivexact(a[k + db], lead)
+            for j in range(db):
+                a[k + j] = _zsub(a[k + j], _zmul(c, b[j]))
+    if any(a[:db]):
+        raise ValueError("inexact division in Z[x][y]")
+    return q
+
+
+def _primitive(a: list[list[int]]) -> list[list[int]]:
+    c = _content(a)
+    if len(c) == 1 and c[0] in (1, -1):
+        return a
+    return [_zdivexact(row, c) for row in a]
+
+
+def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Pseudo-remainder of a by b along y."""
+    a, lead, db = list(a), b[-1], len(b) - 1
+    while len(a) > db:
+        top, k = a.pop(), len(a) - db
+        a = [_zmul(lead, row) for row in a]
+        for j in range(db):
+            a[k + j] = _zsub(a[k + j], _zmul(top, b[j]))
+        _strip(a)
+    return a
+
+
+def _primitive_gcd(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """gcd of primitive rows by the primitive PRS along y; primitive."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _gcd_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    ca, cb = _content(a), _content(b)
+    g = _primitive_gcd(_primitive(a), _primitive(b))
+    c = _zgcd(ca, cb)
+    return [_zmul(c, row) for row in g]
 
 
 def gcd_bi(p: BiPoly, q: BiPoly) -> BiPoly:
     """Greatest common divisor in Q[x, y], normalized monic in graded-lex.
 
-    Content/primitive-part recursion over Q[x][y] with a primitive
-    pseudo-remainder sequence; no external algebra system needed.
+    Brown's primitive PRS over Z[x][y] on integer rows, with contents
+    taken in Z[x].
     """
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    if p.is_zero():
-        return q.monic_grlex()
-    if q.is_zero():
-        return p.monic_grlex()
-    cp, ap = _content_primitive_y(p)
-    cq, aq = _content_primitive_y(q)
-    cont = uni_gcd(cp, cq)
-    if len(ap) - 1 < len(aq) - 1:
-        ap, aq = aq, ap
-    while aq:
-        r = _pseudo_rem(ap, aq)
-        ap, aq = aq, _primitive(r) if r else []
-    prim_gcd = BiPoly.from_y_coefficients(_primitive(ap))
-    cont_lift = BiPoly.from_y_coefficients([cont])
-    return (prim_gcd * cont_lift).monic_grlex()
+    return gcd_bi_many([p, q])
 
 
 def gcd_bi_many(polys: Iterable[BiPoly]) -> BiPoly:
-    g = BiPoly.zero()
+    g: list[list[int]] = []
     for p in polys:
         if p.is_zero():
             continue
-        g = p.monic_grlex() if g.is_zero() else gcd_bi(g, p)
-        if g.is_constant():
+        g = _rows(p) if not g else _gcd_rows(g, _rows(p))
+        if len(g) == 1 and len(g[0]) == 1:
             break
-    if g.is_zero():
+    if not g:
         raise ValueError("gcd of all-zero family")
-    return g
+    return _from_rows(g)
+
+
+def _yun(f: list[list[int]]) -> list[tuple[list[list[int]], int]]:
+    """Yun's squarefree split of primitive rows f along y: the products of
+    the factors of each multiplicity, nonconstant ones only."""
+    df = _rdiff(f)
+    a = _primitive_gcd(f, _primitive(df))
+    b, c = _rdivexact(f, a), _rdivexact(df, a)
+    out = []
+    i = 1
+    while len(b) > 1:
+        d = _rsub(c, _rdiff(b))
+        a = _primitive_gcd(b, _primitive(d)) if d else b
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _rdivexact(b, a), _rdivexact(d, a)
+        i += 1
+    return out
 
 
 def squarefree_decomposition(h: BiPoly) -> list[tuple[BiPoly, int]]:
     """Write h (up to a constant) as a product of pairwise coprime squarefree
-    factors with exponents.
+    factors with exponents, one factor per exponent, in increasing order.
 
-    Multivariate Musser recursion: gcd(h, h_x, h_y) collects each factor to
-    exponent one less.
+    Yun's algorithm twice: on the content of h in Z[x], read as rows in the
+    variable x, and on its primitive part along y.
     """
     if h.is_zero() or h.is_constant():
         return []
-    hx, hy = h.derivative_x(), h.derivative_y()
-    g = gcd_bi_many([hx, hy, h])
-    c = h.divexact(g).monic_grlex()
-    out: list[tuple[BiPoly, int]] = []
-    i = 1
-    while not c.is_constant():
-        y = gcd_bi(g, c) if not g.is_constant() else BiPoly.const(1)
-        f = c.divexact(y).monic_grlex()
-        if not f.is_constant():
-            out.append((f, i))
-        c = y.monic_grlex()
-        g = g.divexact(y)
-        i += 1
-    return out
+    rows = _rows(h)
+    cont = _content(rows)
+    parts: dict[int, list[list[int]]] = {}
+    if len(cont) > 1:
+        for a, i in _yun(_primitive([[v] if v else [] for v in cont])):
+            parts[i] = [[v[0] if v else 0 for v in a]]
+    if len(rows) > 1:
+        for a, i in _yun(_primitive(rows)):
+            c = parts.get(i, [[1]])[0]
+            parts[i] = [_zmul(c, row) for row in a]
+    return [(_from_rows(parts[i]), i) for i in sorted(parts)]
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,32 @@ def test_verify_diagram_json_refuses_generators(capsys, tmp_path, extra):
     assert "--diagram-json takes no generators" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--seed", "5"), ("--seed", "0"), ("--max-blowups", "3"),
+    ("--max-blowups", "512"), ("--jobs", "1"),
+    ("--seed", "5", "--max-blowups", "3", "--jobs", "4")])
+def test_verify_diagram_json_refuses_unread_flags(capsys, tmp_path, flags):
+    # refused even at their default values: a given flag is never ignored
+    diagram = tmp_path / "d.json"
+    diagram.write_text(json.dumps(
+        {"vertices": [], "edges": [], "origin_case": None}))
+    code, err = refused(capsys, "verify", "--diagram-json", str(diagram),
+                        *flags)
+    assert code == 2
+    named = ", ".join(f for f in flags if f.startswith("--"))
+    assert f"--diagram-json takes no {named}" in err
+    code, out, _ = run(capsys, "verify", "--diagram-json", str(diagram))
+    assert code == 0 and out
+
+
+def test_flag_defaults_apply_where_read(capsys):
+    # --max-blowups, --seed and --jobs left out run as 512, 0 and 1
+    base = ("verify", "x^4*y", "x^7 + x*y^4")
+    assert run(capsys, *base) == run(
+        capsys, *base, "--max-blowups", "512", "--seed", "0", "--jobs", "1")
+    assert run(capsys, "zeta", "x^2", "y", "--max-blowups", "0")[0] == 3
+
+
 @pytest.mark.parametrize("argv, message", [
     (("zeta", "--max-blowups", "-1"), "--max-blowups: must be at least 0"),
     (("poles", "--jobs", "0"), "--jobs: must be at least 1"),

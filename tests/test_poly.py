@@ -301,6 +301,240 @@ def test_squarefree_decomposition_reconstructs():
     assert prod.monic_grlex() == h.monic_grlex()
 
 
+# --- curve-part kernel against the Fraction reference loops -------------------
+
+def _reference_uni_mul(p, q):
+    """p*q by the per-coefficient Fraction loop."""
+    if p.is_zero() or q.is_zero():
+        return UniPoly()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return UniPoly(out)
+
+
+def _reference_bi_mul(p, q):
+    """p*q by the per-term Fraction loop."""
+    out = {}
+    for (a1, b1), c1 in p.terms.items():
+        for (a2, b2), c2 in q.terms.items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return BiPoly(out)
+
+
+def _y_coefficients(p):
+    """Coefficients of p as a polynomial in y over Q[x]."""
+    rows = [{} for _ in range(max((b for _, b in p.terms), default=-1) + 1)]
+    for (a, b), c in p.terms.items():
+        rows[b][a] = c
+    return [UniPoly([row.get(i, 0) for i in range(max(row, default=-1) + 1)])
+            for row in rows]
+
+
+def _from_y_coefficients(coeffs):
+    return BiPoly({(a, b): c for b, up in enumerate(coeffs)
+                   for a, c in enumerate(up.coeffs)})
+
+
+def _reference_content(coeffs):
+    """Monic content in Q[x] and the primitive coefficient list."""
+    cont = UniPoly()
+    for c in coeffs:
+        if not c.is_zero():
+            cont = uni_gcd(cont, c)
+    return cont, [c.divexact(cont) if not c.is_zero() else c for c in coeffs]
+
+
+def _reference_pseudo_rem(a, b):
+    """Pseudo-remainder of a by b in (Q[x])[y], as coefficient lists."""
+    a, db, lb = list(a), len(b) - 1, b[-1]
+    while a and len(a) - 1 >= db:
+        da, la = len(a) - 1, a[-1]
+        a = [_reference_uni_mul(c, lb) for c in a]
+        for i in range(db + 1):
+            a[da - db + i] = a[da - db + i] - _reference_uni_mul(la, b[i])
+        while a and a[-1].is_zero():
+            a.pop()
+    return a
+
+
+def _reference_gcd_bi(p, q):
+    """gcd in Q[x, y] by the primitive PRS over Q[x] coefficient lists."""
+    if p.is_zero():
+        return q.monic_grlex()
+    if q.is_zero():
+        return p.monic_grlex()
+    cp, ap = _reference_content(_y_coefficients(p))
+    cq, aq = _reference_content(_y_coefficients(q))
+    if len(ap) < len(aq):
+        ap, aq = aq, ap
+    while aq:
+        r = _reference_pseudo_rem(ap, aq)
+        ap, aq = aq, _reference_content(r)[1] if r else []
+    prim = _from_y_coefficients(_reference_content(ap)[1])
+    cont = _from_y_coefficients([uni_gcd(cp, cq)])
+    return _reference_bi_mul(prim, cont).monic_grlex()
+
+
+def _reference_squarefree(h):
+    """Musser's loop: gcd(h, h_x, h_y) collects each factor to exponent one
+    less."""
+    if h.is_zero() or h.is_constant():
+        return []
+    hx = BiPoly({(a - 1, b): a * c for (a, b), c in h.terms.items() if a})
+    hy = BiPoly({(a, b - 1): b * c for (a, b), c in h.terms.items() if b})
+    g = _reference_gcd_bi(_reference_gcd_bi(hx, hy), h)
+    c = h.divexact(g).monic_grlex()
+    out, i = [], 1
+    while not c.is_constant():
+        y = _reference_gcd_bi(g, c) if not g.is_constant() else BiPoly.const(1)
+        f = c.divexact(y).monic_grlex()
+        if not f.is_constant():
+            out.append((f, i))
+        c = y.monic_grlex()
+        g = g.divexact(y)
+        i += 1
+    return out
+
+
+#: Coefficients with small and with large (up to 10^12) denominators.
+small_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+large_coefficients = st.builds(Fraction, st.integers(-10**6, 10**6),
+                               st.integers(1, 10**12))
+coefficients = st.one_of(small_coefficients, large_coefficients)
+
+
+@st.composite
+def factors(draw, coefficients=small_coefficients, degree=2):
+    """A nonconstant polynomial of at most the given degree in x only, y
+    only, or both; its constant term may be nonzero."""
+    kind = draw(st.sampled_from(("x", "y", "xy")))
+    exps = [(a, b) for a in range(degree + 1) for b in range(degree + 1)
+            if a + b <= degree
+            and (kind != "x" or b == 0) and (kind != "y" or a == 0)]
+    terms = {e: draw(coefficients) for e in draw(
+        st.lists(st.sampled_from(exps), min_size=1, max_size=4, unique=True))}
+    p = BiPoly(terms)
+    return p if not p.is_constant() else p + BiPoly.monomial(
+        *(exps[-1]), draw(st.integers(1, 3)))
+
+
+@st.composite
+def curve_parts(draw, count=3, power=3):
+    """A unit times a product of powers of factors: exponents repeat, so
+    content and primitive part can share one."""
+    h = BiPoly.const(draw(coefficients.filter(bool)))
+    for _ in range(draw(st.integers(0, count))):
+        h = h * draw(factors()) ** draw(st.integers(1, power))
+    if draw(st.booleans()):
+        # one linear factor with large denominators: with more of them both
+        # the PRS and the reference loops take seconds per example
+        h = h * draw(factors(large_coefficients, 1))
+    return h
+
+
+def _assert_uni_normal(p):
+    """The UniPoly invariant: Fraction coefficients, no trailing zero."""
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+@given(curve_parts(2, 3))
+@settings(max_examples=100, deadline=None)
+def test_squarefree_matches_musser(h):
+    assert squarefree_decomposition(h) == _reference_squarefree(h)
+
+
+@given(curve_parts())
+@settings(max_examples=100, deadline=None)
+def test_squarefree_is_a_factorization(h):
+    parts = squarefree_decomposition(h)
+    prod = BiPoly.const(1)
+    for f, e in parts:
+        assert f == f.monic_grlex() and squarefree_decomposition(f) == [(f, 1)]
+        prod = prod * f ** e
+    assert h.is_zero() or prod.monic_grlex() == h.monic_grlex()
+    assert [e for _, e in parts] == sorted({e for _, e in parts})
+    for i, (f, _) in enumerate(parts):
+        for g, _ in parts[:i]:
+            assert gcd_bi(f, g).is_constant()
+
+
+@given(curve_parts(2, 2), curve_parts(2, 2), curve_parts(2, 2))
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_reference(a, b, m):
+    p, q = a * m, b * m
+    assert gcd_bi(p, q) == _reference_gcd_bi(p, q)
+    assert gcd_bi(p, BiPoly.zero()) == p.monic_grlex()
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("x^3*(1 + x)^2", [("x + 1", 2), ("x", 3)]),             # content only
+    ("5*y^3*(1 - 2*y)^2", [("y - 1/2", 2), ("y", 3)]),        # y only
+    ("(1 + x)^2*(y - x)^2*y", [("y", 1), ("(1 + x)*(x - y)", 2)]),
+    ("x*(1 + x + y)^40", [("x", 1), ("x + y + 1", 40)]),
+    ("3/1000000000000*(x^2 - y)^3*(y + 1)", [("y + 1", 1), ("x^2 - y", 3)]),
+])
+def test_squarefree_cases(text, expected):
+    h = P(text)
+    assert squarefree_decomposition(h) == [(P(f), e) for f, e in expected]
+    if h.total_degree() < 10:
+        assert squarefree_decomposition(h) == _reference_squarefree(h)
+
+
+def test_squarefree_zero_and_constant():
+    assert squarefree_decomposition(BiPoly.zero()) == []
+    assert squarefree_decomposition(BiPoly.const(Fraction(-7, 3))) == []
+
+
+def test_gcd_zero_and_constant():
+    with pytest.raises(ValueError):
+        gcd_bi(BiPoly.zero(), BiPoly.zero())
+    assert gcd_bi(BiPoly.const(Fraction(2, 3)), P("x + y")) == BiPoly.const(1)
+    assert gcd_bi(BiPoly.zero(), P("1/2*x^2*y")) == P("x^2*y")
+
+
+def test_gcd_powered_pair():
+    p = P("(y + x + x*y)^20*x")
+    q = P("(y + x + x*y)^20*y^2")
+    assert gcd_bi(p, q) == P("(y + x + x*y)^20")
+
+
+@given(bipolys(), bipolys())
+@settings(max_examples=200, deadline=None)
+def test_bi_mul_matches_reference(p, q):
+    r = p * q
+    assert r == _reference_bi_mul(p, q)
+    _assert_normal(r)
+
+
+@given(st.lists(coefficients, max_size=6), st.lists(coefficients, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_uni_mul_matches_reference(ca, cb):
+    p, q = UniPoly(ca), UniPoly(cb)
+    r = p * q
+    assert r == _reference_uni_mul(p, q)
+    _assert_uni_normal(r)
+
+
+@given(st.lists(coefficients, max_size=6), st.lists(coefficients, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_uni_outputs_keep_normal_form(ca, cb):
+    p, q = UniPoly(ca), UniPoly(cb)
+    outputs = [p * q, p.derivative(), p + q, p - q, -p, p.scale(0),
+               p.scale(Fraction(-3, 7)), p.monic(), p.reversed(),
+               BiPoly({(i, i % 2): c for i, c in enumerate(ca)}).restrict_y(0),
+               BiPoly({(i % 2, i): c for i, c in enumerate(cb)}).restrict_x(2)]
+    if not q.is_zero():
+        quo, rem = p.divmod(q)
+        assert quo * q + rem == p
+        outputs += [quo, rem]
+    for r in outputs:
+        _assert_uni_normal(r)
+
+
 # --- univariate ----------------------------------------------------------------
 
 def test_distinct_root_count_basic():
