@@ -139,11 +139,22 @@ class PointRecord:
 
 @dataclass
 class Chart:
+    """One affine chart of the tree.
+
+    A chart never changes after it is built: `blow_up` replaces a leaf by
+    fresh charts rather than editing it.  The memos `axes` and `bad_hits`
+    rely on this and are never invalidated.
+    """
+
     path: tuple
     exc: dict[str, BiPoly] = field(default_factory=dict)
     pms: dict[str, PointMap] = field(default_factory=dict)
     carriers: dict[str, BiPoly] = field(default_factory=dict)
     residual: list[BiPoly] = field(default_factory=list)
+    #: The chart's bad-point hits, stored by `principalize.find_bad_points`
+    #: on its first successful scan of the chart.
+    bad_hits: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def axis_of(self, ident: str) -> Optional[tuple[str, Fraction]]:
         """("x", alpha) when the divisor is the line x = alpha, similarly
@@ -160,12 +171,15 @@ class Chart:
 
     @cached_property
     def axes(self) -> dict[str, tuple[str, Fraction]]:
-        """Axis of every divisor the chart can analyze, in birth order.
-
-        Cached: a chart's equations and point maps never change after it is
-        built."""
+        """Axis of every divisor the chart can analyze, in birth order."""
         return {d: axis for d in self.exc
                 if d in self.pms and (axis := self.axis_of(d)) is not None}
+
+    def occurrences(self, leaf_index: int) -> Iterator["Occurrence"]:
+        """Analyzable divisor appearances of the chart as leaf
+        `leaf_index`, divisors in birth order."""
+        for ident, axis in self.axes.items():
+            yield Occurrence(leaf_index, self, ident, axis, self.pms[ident])
 
     def point_identity(self, pt: tuple[Fraction, Fraction]) -> frozenset:
         """Chart-independent identity of a point: the (divisor, birth
@@ -299,8 +313,7 @@ class ChartState:
         """Owning divisor appearances, leaves in path order, divisors in
         birth order."""
         for idx, chart in enumerate(self.leaves):
-            for ident, axis in chart.axes.items():
-                yield Occurrence(idx, chart, ident, axis, chart.pms[ident])
+            yield from chart.occurrences(idx)
 
     def corner_registry(self) -> dict[str, dict[PPoint, str]]:
         """Per divisor: birth coordinate of each crossing with another

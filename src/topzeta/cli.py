@@ -343,7 +343,7 @@ def _batch_worker(options: dict, path: str) -> tuple[int, str]:
 def _invoke(args) -> int:
     """One run, or a batch of isolated runs when several files are given."""
     files = getattr(args, "gens_file", None) or []
-    if len(files) <= 1 or args.generators:
+    if len(files) <= 1:
         return args.func(args)
 
     options = {k: v for k, v in vars(args).items() if k != "func"}
@@ -365,6 +365,9 @@ def _invoke(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    if getattr(args, "generators", None) and len(args.gens_file or []) > 1:
+        parser.error("generators take at most one --gens-file; several "
+                     "files form a batch")
     if getattr(args, "diagram_json", None):
         if args.generators or args.gens_file:
             parser.error("--diagram-json takes no generators or --gens-file")

@@ -11,12 +11,13 @@ a fixed order so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
 from .blowup import (
     BlowUpEvent,
+    Chart,
     ChartState,
     Occurrence,
     PointRecord,
@@ -32,7 +33,7 @@ DEFAULT_MAX_STEPS = 512
 
 def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
     """(parameter value, reason) pairs for bad points on the owned part of
-    one divisor appearance, reasons deterministic."""
+    one divisor appearance."""
     chart = occ.chart
     found: list[tuple[Fraction, str]] = []
 
@@ -72,15 +73,33 @@ def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
         for ident, sigma in carrier_restrictions:
             if sigma.eval(t_corner) == 0:
                 found.append((t_corner, f"branch-at-corner:{ident}:{other}"))
-
-    found.sort(key=lambda item: (item[0], item[1]))
     return found
+
+
+def _chart_hits(chart: Chart, leaf_index: int) -> tuple:
+    """(coords, reason, point identity, divisors through) of every bad
+    point the chart owns, sorted by coordinates then reason.
+
+    Scanned once and stored on the chart, which never changes; a scan that
+    raises stores nothing.
+    """
+    if chart.bad_hits is None:
+        hits = sorted({(occ.param_point(t), reason)
+                       for occ in chart.occurrences(leaf_index)
+                       for t, reason in _bad_values_on_occurrence(occ)})
+        chart.bad_hits = tuple(
+            (coords, reason, chart.point_identity(coords),
+             tuple(chart.divisors_through(coords)))
+            for coords, reason in hits)
+    return chart.bad_hits
 
 
 def find_bad_points(state: ChartState) -> list[PointRecord]:
     """All points over the origin violating the normal-crossings-monomial
     condition, ordered by chart path then coordinate, deduplicated.
 
+    Each leaf chart is scanned once (`_chart_hits`); a call after a blow-up
+    scans only its two new charts and merges the stored hits of the rest.
     Raises CenterNotRational when a bad point is algebraic of degree > 1.
     """
     if not state.log:
@@ -99,37 +118,22 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
                                 tuple(reasons))]
         return []
 
-    per_leaf: dict[int, list] = {}
-    for occ in state.occurrences():
-        for t, reason in _bad_values_on_occurrence(occ):
-            coords = occ.param_point(t)
-            per_leaf.setdefault(occ.leaf_index, []).append(
-                (coords, reason, occ))
-
     records: list[PointRecord] = []
     identities: list[frozenset] = []
-    for leaf_index in sorted(per_leaf):
-        hits = sorted(per_leaf[leaf_index],
-                      key=lambda h: (h[0][0], h[0][1], h[1]))
-        for coords, reason, occ in hits:
-            ident = occ.chart.point_identity(coords)
-            merged = False
+    for leaf_index, chart in enumerate(state.leaves):
+        for coords, reason, ident, divisors in _chart_hits(chart, leaf_index):
             for i, known in enumerate(identities):
                 if known & ident:
                     if not ident <= known:
                         identities[i] = known | ident
                     if reason not in records[i].reasons:
-                        records[i] = PointRecord(
-                            records[i].leaf_index, records[i].coords,
-                            records[i].divisors,
-                            records[i].reasons + (reason,))
-                    merged = True
+                        records[i] = replace(
+                            records[i], reasons=records[i].reasons + (reason,))
                     break
-            if not merged:
+            else:
                 identities.append(ident)
-                records.append(PointRecord(
-                    leaf_index, coords,
-                    tuple(occ.chart.divisors_through(coords)), (reason,)))
+                records.append(
+                    PointRecord(leaf_index, coords, divisors, (reason,)))
     return records
 
 

@@ -347,23 +347,12 @@ def _reference_point_identity(chart, coords):
     return frozenset(pairs)
 
 
-def _run_states(result):
-    """The state before each blow-up of the run, then the final state."""
-    state = initial_state(list(result.gens))
-    for ev in result.log:
-        yield state
-        leaf = next(i for i, ch in enumerate(state.leaves)
-                    if ch.path == ev.chart_path)
-        blow_up(state, PointRecord(leaf, ev.center, ()))
-    yield result.state
-
-
-def test_ownership_walk_matches_reference(corpus_results):
+def test_ownership_walk_matches_reference(corpus_results, replay_states):
     """Occurrences, their corners and point identities, the corner registry
     and the carrier zero data equal the per-divisor reference walk at every
     step of every corpus run."""
     for name, result in corpus_results:
-        for state in _run_states(result):
+        for state in replay_states(result):
             occs = list(state.occurrences())
             assert [(o.leaf_index, o.ident, o.axis, o.pm) for o in occs] \
                 == _reference_occurrences(state), name

@@ -178,6 +178,22 @@ def test_gens_file_and_batch(capsys, tmp_path):
     assert "-2 (order 1)" in out
 
 
+@pytest.mark.parametrize("command", ["zeta", "principalize", "verify"])
+def test_generators_refuse_a_batch(capsys, tmp_path, command):
+    a = tmp_path / "a.txt"
+    a.write_text("y^2-x^3\n")
+    b = tmp_path / "b.txt"
+    b.write_text("x^5\n")
+    code, err = refused(capsys, command, "x*y", "--gens-file", str(a),
+                        "--gens-file", str(b), "--jobs", "2")
+    assert code == 2
+    assert "generators take at most one --gens-file" in err
+    # one file joins the positional generators in one ideal
+    code, out, _ = run(capsys, "zeta", "x*y", "--gens-file", str(a))
+    assert code == 0
+    assert out == run(capsys, "zeta", "x*y", "y^2-x^3")[1]
+
+
 def test_batch_bad_file_keeps_good_reports(capsys, tmp_path):
     good = tmp_path / "good.txt"
     good.write_text("x^4*y\nx^7 + x*y^4\n")

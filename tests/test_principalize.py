@@ -6,9 +6,11 @@ import pytest
 
 from topzeta.blowup import PointRecord, blow_up, initial_state
 from topzeta.errors import CenterNotRational, StepBudgetExceeded
+from topzeta.family import build
 from topzeta.poly import parse_poly
 from topzeta.principalize import (
     PrincipalizationResult,
+    _bad_values_on_occurrence,
     find_bad_points,
     principalize,
     verify_minimality,
@@ -159,3 +161,115 @@ def test_residual_unit_everywhere_after_completion(corpus_results):
                 assert g.degree() == 0, (name, occ.ident)
             else:
                 assert g.eval(0) != 0, (name, occ.ident)
+
+
+# --- the per-call rescan, kept as the oracle of the per-chart memo ----------
+
+def _reference_find_bad_points(state):
+    """The bad points from a full rescan of every leaf chart, as
+    `find_bad_points` found them before the per-chart memo."""
+    if not state.log:
+        chart = state.leaves[0]
+        reasons = []
+        if all(r.constant_term() == 0 for r in chart.residual):
+            reasons.append("residual-vanishes")
+        total_mult = sum(
+            m for v in chart.carriers.values()
+            if (m := v.mult_at_origin()) != 0
+        )
+        if total_mult >= 2:
+            reasons.append("curve-part-not-normal-crossings")
+        if reasons:
+            return [PointRecord(0, (Fraction(0), Fraction(0)), (),
+                                tuple(reasons))]
+        return []
+
+    per_leaf = {}
+    for occ in state.occurrences():
+        for t, reason in _bad_values_on_occurrence(occ):
+            coords = occ.param_point(t)
+            per_leaf.setdefault(occ.leaf_index, []).append(
+                (coords, reason, occ))
+
+    records = []
+    identities = []
+    for leaf_index in sorted(per_leaf):
+        hits = sorted(per_leaf[leaf_index],
+                      key=lambda h: (h[0][0], h[0][1], h[1]))
+        for coords, reason, occ in hits:
+            ident = occ.chart.point_identity(coords)
+            merged = False
+            for i, known in enumerate(identities):
+                if known & ident:
+                    if not ident <= known:
+                        identities[i] = known | ident
+                    if reason not in records[i].reasons:
+                        records[i] = PointRecord(
+                            records[i].leaf_index, records[i].coords,
+                            records[i].divisors,
+                            records[i].reasons + (reason,))
+                    merged = True
+                    break
+            if not merged:
+                identities.append(ident)
+                records.append(PointRecord(
+                    leaf_index, coords,
+                    tuple(occ.chart.divisors_through(coords)), (reason,)))
+    return records
+
+
+def _assert_memo_matches_rescan(result, replay_states, name):
+    """At every step of the replayed run the memoised scan gives the
+    rescan's records, and a blow-up keeps every other leaf object."""
+    before = None
+    for state in replay_states(result):
+        if before is not None:
+            k = next(i for i, ch in enumerate(before)
+                     if ch.path == state.log[-1].chart_path)
+            after = state.leaves
+            assert len(after) == len(before) + 1, name
+            assert all(a is b for a, b in zip(
+                after[:k] + after[k + 2:], before[:k] + before[k + 1:])), name
+            assert not any(ch is old for ch in after[k:k + 2]
+                           for old in before), name
+        assert find_bad_points(state) == \
+            _reference_find_bad_points(state), (name, len(state.log))
+        before = list(state.leaves)
+    # the finished run's charts were stored on during principalize
+    assert find_bad_points(result.state) == \
+        _reference_find_bad_points(result.state) == [], name
+
+
+def test_memoised_scan_matches_rescan_on_corpus(corpus_results,
+                                                replay_states):
+    for name, result in corpus_results:
+        _assert_memo_matches_rescan(result, replay_states, name)
+
+
+@pytest.mark.parametrize("gens", [
+    build(16, 1),
+    [P("((y^2-x^3)^2-4*x^5*y-x^7)*(y-x^2)"), P("x^8")],
+], ids=["chain-16-1", "translated-swell"])
+def test_memoised_scan_matches_rescan_on_long_runs(gens, replay_states):
+    result = principalize(gens)
+    assert result.step_count >= 5
+    _assert_memo_matches_rescan(result, replay_states, "long run")
+
+
+def test_failed_scan_is_not_stored():
+    """A scan that refuses an irrational centre stores nothing and refuses
+    again on the next call."""
+    state = initial_state([P("x^3"), P("y^2 - 2*x^2")])
+    while True:
+        try:
+            bad = find_bad_points(state)
+        except CenterNotRational as exc:
+            first = str(exc)
+            break
+        blow_up(state, bad[0])
+    assert state.log, "the refusal comes after the first blow-up"
+    assert any(ch.bad_hits is None for ch in state.leaves)
+    with pytest.raises(CenterNotRational) as exc:
+        find_bad_points(state)
+    assert str(exc.value) == first
+    assert "y^2 - 2" in first
