@@ -16,7 +16,7 @@ from fractions import Fraction
 from .diagram import IntersectionDiagram, alphas
 from .errors import NonMinimalDiagram, NotACandidate
 from .poly import frac_str
-from .zeta import ZetaReport, candidate_poles
+from .zeta import ZetaReport
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,10 @@ def classify(diagram: IntersectionDiagram, s0: Fraction,
         raise NonMinimalDiagram(
             "pole classification requires a minimal principalization")
     s0 = Fraction(s0)
-    if s0 not in set(candidate_poles(diagram)):
+    if s0 not in diagram.by_candidate:
         raise NotACandidate(f"{frac_str(s0)} is not a candidate pole")
     hits: list[ConditionHit] = []
-    for v in diagram.vertices:
-        if Fraction(-v.nu, v.N) != s0:
-            continue
+    for v in diagram.by_candidate[s0]:
         if v.kind == "strict-branch":
             hits.append(ConditionHit(1, v.ident))
             continue
@@ -69,7 +67,7 @@ def poles_by_criterion(diagram: IntersectionDiagram,
                        assume_minimal: bool = False) -> set[Fraction]:
     """The classification applied to every candidate."""
     return {
-        s0 for s0 in candidate_poles(diagram)
+        s0 for s0 in diagram.by_candidate
         if classify(diagram, s0, assume_minimal=assume_minimal).is_pole
     }
 

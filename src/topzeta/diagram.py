@@ -40,6 +40,12 @@ def _id_key(ident: str) -> tuple:
 
 @dataclass
 class IntersectionDiagram:
+    """A diagram never changes after it is built, so ``__post_init__``
+    derives once the tables that every query reads: the canonical edge
+    pairs (``edge_pairs``, in id order), each vertex's neighbours in id
+    order, and the vertices grouped by candidate ``-nu/N`` (``by_candidate``,
+    candidates ascending, vertices in id order)."""
+
     vertices: list[Vertex]
     edges: set[frozenset]
     origin_case: Optional[list[str]] = None  # branch vertex ids
@@ -56,10 +62,21 @@ class IntersectionDiagram:
             for v in e:
                 if v not in self._by_id:
                     raise MalformedDiagram(f"edge endpoint {v} is unknown")
-        if self.origin_case is not None:
-            for b in self.origin_case:
-                if b not in self._by_id:
-                    raise MalformedDiagram(f"origin branch {b} is unknown")
+        for b in self.origin_case or ():
+            if b not in self._by_id:
+                raise MalformedDiagram(f"origin branch {b} is unknown")
+        rank = {ident: i for i, ident in enumerate(self._by_id)}
+        pairs = (tuple(sorted(e, key=rank.get)) for e in self.edges)
+        self.edge_pairs = sorted(pairs, key=lambda p: (rank[p[0]], rank[p[1]]))
+        # from the sorted pairs, each neighbour list comes out in id order
+        self._neighbors = {ident: [] for ident in self._by_id}
+        for a, b in self.edge_pairs:
+            self._neighbors[a].append(b)
+            self._neighbors[b].append(a)
+        groups: dict[Fraction, list[Vertex]] = {}
+        for v in self.vertices:
+            groups.setdefault(Fraction(-v.nu, v.N), []).append(v)
+        self.by_candidate = dict(sorted(groups.items()))
 
     # -- queries --
 
@@ -73,11 +90,10 @@ class IntersectionDiagram:
         return [v for v in self.vertices if v.kind == "strict-branch"]
 
     def neighbors(self, ident: str) -> list[str]:
-        out = [next(iter(e - {ident})) for e in self.edges if ident in e]
-        return sorted(out, key=_id_key)
+        return list(self._neighbors.get(ident, ()))
 
     def degree(self, ident: str) -> int:
-        return sum(1 for e in self.edges if ident in e)
+        return len(self._neighbors.get(ident, ()))
 
     def ratio(self, ident: str) -> Fraction:
         v = self._by_id[ident]
@@ -157,11 +173,8 @@ def alphas(diagram: IntersectionDiagram,
     if v.kind != "exceptional":
         raise MalformedDiagram(f"{ident} is not an exceptional vertex")
     r = diagram.ratio(ident)
-    out = []
-    for n in diagram.neighbors(ident):
-        w = diagram.vertex(n)
-        out.append((n, Fraction(w.nu) - r * w.N))
-    return out
+    ws = [diagram.vertex(n) for n in diagram._neighbors[ident]]
+    return [(w.ident, w.nu - r * w.N) for w in ws]
 
 
 @dataclass
@@ -223,6 +236,20 @@ def validate_alpha_signs(diagram: IntersectionDiagram) -> Report:
     return _report("two-neighbor-ordering", failures)
 
 
+def _connected(diagram: IntersectionDiagram, part: list[str]) -> bool:
+    """Whether a nonempty set of vertices spans a connected subgraph: a
+    depth-first search inside it from its first vertex reaches it all."""
+    inside = set(part)
+    seen = {part[0]}
+    stack = [part[0]]
+    while stack:
+        for n in diagram._neighbors[stack.pop()]:
+            if n in inside and n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return seen == inside
+
+
 def validate_ordered_tree(diagram: IntersectionDiagram) -> Report:
     """The minimal-ratio part is connected and ratios strictly increase along
     any path leaving it."""
@@ -230,32 +257,22 @@ def validate_ordered_tree(diagram: IntersectionDiagram) -> Report:
     if not diagram.vertices:
         return _report("ordered-tree", failures)
     rmin = min(diagram.ratio(v.ident) for v in diagram.vertices)
-    core = {v.ident for v in diagram.vertices if diagram.ratio(v.ident) == rmin}
-    # connectivity of the core
-    start = sorted(core, key=_id_key)[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for n in diagram.neighbors(cur):
-            if n in core and n not in seen:
-                seen.add(n)
-                stack.append(n)
-    if seen != core:
+    core = [v.ident for v in diagram.vertices if diagram.ratio(v.ident) == rmin]
+    if not _connected(diagram, core):
         failures.append(f"minimal-ratio part disconnected: {sorted(core)}")
     # strict increase outward (breadth-first from the core)
-    dist = {v: 0 for v in core}
-    frontier = sorted(core, key=_id_key)
+    seen = set(core)
+    frontier = core
     while frontier:
         nxt = []
         for cur in frontier:
-            for n in diagram.neighbors(cur):
-                if n in dist:
+            for n in diagram._neighbors[cur]:
+                if n in seen:
                     continue
                 if not diagram.ratio(n) > diagram.ratio(cur):
                     failures.append(
                         f"ratio does not increase from {cur} to {n}")
-                dist[n] = dist[cur] + 1
+                seen.add(n)
                 nxt.append(n)
         frontier = nxt
     return _report("ordered-tree", failures)
@@ -273,22 +290,14 @@ def validate_nu_bound(diagram: IntersectionDiagram) -> Report:
 def validate_tree_shape(diagram: IntersectionDiagram) -> Report:
     """Exceptional subgraph is a tree; strict branches hang off it."""
     failures = []
-    exc = {v.ident for v in diagram.exceptional()}
-    exc_edges = [e for e in diagram.edges if e <= exc]
+    exc = [v.ident for v in diagram.exceptional()]
+    inside = set(exc)
+    exc_edges = [e for e in diagram.edges if e <= inside]
     if exc:
         if len(exc_edges) != len(exc) - 1:
             failures.append(
                 f"{len(exc_edges)} edges among {len(exc)} exceptional vertices")
-        start = sorted(exc, key=_id_key)[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for n in diagram.neighbors(cur):
-                if n in exc and n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        if seen != exc:
+        if not _connected(diagram, exc):
             failures.append("exceptional subgraph disconnected")
     for v in diagram.strict_branches():
         if diagram.degree(v.ident) < 1 and diagram.origin_case is None:
@@ -296,7 +305,7 @@ def validate_tree_shape(diagram: IntersectionDiagram) -> Report:
         if v.nu != 1:
             failures.append(f"strict branch {v.ident} has nu = {v.nu}")
     if diagram.origin_case is None:
-        for e in diagram.edges:
+        for e in diagram.edge_pairs:
             if all(diagram.vertex(v).kind == "strict-branch" for v in e):
                 failures.append(f"strict branches meet: {sorted(e)}")
     return _report("tree-shape", failures)
@@ -320,10 +329,7 @@ def export_json(diagram: IntersectionDiagram) -> str:
             {"id": v.ident, "kind": v.kind, "N": v.N, "nu": v.nu}
             for v in diagram.vertices
         ],
-        "edges": sorted(
-            (sorted(e, key=_id_key) for e in diagram.edges),
-            key=lambda pair: (_id_key(pair[0]), _id_key(pair[1])),
-        ),
+        "edges": [list(pair) for pair in diagram.edge_pairs],
         "origin_case": (
             None if diagram.origin_case is None else {
                 "branches": [
@@ -336,13 +342,22 @@ def export_json(diagram: IntersectionDiagram) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _checked_vertex(v: dict) -> Vertex:
+    """A vertex read from JSON; checked before the diagram divides by N."""
+    vertex = Vertex(v["id"], v["kind"], v["N"], v["nu"])
+    if not (isinstance(vertex.ident, str)
+            and vertex.kind in ("exceptional", "strict-branch")
+            and all(type(n) is int and n >= 1 for n in (vertex.N, vertex.nu))):
+        raise MalformedDiagram(
+            f"vertex {json.dumps(v)} needs a string id, kind exceptional or "
+            "strict-branch, and integers N, nu >= 1")
+    return vertex
+
+
 def load_json(text: str) -> IntersectionDiagram:
     try:
         payload = json.loads(text)
-        vertices = [
-            Vertex(v["id"], v["kind"], int(v["N"]), int(v["nu"]))
-            for v in payload["vertices"]
-        ]
+        vertices = [_checked_vertex(v) for v in payload["vertices"]]
         edges = {frozenset(e) for e in payload["edges"]}
         oc = payload.get("origin_case")
         origin = None if oc is None else [b["id"] for b in oc["branches"]]
@@ -359,10 +374,7 @@ def export_dot(diagram: IntersectionDiagram) -> str:
         lines.append(
             f'  "{v.ident}" [shape={shape}, label="{v.ident} ({v.N},{v.nu})"];'
         )
-    for e in sorted(
-        (sorted(e, key=_id_key) for e in diagram.edges),
-        key=lambda pair: (_id_key(pair[0]), _id_key(pair[1])),
-    ):
-        lines.append(f'  "{e[0]}" -- "{e[1]}";')
+    for a, b in diagram.edge_pairs:
+        lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import IntersectionDiagram, _id_key, alphas
+from .diagram import IntersectionDiagram, Vertex
 from .errors import MalformedDiagram, OrderTwoCandidate
 from .poly import frac_str
 from .ratfunc import Pole, RationalFunctionS, poles_of, rf_sum_of_terms
@@ -22,21 +22,23 @@ from .ratfunc import Pole, RationalFunctionS, poles_of, rf_sum_of_terms
 ZetaTerm = tuple[int, list[tuple[int, int]]]
 
 
+def _chi(diagram: IntersectionDiagram, v: Vertex) -> int:
+    """Euler characteristic of a component minus its crossings.  A branch
+    meets the fiber away from its crossings only when no blow-up happened
+    at all."""
+    deg = diagram.degree(v.ident)
+    if v.kind == "exceptional":
+        return 2 - deg
+    return 1 if (diagram.origin_case is not None and deg == 0) else 0
+
+
 def zeta_terms(diagram: IntersectionDiagram) -> list[ZetaTerm]:
     """The defining sum, one term per stratum with nonzero characteristic."""
-    terms: list[ZetaTerm] = []
-    for v in diagram.vertices:
-        deg = diagram.degree(v.ident)
-        if v.kind == "exceptional":
-            chi = 2 - deg
-        else:
-            # the branch meets the fiber away from its crossings only when
-            # no blow-up happened at all
-            chi = 1 if (diagram.origin_case is not None and deg == 0) else 0
-        if chi:
-            terms.append((chi, [(v.nu, v.N)]))
-    for e in sorted(diagram.edges, key=lambda e: sorted(map(_id_key, e))):
-        a, b = sorted(e, key=_id_key)
+    if not diagram.vertices:
+        raise MalformedDiagram("empty diagram has no zeta function")
+    terms: list[ZetaTerm] = [(chi, [(v.nu, v.N)]) for v in diagram.vertices
+                             if (chi := _chi(diagram, v))]
+    for a, b in diagram.edge_pairs:
         va, vb = diagram.vertex(a), diagram.vertex(b)
         terms.append((1, [(va.nu, va.N), (vb.nu, vb.N)]))
     return terms
@@ -44,45 +46,34 @@ def zeta_terms(diagram: IntersectionDiagram) -> list[ZetaTerm]:
 
 def local_zeta(diagram: IntersectionDiagram) -> RationalFunctionS:
     """The reduced local topological zeta function."""
-    if not diagram.vertices:
-        raise MalformedDiagram("empty diagram has no zeta function")
     return rf_sum_of_terms(zeta_terms(diagram))
 
 
 def residue_contribution(diagram: IntersectionDiagram, ident: str,
                          s0: Fraction) -> Fraction:
     """Contribution of one component to the residue at an order-one
-    candidate s0 = -nu/N.
+    candidate s0 = -nu/N: (1/N)(chi + sum 1/alpha_i) over its neighbors,
+    with alpha_i = nu_i - (nu/N) N_i = nu_i + s0 N_i.
 
-    Exceptional curve: (1/N)(2 - m + sum 1/alpha_i).  Strict branch with a
-    neighbor: 1/(N alpha).  Isolated branch in the degenerate case: 1/N.
+    Exceptional curve: chi = 2 - m.  Strict branch with a neighbor: chi = 0.
+    Isolated branch in the degenerate case: chi = 1.
     """
     v = diagram.vertex(ident)
     s0 = Fraction(s0)
     if Fraction(-v.nu, v.N) != s0:
         raise ValueError(f"{ident} does not attain the candidate {s0}")
-    if v.kind == "exceptional":
-        table = alphas(diagram, ident)
-        m = len(table)
-        total = Fraction(2 - m)
-        for n, a in table:
-            if a == 0:
-                raise OrderTwoCandidate(
-                    f"alpha toward {n} vanishes at {frac_str(s0)}")
-            total += Fraction(1) / a
-        return total / v.N
     neighbors = diagram.neighbors(ident)
-    if not neighbors:
-        if diagram.origin_case is None:
-            raise MalformedDiagram(f"isolated strict branch {ident}")
-        return Fraction(1, v.N)
-    (n,) = neighbors
-    w = diagram.vertex(n)
-    a = Fraction(w.nu) - Fraction(v.nu, v.N) * w.N
-    if a == 0:
-        raise OrderTwoCandidate(
-            f"alpha toward {n} vanishes at {frac_str(s0)}")
-    return Fraction(1, v.N) / a
+    total = Fraction(_chi(diagram, v))
+    if not (neighbors or total):  # a strict branch outside the origin case
+        raise MalformedDiagram(f"isolated strict branch {ident}")
+    for n in neighbors:
+        w = diagram.vertex(n)
+        a = w.nu + s0 * w.N
+        if a == 0:
+            raise OrderTwoCandidate(
+                f"alpha toward {n} vanishes at {frac_str(s0)}")
+        total += 1 / a
+    return total / v.N
 
 
 @dataclass
@@ -110,24 +101,22 @@ class ZetaReport:
 
 
 def candidate_poles(diagram: IntersectionDiagram) -> list[Fraction]:
-    return sorted({Fraction(-v.nu, v.N) for v in diagram.vertices})
+    return list(diagram.by_candidate)
 
 
 def pole_report(diagram: IntersectionDiagram) -> ZetaReport:
     """Zeta function with candidates, poles, orders, residues, and the
     per-component residue contributions at each order-one candidate."""
-    rf = local_zeta(diagram)
-    cands = candidate_poles(diagram)
+    terms = zeta_terms(diagram)
+    rf = rf_sum_of_terms(terms)
     poles = poles_of(rf)
     orders = {p.location: p.order for p in poles}
     contributions: dict[Fraction, dict[str, Fraction]] = {}
-    for s0 in cands:
+    for s0, group in diagram.by_candidate.items():
         if orders.get(s0, 0) >= 2:
             continue
         per: dict[str, Fraction] = {}
-        for v in diagram.vertices:
-            if Fraction(-v.nu, v.N) != s0:
-                continue
+        for v in group:
             try:
                 per[v.ident] = residue_contribution(diagram, v.ident, s0)
             except OrderTwoCandidate:
@@ -135,6 +124,6 @@ def pole_report(diagram: IntersectionDiagram) -> ZetaReport:
                 break
         if per:
             contributions[s0] = per
-    return ZetaReport(zeta=rf, terms=zeta_terms(diagram),
-                      candidate_poles=cands, poles=poles,
+    return ZetaReport(zeta=rf, terms=terms,
+                      candidate_poles=candidate_poles(diagram), poles=poles,
                       contributions=contributions)

@@ -126,6 +126,24 @@ def test_verify_corrupted_diagram(capsys, tmp_path):
     assert "nu-bound: FAIL" in out
 
 
+@pytest.mark.parametrize("vertex", [
+    {"id": "E1", "kind": "exceptional", "N": 0, "nu": 2},
+    {"id": 5, "kind": "exceptional", "N": 2, "nu": 2},
+    {"id": "E1", "kind": "bogus", "N": -3, "nu": 2},
+    {"id": "E1", "kind": "exceptional", "N": 2.7, "nu": 2},
+    {"id": "E1", "kind": "exceptional", "N": 2, "nu": True},
+], ids=["N-zero", "id-not-string", "unknown-kind", "N-not-integer",
+        "nu-bool"])
+def test_verify_malformed_vertex_exit_2(capsys, tmp_path, vertex):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"vertices": [vertex], "edges": [], "origin_case": None}))
+    code, out, err = run(capsys, "verify", "--diagram-json", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: vertex ") and err.count("\n") == 1
+    assert "integers N, nu >= 1" in err
+
+
 def test_family_command(capsys):
     code, out, _ = run(capsys, "family", "7", "4")
     assert code == 0
@@ -372,3 +390,65 @@ def test_recorded_outputs_unchanged(capsys, prefix):
         if got != RECORDED[key]:
             mismatched.append(key)
     assert mismatched == []
+
+
+#: (y, x^12 + y): ids E10-E12 sort apart as strings and by id
+CHAIN_12 = ("y", "x^12 + y")
+GOLDEN_PAIR = ("x^4*y", "x^7 + x*y^4")
+
+
+def test_zeta_text_pinned(capsys):
+    chain = [f"  1 * 1/({k + 1}+{k}s)1/({k + 2}+{k + 1}s)"
+             for k in range(2, 12)]
+    assert run(capsys, "zeta", *CHAIN_12)[1] == "\n".join([
+        "Z = (13)/((13+12s))", "terms:",
+        "  1 * 1/(2+s)", "  1 * 1/(13+12s)", "  1 * 1/(2+s)1/(3+2s)",
+        *chain,
+        "candidates: -2, -3/2, -4/3, -5/4, -6/5, -7/6, -8/7, -9/8, -10/9, "
+        "-11/10, -12/11, -13/12"]) + "\n"
+    assert run(capsys, "zeta", *GOLDEN_PAIR)[1] == (
+        "Z = (5*s^2 + 16*s + 8)/((2+5s)(4+7s)(1+s))\n"
+        "terms:\n"
+        "  1 * 1/(4+7s)\n"
+        "  1 * 1/(2+5s)1/(3+6s)\n"
+        "  1 * 1/(2+5s)1/(1+s)\n"
+        "  1 * 1/(3+6s)1/(4+7s)\n"
+        "candidates: -1, -4/7, -1/2, -2/5\n")
+
+
+def test_principalize_dot_pinned(capsys):
+    nodes = [f'  "E{k}" [shape=ellipse, label="E{k} ({k},{k + 1})"];'
+             for k in range(1, 13)]
+    edges = [f'  "E{k}" -- "E{k + 1}";' for k in range(1, 12)]
+    assert run(capsys, "principalize", "--dot", *CHAIN_12)[1] == "\n".join(
+        ["graph principalization {", *nodes, *edges, "}"]) + "\n"
+    assert run(capsys, "principalize", "--dot", *GOLDEN_PAIR)[1] == (
+        "graph principalization {\n"
+        '  "E1" [shape=ellipse, label="E1 (5,2)"];\n'
+        '  "E2" [shape=ellipse, label="E2 (6,3)"];\n'
+        '  "E3" [shape=ellipse, label="E3 (7,4)"];\n'
+        '  "S1" [shape=box, label="S1 (1,1)"];\n'
+        '  "E1" -- "E2";\n'
+        '  "E1" -- "S1";\n'
+        '  "E2" -- "E3";\n'
+        "}\n")
+
+
+def test_principalize_edges_line_sorts_as_strings(capsys):
+    out = run(capsys, "principalize", *CHAIN_12)[1]
+    assert out.splitlines()[-1] == (
+        "edges: E1--E2; E10--E11; E10--E9; E11--E12; E2--E3; E3--E4; "
+        "E4--E5; E5--E6; E6--E7; E7--E8; E8--E9")
+    out = run(capsys, "principalize", *GOLDEN_PAIR)[1]
+    assert out.splitlines()[-1] == "edges: E1--E2; E1--S1; E2--E3"
+
+
+def test_classify_text_pinned(capsys):
+    no_pole = [f"-{k + 1}/{k}: no pole" for k in range(2, 12)]
+    assert run(capsys, "classify", *CHAIN_12)[1] == "\n".join(
+        ["-2: no pole", *no_pole, "-13/12: pole via cond3[E12]"]) + "\n"
+    assert run(capsys, "classify", *GOLDEN_PAIR)[1] == (
+        "-1: pole via cond1[S1]\n"
+        "-4/7: pole via cond3[E3]\n"
+        "-1/2: no pole\n"
+        "-2/5: pole via cond4[E1]\n")

@@ -110,3 +110,27 @@ def test_maximal_candidate_classified_pole(corpus_results):
     for name, result in corpus_results:
         top = max(candidate_poles(result.diagram))
         assert classify(result.diagram, top).is_pole, name
+
+
+def test_cross_check_reads_the_candidate_table_once(monkeypatch):
+    """cross_check on a 40-curve chain takes the candidates from the
+    diagram's table, not once per candidate (41 calls before)."""
+    import sys
+
+    import topzeta.zeta
+    d = principalize(build(40, 0)).diagram
+    report = pole_report(d)
+    original = topzeta.zeta.candidate_poles
+    calls = []
+
+    def counted(diagram):
+        calls.append(diagram)
+        return original(diagram)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "topzeta" or name.startswith("topzeta."):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    assert cross_check(d, report).passed
+    assert len(calls) <= 1

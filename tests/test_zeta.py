@@ -217,3 +217,25 @@ def test_zeta_json_shape(golden):
     assert payload["zeta"]["den"] == [[2, 5, 1], [4, 7, 1], [1, 1, 1]]
     assert payload["candidates"] == ["-1", "-4/7", "-1/2", "-2/5"]
     assert {"s": "-2/5", "order": 1, "leading": "2/3"} in payload["poles"]
+
+
+def test_pole_report_builds_terms_once(golden, monkeypatch):
+    import topzeta.zeta
+    original = topzeta.zeta.zeta_terms
+    calls = []
+
+    def counted(diagram):
+        calls.append(diagram)
+        return original(diagram)
+
+    monkeypatch.setattr(topzeta.zeta, "zeta_terms", counted)
+    rep = pole_report(golden)
+    assert len(calls) == 1
+    assert rep.terms == original(golden)
+
+
+@pytest.mark.parametrize("fn", [zeta_terms, local_zeta, pole_report])
+def test_empty_diagram_refused(fn):
+    from topzeta.errors import MalformedDiagram
+    with pytest.raises(MalformedDiagram, match="empty diagram"):
+        fn(IntersectionDiagram(vertices=[], edges=set()))
