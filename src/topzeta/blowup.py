@@ -42,6 +42,7 @@ from .poly import (
     squarefree_decomposition,
     squarefree_part,
     uni_gcd,
+    uni_lcm,
     uni_to_str,
 )
 
@@ -215,6 +216,10 @@ class Occurrence:
     ("y", beta) only the single point t = 0.  Every diagram point read from
     the atlas (bad points, corners, branch points, generic crossings) is
     read through `corners`, `owned_params` or `owned_zeros`.
+
+    Ownership decides the work: a point-owned occurrence reads only the
+    constant coefficients of its restrictions, whether they vanish at
+    t = 0; only a fully owned divisor takes gcds and roots.
     """
 
     leaf_index: int
@@ -255,11 +260,13 @@ class Occurrence:
             out.append((c, sigma))
         return out
 
-    def owned_params(self, locator: UniPoly, context: str) -> list[Fraction]:
-        """Parameters of the nonzero locator's zeros on the owned locus;
-        refuses the run when an owned zero is irrational."""
+    def owned_params(self, polys: list[UniPoly],
+                     context: str) -> list[Fraction]:
+        """Parameters of the common zeros of polys, not all zero, on the
+        owned locus; refuses the run when an owned zero is irrational."""
         if self.mode == "point":
-            return [Fraction(0)] if locator.eval(0) == 0 else []
+            return [Fraction(0)] if all(map(_zero_at_0, polys)) else []
+        locator = uni_gcd(*polys)
         if locator.degree() <= 0:
             return []
         roots, cofactor = rational_roots(locator)
@@ -274,8 +281,12 @@ class Occurrence:
         """Birth-coordinate zero data of a nonzero restriction on the owned
         locus, or None when it has no zero there."""
         if self.mode == "point":
-            return point_zero_data(self.pm) if p.eval(0) == 0 else None
+            return point_zero_data(self.pm) if _zero_at_0(p) else None
         return zeros_in_birth(self.pm, p) if p.degree() > 0 else None
+
+
+def _zero_at_0(p: UniPoly) -> bool:
+    return not p.coeffs or p.coeffs[0] == 0
 
 
 @dataclass
@@ -543,10 +554,6 @@ def _order_along(state: ChartState, g: BiPoly, eq_of) -> int:
 
 # --- zero sets on a divisor, in birth coordinates ----------------------------
 
-def _sqfree_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    return a.divexact(uni_gcd(a, b)) * b
-
-
 def zeros_in_birth(pm: PointMap, p: UniPoly) -> tuple[UniPoly, bool]:
     """Zero set of a chart restriction as (squarefree polynomial in the birth
     coordinate, flag for a zero at infinity)."""
@@ -554,15 +561,15 @@ def zeros_in_birth(pm: PointMap, p: UniPoly) -> tuple[UniPoly, bool]:
         raise ValueError("identically zero restriction")
     tau = p.compose_affine(1 / pm.scale, -pm.offset / pm.scale)
     if pm.side == "A":
-        return squarefree_part(tau).monic(), False
-    return squarefree_part(tau.reversed()).monic(), tau.eval(0) == 0
+        return squarefree_part(tau), False
+    return squarefree_part(tau.reversed()), _zero_at_0(tau)
 
 
 def union_zero_data(acc: Optional[tuple[UniPoly, bool]],
                     new: tuple[UniPoly, bool]) -> tuple[UniPoly, bool]:
     if acc is None:
         return (new[0].monic(), new[1])
-    return (_sqfree_lcm(acc[0], new[0]).monic(), acc[1] or new[1])
+    return (uni_lcm(acc[0], new[0]), acc[1] or new[1])
 
 
 def zero_count(data: Optional[tuple[UniPoly, bool]]) -> int:
@@ -605,13 +612,16 @@ def restrict_residual_to(
     if all(Fraction(c) == 0 for c in coeffs):
         raise DegenerateLambda("all combination coefficients are zero")
     pieces = []
-    for occ in state.occurrences():
-        if occ.ident != ident:
+    for idx, chart in enumerate(state.leaves):
+        axis = chart.axes.get(ident)
+        if axis is None:
             continue
-        combo = BiPoly.zero()
-        for c, r in zip(coeffs, occ.chart.residual):
-            combo = combo + r.scale(c)
-        pieces.append((occ, occ.chart.restrict(combo, occ.axis)))
+        # restriction is linear: combine the restrictions
+        p = UniPoly()
+        for c, r in zip(coeffs, chart.residual):
+            p = p + chart.restrict(r, axis).scale(c)
+        pieces.append((Occurrence(idx, chart, ident, axis, chart.pms[ident]),
+                       p))
     if not pieces:
         raise KeyError(f"divisor {ident} not visible in any leaf chart")
     return pieces

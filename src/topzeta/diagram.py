@@ -288,7 +288,8 @@ def validate_nu_bound(diagram: IntersectionDiagram) -> Report:
 
 
 def validate_tree_shape(diagram: IntersectionDiagram) -> Report:
-    """Exceptional subgraph is a tree; strict branches hang off it."""
+    """Exceptional subgraph is a tree; each strict branch hangs off it by
+    exactly one edge (unless the origin case carries the branches)."""
     failures = []
     exc = [v.ident for v in diagram.exceptional()]
     inside = set(exc)
@@ -300,8 +301,10 @@ def validate_tree_shape(diagram: IntersectionDiagram) -> Report:
         if not _connected(diagram, exc):
             failures.append("exceptional subgraph disconnected")
     for v in diagram.strict_branches():
-        if diagram.degree(v.ident) < 1 and diagram.origin_case is None:
-            failures.append(f"strict branch {v.ident} is isolated")
+        degree = diagram.degree(v.ident)
+        if diagram.origin_case is None and degree != 1:
+            failures.append(f"strict branch {v.ident} " + (
+                f"meets {degree} curves" if degree else "is isolated"))
         if v.nu != 1:
             failures.append(f"strict branch {v.ident} has nu = {v.nu}")
     if diagram.origin_case is None:

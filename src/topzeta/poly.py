@@ -12,6 +12,9 @@ of zeta functions.
 
 Products, translations, gcds and the squarefree split compute on integer
 numerators over one common denominator; what they return is over Q again.
+The univariate gcd, lcm and squarefree part, the affine substitution and
+the rational roots do too: `_zgcd` on primitive numerators is the only gcd
+in Q[t], and a result is made monic once, at the end.
 """
 
 from __future__ import annotations
@@ -135,32 +138,6 @@ class UniPoly:
             return self
         return self.scale(1 / self.leading())
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return _uni(quo), _uni(rem)
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
-    def divexact(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact univariate division")
-        return q
-
     def derivative(self) -> "UniPoly":
         return _uni([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -172,12 +149,17 @@ class UniPoly:
         return acc
 
     def compose_affine(self, scale, offset) -> "UniPoly":
-        """p(scale*t + offset) as a polynomial in t."""
-        arg = UniPoly([Fraction(offset), Fraction(scale)])
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + UniPoly.const(c)
-        return acc
+        """p(scale*t + offset) as a polynomial in t: the integer Taylor
+        shift by offset, then coefficient j times scale^j."""
+        scale, offset = Fraction(scale), Fraction(offset)
+        terms = {(j, 0): c for j, c in enumerate(self.coeffs) if c}
+        if offset:
+            terms = _shift_rows(terms, offset, 0)
+        out, power = [], Fraction(1)
+        for j in range(len(self.coeffs)):
+            out.append(terms.get((j, 0), _ZERO) * power)
+            power *= scale
+        return _uni(out)
 
     def reversed(self) -> "UniPoly":
         """Coefficients in reverse order: zeros become reciprocals of the
@@ -221,19 +203,39 @@ def _uni(coeffs: list[Fraction]) -> UniPoly:
     return p
 
 
-def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor in Q[t]."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+def _zuni(p: UniPoly) -> list[int]:
+    """Primitive integer numerators of p; [] for zero."""
+    return _zprimitive(_numerators(list(p.coeffs))[0])
+
+
+def _zmonic(a: list[int]) -> UniPoly:
+    """The monic UniPoly of integer coefficients a; zero for []."""
+    return _uni([Fraction(v, a[-1]) for v in a]) if a else UniPoly()
+
+
+def uni_gcd(*polys: UniPoly) -> UniPoly:
+    """Monic greatest common divisor in Q[t]; zero when every poly is."""
+    g: list[int] = []
+    for p in polys:
+        g = _zgcd(g, _zuni(p))
+        if len(g) == 1:
+            break
+    return _zmonic(g)
+
+
+def uni_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic least common multiple in Q[t]."""
+    za, zb = _zuni(a), _zuni(b)
+    return _zmonic(_zmul(_zdivexact(za, _zgcd(za, zb)), zb))
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
     """p divided by gcd(p, p'), monic; carries one copy of each root."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    g = uni_gcd(p, p.derivative())
-    return p.divexact(g).monic()
+    a = _zuni(p)
+    da = [i * v for i, v in enumerate(a)][1:]
+    return _zmonic(_zdivexact(a, _zgcd(a, da)))
 
 
 def distinct_root_count(p: UniPoly) -> int:
@@ -264,32 +266,33 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
     # strip the root at 0 first
     k = 0
-    while k <= p.degree() and p.coeffs[k] == 0:
+    while p.coeffs[k] == 0:
         k += 1
-    if k:
-        roots.append((Fraction(0), k))
-        p = UniPoly(p.coeffs[k:])
-    if p.degree() <= 0:
-        return roots, p.monic()
-    ints = _zprimitive(_numerators(list(p.coeffs))[0])
-    a0, an = ints[0], ints[-1]
-    cands: set[Fraction] = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            cands.add(Fraction(num, den))
-            cands.add(Fraction(-num, den))
-    for r in sorted(cands):
-        mult = 0
-        while p.degree() > 0 and p.eval(r) == 0:
-            p = p.divexact(UniPoly([-r, 1]))
-            mult += 1
-        if mult:
-            roots.append((r, mult))
+    roots = [(Fraction(0), k)] if k else []
+    a = _zprimitive(_numerators(list(p.coeffs[k:]))[0])
+    if len(a) > 1:
+        cands = {Fraction(s * u, v) for u in _divisors(a[0])
+                 for v in _divisors(a[-1]) for s in (1, -1)}
+        for r in sorted(cands):
+            u, v, mult = r.numerator, r.denominator, 0
+            while len(a) > 1 and _zhorner(a, u, v) == 0:
+                a = _zdivexact(a, [-u, v])
+                mult += 1
+            if mult:
+                roots.append((r, mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, p.monic()
+    return roots, _zmonic(a)
+
+
+def _zhorner(a: list[int], u: int, v: int) -> int:
+    """v^deg(a) * a(u/v), by homogeneous Horner on integers."""
+    acc, vpow = a[-1], 1
+    for c in reversed(a[:-1]):
+        vpow *= v
+        acc = acc * u + c * vpow
+    return acc
 
 
 # ---------------------------------------------------------------------------

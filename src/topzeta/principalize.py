@@ -26,7 +26,7 @@ from .blowup import (
 )
 from .diagram import IntersectionDiagram, diagram_from_state
 from .errors import InternalInvariantError, StepBudgetExceeded
-from .poly import BiPoly, UniPoly, uni_gcd
+from .poly import BiPoly, UniPoly
 
 DEFAULT_MAX_STEPS = 512
 
@@ -37,19 +37,16 @@ def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
     chart = occ.chart
     found: list[tuple[Fraction, str]] = []
 
-    def emit(locator: UniPoly, context: str, reason: str):
-        for t in occ.owned_params(locator, context):
+    def emit(polys: list[UniPoly], context: str, reason: str):
+        for t in occ.owned_params(polys, context):
             found.append((t, reason))
 
     # (a) residual ideal vanishes: common zeros of the restrictions
     restrictions = [chart.restrict(r, occ.axis) for r in chart.residual]
-    locator = UniPoly()
-    for rho in restrictions:
-        locator = uni_gcd(locator, rho)
-    if locator.is_zero():
+    if all(rho.is_zero() for rho in restrictions):
         raise InternalInvariantError(
             f"residual ideal vanishes along divisor {occ.ident}")
-    emit(locator, "residual zero locus", "residual-vanishes")
+    emit(restrictions, "residual zero locus", "residual-vanishes")
 
     carrier_restrictions = occ.carrier_restrictions()
 
@@ -57,7 +54,7 @@ def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
     for ident, sigma in carrier_restrictions:
         if sigma.degree() <= 0:
             continue
-        emit(uni_gcd(sigma, sigma.derivative()),
+        emit([sigma, sigma.derivative()],
              f"tangency of {ident}", f"branch-tangent:{ident}")
 
     # (d) two branches meet on the divisor
@@ -65,7 +62,7 @@ def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
         for j in range(i + 1, len(carrier_restrictions)):
             ki, si = carrier_restrictions[i]
             kj, sj = carrier_restrictions[j]
-            emit(uni_gcd(si, sj), f"crossing {ki}/{kj}",
+            emit([si, sj], f"crossing {ki}/{kj}",
                  f"branches-meet:{ki}:{kj}")
 
     # (c) branch through a crossing of two exceptional divisors

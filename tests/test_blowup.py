@@ -268,6 +268,45 @@ def test_restrict_residual_zero_coeffs_flagged():
         restrict_residual_to(result.state, "E1", [Fraction(0), Fraction(0)])
 
 
+def _reference_restrict_residual_to(state, ident, coeffs):
+    """The pieces as built before: every occurrence of every leaf visited,
+    the combination formed in Q[x, y] and then restricted."""
+    pieces = []
+    for occ in state.occurrences():
+        if occ.ident != ident:
+            continue
+        combo = BiPoly.zero()
+        for c, r in zip(coeffs, occ.chart.residual):
+            combo = combo + r.scale(c)
+        pieces.append((occ, occ.chart.restrict(combo, occ.axis)))
+    return pieces
+
+
+def _piece_keys(pieces):
+    return [(occ.leaf_index, id(occ.chart), occ.ident, occ.axis, occ.pm, p)
+            for occ, p in pieces]
+
+
+def test_restrict_residual_matches_reference(corpus_results):
+    from topzeta.family import build
+    from topzeta.generic import sample_lambda
+    runs = corpus_results + [("chain-40-0", principalize(build(40, 0)))]
+    checked = 0
+    for name, result in runs:
+        state = result.state
+        count = len(state.gens)
+        lams = [[Fraction(1)] * count] + (
+            [sample_lambda(count, 0, 3), [Fraction(0)] + [Fraction(-2, 3)]
+             * (count - 1)] if count > 1 else [])
+        for ident in state.divisor_order:
+            for lam in lams:
+                assert _piece_keys(restrict_residual_to(state, ident, lam)) \
+                    == _piece_keys(_reference_restrict_residual_to(
+                        state, ident, lam)), (name, ident, lam)
+                checked += 1
+    assert checked > 500
+
+
 # --- the ownership walk against a per-divisor reference --------------------------
 
 def _reference_occurrences(state):

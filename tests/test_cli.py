@@ -126,6 +126,26 @@ def test_verify_corrupted_diagram(capsys, tmp_path):
     assert "nu-bound: FAIL" in out
 
 
+def test_verify_strict_branch_on_two_curves_fails(capsys, tmp_path):
+    """The golden chain with S1 joined to both E1 and E3: a cycle through
+    a strict branch, which passed every validator before."""
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "vertices": [
+            {"id": "E1", "kind": "exceptional", "N": 5, "nu": 2},
+            {"id": "E2", "kind": "exceptional", "N": 6, "nu": 3},
+            {"id": "E3", "kind": "exceptional", "N": 7, "nu": 4},
+            {"id": "S1", "kind": "strict-branch", "N": 1, "nu": 1},
+        ],
+        "edges": [["E1", "E2"], ["E2", "E3"], ["E1", "S1"], ["E3", "S1"]],
+        "origin_case": None,
+    }))
+    code, out, _ = run(capsys, "verify", "--diagram-json", str(path))
+    assert code == 2
+    assert "tree-shape: FAIL strict branch S1 meets 2 curves" in out
+    assert out.count("FAIL") == 1
+
+
 @pytest.mark.parametrize("vertex", [
     {"id": "E1", "kind": "exceptional", "N": 0, "nu": 2},
     {"id": 5, "kind": "exceptional", "N": 2, "nu": 2},

@@ -258,10 +258,16 @@ def _assert_tables_match(d: IntersectionDiagram) -> None:
             _outcome(_reference_residue_contribution, d, v.ident, s0), v
     assert validate_ordered_tree(d) == _reference_validate_ordered_tree(d)
     new, old = validate_tree_shape(d), _reference_validate_tree_shape(d)
-    assert new.passed == old.passed
+    # the reference let a strict branch meet several curves; see CHANGES.md
+    several = [f"strict branch {v.ident} meets {d.degree(v.ident)} curves"
+               for v in d.strict_branches()
+               if d.origin_case is None and d.degree(v.ident) > 1]
+    assert [f for f in new.failures if f.endswith(" curves")] == several
+    assert new.passed == (old.passed and not several)
     # the reference lists meeting strict branches in edge-set order, which
     # varies with the string hash seed; the table lists them in id order
-    assert [f for f in new.failures if not f.startswith(MEET)] == \
+    assert [f for f in new.failures
+            if not f.startswith(MEET) and f not in several] == \
         [f for f in old.failures if not f.startswith(MEET)]
     meets = [f for f in new.failures if f.startswith(MEET)]
     assert sorted(meets) == sorted(f for f in old.failures
@@ -344,12 +350,12 @@ def test_drawn_diagrams_cover_the_validator_failures():
             found.add(next((k for k in (
                 "exceptional subgraph disconnected", "edges among",
                 MEET, "minimal-ratio part disconnected",
-                "ratio does not increase") if k in f), f))
+                "ratio does not increase", " curves") if k in f), f))
 
     collect()
     assert {"exceptional subgraph disconnected", "edges among", MEET,
             "minimal-ratio part disconnected",
-            "ratio does not increase"} <= found
+            "ratio does not increase", " curves"} <= found
 
 
 def test_neighbor_lists_sort_by_id_not_string():

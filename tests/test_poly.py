@@ -13,6 +13,7 @@ from topzeta.errors import (
     ParseError,
     UnknownVariableError,
 )
+from reference_q import divexact_q, gcd_q
 from topzeta.poly import (
     INFINITE_MULT,
     BiPoly,
@@ -26,6 +27,7 @@ from topzeta.poly import (
     squarefree_decomposition,
     squarefree_part,
     uni_gcd,
+    uni_lcm,
 )
 
 
@@ -343,8 +345,9 @@ def _reference_content(coeffs):
     cont = UniPoly()
     for c in coeffs:
         if not c.is_zero():
-            cont = uni_gcd(cont, c)
-    return cont, [c.divexact(cont) if not c.is_zero() else c for c in coeffs]
+            cont = gcd_q(cont, c)
+    return cont, [divexact_q(c, cont) if not c.is_zero() else c
+                  for c in coeffs]
 
 
 def _reference_pseudo_rem(a, b):
@@ -374,7 +377,7 @@ def _reference_gcd_bi(p, q):
         r = _reference_pseudo_rem(ap, aq)
         ap, aq = aq, _reference_content(r)[1] if r else []
     prim = _from_y_coefficients(_reference_content(ap)[1])
-    cont = _from_y_coefficients([uni_gcd(cp, cq)])
+    cont = _from_y_coefficients([gcd_q(cp, cq)])
     return _reference_bi_mul(prim, cont).monic_grlex()
 
 
@@ -528,9 +531,8 @@ def test_uni_outputs_keep_normal_form(ca, cb):
                BiPoly({(i, i % 2): c for i, c in enumerate(ca)}).restrict_y(0),
                BiPoly({(i % 2, i): c for i, c in enumerate(cb)}).restrict_x(2)]
     if not q.is_zero():
-        quo, rem = p.divmod(q)
-        assert quo * q + rem == p
-        outputs += [quo, rem]
+        outputs += [uni_gcd(p, q), uni_lcm(q, q * q), squarefree_part(q),
+                    q.compose_affine(Fraction(2, 3), Fraction(-1, 5))]
     for r in outputs:
         _assert_uni_normal(r)
 
@@ -592,3 +594,142 @@ def test_squarefree_part():
     v = UniPoly.var()
     p = v * v * (v - UniPoly.const(2))
     assert squarefree_part(p) == (v * (v - UniPoly.const(2))).monic()
+
+
+# --- univariate kernel against the Fraction reference loops --------------------
+
+def _reference_squarefree_part(p):
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    g = gcd_q(p, p.derivative())
+    return divexact_q(p, g).monic()
+
+
+def _reference_compose_affine(p, scale, offset):
+    """p(scale*t + offset) by Horner on UniPoly products."""
+    arg = UniPoly([Fraction(offset), Fraction(scale)])
+    acc = UniPoly()
+    for c in reversed(p.coeffs):
+        acc = acc * arg + UniPoly.const(c)
+    return acc
+
+
+def _reference_rational_roots(p):
+    """Every divisor candidate tested by Fraction evaluation, each root
+    divided out in Q[t]."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    roots = []
+    k = 0
+    while k <= p.degree() and p.coeffs[k] == 0:
+        k += 1
+    if k:
+        roots.append((Fraction(0), k))
+        p = UniPoly(p.coeffs[k:])
+    if p.degree() <= 0:
+        return roots, p.monic()
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = math.gcd(*ints)
+    a0, an = ints[0] // g, ints[-1] // g
+    cands = {Fraction(s * u, v) for u in _reference_divisors(a0)
+             for v in _reference_divisors(an) for s in (1, -1)}
+    for r in sorted(cands):
+        mult = 0
+        while p.degree() > 0 and p.eval(r) == 0:
+            p = divexact_q(p, UniPoly([-r, 1]))
+            mult += 1
+        if mult:
+            roots.append((r, mult))
+    roots.sort(key=lambda rm: rm[0])
+    return roots, p.monic()
+
+
+def _reference_divisors(n):
+    n = abs(n)
+    return [d for d in range(1, math.isqrt(n) + 1) if n % d == 0] + \
+        [n // d for d in range(math.isqrt(n), 0, -1)
+         if n % d == 0 and d * d != n]
+
+
+def _reference_sqfree_lcm(a, b):
+    return divexact_q(a, gcd_q(a, b)) * b
+
+
+#: Univariate polynomials: zero, constants, small and large coefficients.
+unipolys = st.lists(coefficients, max_size=6).map(UniPoly)
+#: Rational roots with small numerators and denominators, so that roots
+#: repeat and the divisor lists stay short.
+small_roots = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def root_rich(draw, roots=small_roots, count=5):
+    """A nonzero multiple of a product of rational linear factors, some of
+    them repeated, times at most one factor without rational roots."""
+    p = UniPoly.const(draw(st.sampled_from(
+        [Fraction(1), Fraction(-7, 3), Fraction(10**6, 10**9 + 7)])))
+    for r in draw(st.lists(roots, max_size=count)):
+        p = p * UniPoly([-r, 1])
+    extra = draw(st.sampled_from([(), (2, 0, 1), (-2, 0, 1), (1, 1, 1)]))
+    return p * UniPoly(extra) if extra else p
+
+
+@given(unipolys, unipolys, unipolys)
+@settings(max_examples=120, deadline=None)
+def test_uni_gcd_matches_reference(p, q, m):
+    for a, b in ((p, q), (p * m, q * m), (m, p * m), (p, UniPoly())):
+        g = uni_gcd(a, b)
+        assert g == gcd_q(a, b)
+        _assert_uni_normal(g)
+    assert uni_gcd(p * m, q * m, m) == \
+        gcd_q(gcd_q(p * m, q * m), m)
+    assert uni_gcd() == uni_gcd(UniPoly(), UniPoly()) == UniPoly()
+
+
+@given(st.one_of(unipolys, root_rich()), unipolys)
+@settings(max_examples=120, deadline=None)
+def test_squarefree_part_matches_reference(p, m):
+    for a in (p, p * m * m, m * m * m):
+        if a.is_zero():
+            with pytest.raises(ValueError):
+                squarefree_part(a)
+            continue
+        s = squarefree_part(a)
+        assert s == _reference_squarefree_part(a)
+        _assert_uni_normal(s)
+
+
+@given(st.one_of(unipolys, root_rich()), coefficients, coefficients)
+@settings(max_examples=120, deadline=None)
+def test_compose_affine_matches_reference(p, scale, offset):
+    for s, o in ((scale, offset), (scale, 0), (0, offset), (1, 0)):
+        q = p.compose_affine(s, o)
+        assert q == _reference_compose_affine(p, s, o)
+        _assert_uni_normal(q)
+
+
+@given(st.one_of(root_rich(), root_rich(st.builds(
+    Fraction, st.integers(-3000, 3000), st.integers(1, 400)), count=2),
+    st.lists(small_coefficients, max_size=5).map(UniPoly)))
+@settings(max_examples=120, deadline=None)
+def test_rational_roots_match_reference(p):
+    if p.is_zero():
+        with pytest.raises(ValueError):
+            rational_roots(p)
+        return
+    roots, cofactor = rational_roots(p)
+    assert (roots, cofactor) == _reference_rational_roots(p)
+    _assert_uni_normal(cofactor)
+
+
+@given(st.one_of(unipolys, root_rich()), st.one_of(unipolys, root_rich()),
+       root_rich())
+@settings(max_examples=120, deadline=None)
+def test_uni_lcm_matches_reference(a, b, m):
+    for x, y in ((a, b), (a * m, b * m), (m, m)):
+        if x.is_zero() or y.is_zero():
+            continue
+        lcm = uni_lcm(x, y)
+        assert lcm == _reference_sqfree_lcm(x, y).monic()
+        _assert_uni_normal(lcm)

@@ -4,10 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from reference_q import gcd_q
 from topzeta.blowup import PointRecord, blow_up, initial_state
-from topzeta.errors import CenterNotRational, StepBudgetExceeded
+from topzeta.errors import (
+    CenterNotRational,
+    InternalInvariantError,
+    StepBudgetExceeded,
+)
 from topzeta.family import build
-from topzeta.poly import parse_poly
+from topzeta.poly import (
+    UniPoly,
+    parse_poly,
+    rational_roots,
+    squarefree_part,
+    uni_to_str,
+)
 from topzeta.principalize import (
     PrincipalizationResult,
     _bad_values_on_occurrence,
@@ -150,7 +161,7 @@ def test_confluence_reverse_order(corpus_results):
 def test_residual_unit_everywhere_after_completion(corpus_results):
     """The weak transform is the unit ideal at every owned point of every
     final chart."""
-    from topzeta.poly import UniPoly, uni_gcd
+    from topzeta.poly import uni_gcd
     for name, result in corpus_results[:15]:
         state = result.state
         for occ in state.occurrences():
@@ -273,3 +284,147 @@ def test_failed_scan_is_not_stored():
         find_bad_points(state)
     assert str(exc.value) == first
     assert "y^2 - 2" in first
+
+
+# --- the gcd for every mode, kept as the oracle of the ownership split ------
+
+def _reference_owned_params(occ, locator, context):
+    if occ.mode == "point":
+        return [Fraction(0)] if locator.eval(0) == 0 else []
+    if locator.degree() <= 0:
+        return []
+    roots, cofactor = rational_roots(locator)
+    if cofactor.degree() > 0:
+        raise CenterNotRational(
+            f"{uni_to_str(squarefree_part(cofactor), 'y')} "
+            f"({context} on {occ.ident})")
+    return [r for r, _ in roots]
+
+
+def _reference_bad_values_on_occurrence(occ):
+    """The bad values as found before ownership decided the work: a full
+    gcd of the polynomials for every mode, then its zeros on the owned
+    locus."""
+    chart = occ.chart
+    found = []
+
+    def emit(locator, context, reason):
+        for t in _reference_owned_params(occ, locator, context):
+            found.append((t, reason))
+
+    locator = UniPoly()
+    for r in chart.residual:
+        locator = gcd_q(locator, chart.restrict(r, occ.axis))
+    if locator.is_zero():
+        raise InternalInvariantError(
+            f"residual ideal vanishes along divisor {occ.ident}")
+    emit(locator, "residual zero locus", "residual-vanishes")
+    carrier_restrictions = occ.carrier_restrictions()
+    for ident, sigma in carrier_restrictions:
+        if sigma.degree() <= 0:
+            continue
+        emit(gcd_q(sigma, sigma.derivative()),
+             f"tangency of {ident}", f"branch-tangent:{ident}")
+    for i in range(len(carrier_restrictions)):
+        for j in range(i + 1, len(carrier_restrictions)):
+            ki, si = carrier_restrictions[i]
+            kj, sj = carrier_restrictions[j]
+            emit(gcd_q(si, sj), f"crossing {ki}/{kj}",
+                 f"branches-meet:{ki}:{kj}")
+    for t_corner, other in occ.corners:
+        for ident, sigma in carrier_restrictions:
+            if sigma.eval(t_corner) == 0:
+                found.append((t_corner, f"branch-at-corner:{ident}:{other}"))
+    return found
+
+
+def _scan_outcome(scan, occ):
+    try:
+        return scan(occ)
+    except (CenterNotRational, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_scans_match(states, name):
+    """Both scans agree on every occurrence of every state; returns the
+    number of occurrences compared."""
+    seen = 0
+    for state in states:
+        for occ in state.occurrences():
+            assert _scan_outcome(_bad_values_on_occurrence, occ) == \
+                _scan_outcome(_reference_bad_values_on_occurrence, occ), \
+                (name, len(state.log), occ.leaf_index, occ.ident)
+            seen += 1
+    return seen
+
+
+def test_scan_matches_full_gcd_on_corpus_replay(corpus_results,
+                                                replay_states):
+    seen = sum(_assert_scans_match(replay_states(result), name)
+               for name, result in corpus_results)
+    assert seen > 1000
+
+
+@pytest.mark.parametrize("gens", [
+    build(40, 0),
+    [P("((y^2-x^3)^2-4*x^5*y-x^7)*(y-x^2)"), P("x^8")],
+    [P("(y^2-x^3)*(y^2+x^3)*(y-x^2)")],
+], ids=["chain-40-0", "translated-swell", "three-branches"])
+def test_scan_matches_full_gcd_on_long_runs(gens, replay_states):
+    result = principalize(gens)
+    assert _assert_scans_match(replay_states(result), "long run") >= 10
+
+
+@pytest.mark.parametrize("gens", [
+    [P("x^3"), P("y^2 - 2*x^2")],
+    [P("y^2 + x^2"), P("x^5")],
+], ids=["real-irrational", "imaginary"])
+def test_scan_matches_full_gcd_up_to_refusal(gens):
+    state = initial_state(gens)
+    while True:
+        _assert_scans_match([state], "refusal")
+        try:
+            bad = find_bad_points(state)
+        except CenterNotRational:
+            break
+        blow_up(state, bad[0])
+    assert state.log
+
+
+@pytest.mark.parametrize("gens", [
+    build(16, 1),
+    [P("(y^2-x^3)*(y^2+x^3)*(y-x^2)")],
+], ids=["chain-16-1", "three-branches"])
+def test_point_owned_scans_take_no_gcd(monkeypatch, replay_states, gens):
+    """A point-owned occurrence reads constant coefficients only: no
+    integer gcd and no root search, in any topzeta namespace."""
+    import sys
+
+    import topzeta.poly
+    calls = []
+
+    def counting(original):
+        def counted(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return counted
+
+    for original in (topzeta.poly._zgcd, topzeta.poly.rational_roots):
+        wrapper = counting(original)
+        for name, mod in list(sys.modules.items()):
+            if name == "topzeta" or name.startswith("topzeta."):
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    result = principalize(gens)
+    scanned = {"all": 0, "point": 0}
+    for state in replay_states(result):
+        for occ in state.occurrences():
+            before = len(calls)
+            _bad_values_on_occurrence(occ)
+            if occ.mode == "point":
+                assert len(calls) == before, (occ.ident, calls[before:])
+            scanned[occ.mode] += len(calls) - before if occ.mode == "all" \
+                else 1
+    # the guard is not vacuous: point scans ran, full scans took gcds
+    assert scanned["point"] >= 5 and scanned["all"] >= 5

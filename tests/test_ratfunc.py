@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_q import divexact_q
 from topzeta.poly import UniPoly
 from topzeta.ratfunc import RationalFunctionS, poles_of, rf_sum_of_terms
 
@@ -147,7 +148,7 @@ def _reference_build(num, den):
         return num, ()
     for f in list(den):
         while den[f] > 0 and num.eval(Fraction(-f[0], f[1])) == 0:
-            num = num.divexact(UniPoly([f[0], f[1]]))
+            num = divexact_q(num, UniPoly([f[0], f[1]]))
             den[f] -= 1
         if den[f] == 0:
             del den[f]
