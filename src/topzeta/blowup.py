@@ -163,11 +163,10 @@ class Chart:
         eq = self.exc.get(ident)
         if eq is None:
             return None
-        sup = set(eq.terms)
-        if sup <= {(1, 0), (0, 0)} and (1, 0) in sup:
-            return ("x", -eq.terms.get((0, 0), Fraction(0)) / eq.terms[(1, 0)])
-        if sup <= {(0, 1), (0, 0)} and (0, 1) in sup:
-            return ("y", -eq.terms.get((0, 0), Fraction(0)) / eq.terms[(0, 1)])
+        nums = eq.nums
+        for var, e in (("x", (1, 0)), ("y", (0, 1))):
+            if e in nums and nums.keys() <= {e, (0, 0)}:
+                return (var, Fraction(-nums.get((0, 0), 0), nums[e]))
         return None
 
     @cached_property
@@ -201,7 +200,11 @@ class Chart:
         return p.restrict_x(c) if var == "x" else p.restrict_y(c)
 
     def divisors_through(self, pt: tuple[Fraction, Fraction]) -> list[str]:
-        return [d for d, eq in self.exc.items() if eq.eval(pt[0], pt[1]) == 0]
+        """Divisors through pt: those in axis form by their coordinate."""
+        axes = self.axes
+        return [d for d, eq in self.exc.items()
+                if ((pt[0] if axes[d][0] == "x" else pt[1]) == axes[d][1]
+                    if d in axes else eq.eval(pt[0], pt[1]) == 0)]
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ class Occurrence:
 
 
 def _zero_at_0(p: UniPoly) -> bool:
-    return not p.coeffs or p.coeffs[0] == 0
+    return not p.nums or p.nums[0] == 0
 
 
 @dataclass
@@ -311,8 +314,22 @@ class ChartState:
         self.leaves: list[Chart] = [root]
         self.log: list[BlowUpEvent] = []
         self.complete = False
+        self._pulled: Optional[tuple[BiPoly, dict]] = None
 
     # -- bookkeeping helpers --
+
+    def pullback(self, g: BiPoly, path: tuple) -> BiPoly:
+        """g pulled back along a chart path.  The last g's pullbacks are kept
+        in a tree of path prefixes, so a shared prefix costs no step."""
+        if self._pulled is None or self._pulled[0] is not g:
+            self._pulled = (g, {})
+        p, node = g, self._pulled[1]
+        for step in path:
+            hit = node.get(step)
+            if hit is None:
+                hit = node[step] = (apply_step(p, step), {})
+            p, node = hit
+        return p
 
     def carrier_exponent(self, ident: str) -> int:
         for c in self.carriers:
@@ -521,23 +538,14 @@ def divisor_order_of(state: ChartState, g: BiPoly, ident: str) -> int:
     """
     if g.is_zero():
         raise ValueError("zero polynomial has no divisor order")
-    for c in state.carriers:
-        if c.ident == ident:
-            return _order_along(state, g, lambda ch: ch.carriers.get(ident))
-    if ident not in state.divisors:
+    carrier = any(c.ident == ident for c in state.carriers)
+    if not carrier and ident not in state.divisors:
         raise KeyError(f"unknown divisor {ident}")
-    return _order_along(state, g, lambda ch: ch.exc.get(ident))
-
-
-_X, _Y = BiPoly.x(), BiPoly.y()
-
-
-def _order_along(state: ChartState, g: BiPoly, eq_of) -> int:
     for chart in state.leaves:
-        eq = eq_of(chart)
+        eq = (chart.carriers if carrier else chart.exc).get(ident)
         if eq is None:
             continue
-        p = chart.pullback(g)
+        p = state.pullback(g, chart.path)
         if eq == _X:
             return p.x_order()
         if eq == _Y:
@@ -550,6 +558,9 @@ def _order_along(state: ChartState, g: BiPoly, eq_of) -> int:
                 return order
             order += 1
     raise KeyError("component not visible in any chart")
+
+
+_X, _Y = BiPoly.x(), BiPoly.y()
 
 
 # --- zero sets on a divisor, in birth coordinates ----------------------------

@@ -171,14 +171,15 @@ def _print_validators(diagram) -> bool:
     return all(r.passed for r in reports)
 
 
-def _print_suites(gens, result, report, seed: int) -> bool:
+def _print_suites(result, report, seed: int) -> bool:
     ok = _print_validators(result.diagram)
     chk = cross_check(result.diagram, report)
     print(f"criterion-vs-zeta: {'pass' if chk.passed else 'FAIL ' + chk.detail}")
     minim = verify_minimality(result)
     print(f"minimality: {'pass' if minim.passed else 'FAIL'}")
     ok = ok and chk.passed and minim.passed
-    if len(gens) >= 2:
+    # count the generators the run kept: initial_state drops zero ones
+    if len(result.gens) >= 2:
         generic = certify_generic(result, seed=seed)
         print("lambda: (" + ", ".join(frac_str(c) for c in generic.lam)
               + f"), retries {generic.retries}")
@@ -208,7 +209,7 @@ def _run(args) -> int:
     report = None if args.command == "principalize" else pole_report(
         result.diagram)
     if args.command == "verify":
-        ok = _print_suites(gens, result, report, args.seed or 0)
+        ok = _print_suites(result, report, args.seed or 0)
         return EXIT_OK if ok else EXIT_INPUT
     _, view, check = VIEWS[args.command]
     if getattr(args, "dot", False):

@@ -92,8 +92,10 @@ def _min_orders(result: PrincipalizationResult) -> dict[str, int]:
     state = result.state
     idents = list(state.divisor_order) + [
         c.ident for c in state.carriers if c.through_origin]
-    return {ident: min(divisor_order_of(state, g, ident) for g in result.gens)
-            for ident in idents}
+    # one generator at a time, so each is pulled back once
+    orders = [{ident: divisor_order_of(state, g, ident) for ident in idents}
+              for g in result.gens]
+    return {ident: min(o[ident] for o in orders) for ident in idents}
 
 
 def _verify_min_property(result: PrincipalizationResult, lam: list[Fraction],

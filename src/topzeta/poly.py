@@ -1,26 +1,24 @@
 """Exact univariate and bivariate polynomial arithmetic over the rationals.
 
-A bivariate polynomial is a dict mapping exponent pairs (a, b) to nonzero
-Fraction coefficients; the zero polynomial has an empty dict.  This sparse
-exact representation makes identity tests reliable, which everything
-downstream (transform factorizations, gcd extraction, zero counting)
-depends on.
+Every polynomial is stored as integer numerators over one positive common
+denominator in lowest terms: gcd(den, *numerators) == 1 and no numerator
+is zero (no trailing zero in a dense tuple).  The form is unique, so the
+identity tests everything downstream depends on compare integers.  A
+bivariate polynomial maps exponent pairs (a, b) to numerators; a
+univariate one (a restriction to an exceptional line, a zeta numerator)
+is a tuple of numerators indexed by degree.
 
-Univariate polynomials are coefficient tuples indexed by degree.  They show
-up as restrictions of bivariate data to an exceptional line and as numerators
-of zeta functions.
-
-Products, translations, gcds and the squarefree split compute on integer
-numerators over one common denominator; what they return is over Q again.
-The univariate gcd, lcm and squarefree part, the affine substitution and
-the rational roots do too: `_zgcd` on primitive numerators is the only gcd
-in Q[t], and a result is made monic once, at the end.
+Every kernel computes on integers and builds no Fraction per coefficient;
+gcds, the squarefree split, exact division and the rational roots run on
+primitive integer rows.  `BiPoly.terms` and `UniPoly.coeffs` are read-only
+Fraction views, for printing and callers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable
 
 from .errors import (
@@ -40,29 +38,42 @@ INFINITE_MULT = math.inf
 # integer numerators
 # ---------------------------------------------------------------------------
 
-def _numerators(cs: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of cs over their least common denominator."""
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
+def _new(cls, nums, den: int):
+    """An instance of cls over numerators already in lowest terms."""
+    p = object.__new__(cls)
+    p.nums, p.den = nums, den
+    return p
 
 
-def _product(p: dict[int, Fraction], q: dict[int, Fraction],
-             ) -> dict[int, Fraction]:
-    """p*q for polynomials given as {packed exponent: nonzero coefficient},
-    packed so that exponents add under multiplication: the integer
-    numerators of each factor over its common denominator are convolved,
-    and each nonzero output coefficient becomes one Fraction."""
-    pn, pd = _numerators(list(p.values()))
-    qn, qd = _numerators(list(q.values()))
-    qs = list(zip(q, qn))
+def _lowest(den: int, nums: Iterable[int]) -> int:
+    """The divisor, of the sign of den, that brings nums / den to lowest
+    terms over a positive denominator."""
+    if den == 1:
+        return 1
+    g = math.gcd(den, *nums)
+    return g if den > 0 else -g
+
+
+def _hpowers(q: int | Fraction, d: int) -> list[int]:
+    """u^i v^(d - i) for i = 0..d, with q = u/v: the numerator of q^i over
+    the denominator v^d."""
+    u, v = q.numerator, q.denominator
+    up, vp = [1] * (d + 1), [1] * (d + 1)
+    for i in range(d):
+        up[i + 1], vp[i + 1] = up[i] * u, vp[i] * v
+    return up if v == 1 else [a * b for a, b in zip(up, reversed(vp))]
+
+
+def _product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """Integer convolution of polynomials given as {packed exponent:
+    numerator}, packed so that exponents add under multiplication; an
+    output entry may be zero."""
+    qs = list(q.items())
     acc: dict[int, int] = {}
-    for i, a in zip(p, pn):
+    for i, a in p.items():
         for j, b in qs:
             acc[i + j] = acc.get(i + j, 0) + a * b
-    den = pd * qd
-    if den == 1:
-        return {k: Fraction(n) for k, n in acc.items() if n}
-    return {k: Fraction(n, den) for k, n in acc.items() if n}
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -70,172 +81,141 @@ def _product(p: dict[int, Fraction], q: dict[int, Fraction],
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """Dense univariate polynomial over Q, coefficients indexed by degree."""
+    """Dense univariate polynomial over Q.
 
-    __slots__ = ("coeffs",)
+    `nums` holds the integer numerators indexed by degree, without a
+    trailing zero, over the denominator `den` >= 1, with
+    gcd(den, *nums) == 1.  `coeffs` is a read-only Fraction view.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        p = UniPoly.from_ints([int(c * den) for c in cs], den)
+        self.nums, self.den = p.nums, p.den
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "UniPoly":
+        """The polynomial with coefficients nums[i] / den, den != 0."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = _lowest(den, nums)
+        return _new(cls, tuple(n // g for n in nums), den // g)
 
     @classmethod
     def const(cls, c) -> "UniPoly":
-        return cls([Fraction(c)])
+        c = Fraction(c)
+        return cls.from_ints([c.numerator], c.denominator)
 
     @classmethod
     def var(cls) -> "UniPoly":
-        return cls([0, 1])
+        return cls.from_ints([0, 1])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
         """Degree, with deg(0) = -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, UniPoly) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _uni(out)
+        den = math.lcm(self.den, other.den)
+        k, m = den // self.den, den // other.den
+        return UniPoly.from_ints([a * k + b * m for a, b in zip_longest(
+            self.nums, other.nums, fillvalue=0)], den)
 
     def __neg__(self) -> "UniPoly":
-        return _uni([-c for c in self.coeffs])
+        return _new(UniPoly, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = _product({i: c for i, c in enumerate(self.coeffs) if c},
-                       {i: c for i, c in enumerate(other.coeffs) if c})
-        deg = len(self.coeffs) + len(other.coeffs) - 2
-        return _uni([out.get(i, _ZERO) for i in range(deg + 1)])
+        return UniPoly.from_ints(_zmul(self.nums, other.nums),
+                                 self.den * other.den)
 
     def scale(self, c) -> "UniPoly":
         c = Fraction(c)
-        return _uni([a * c for a in self.coeffs])
+        return UniPoly.from_ints([n * c.numerator for n in self.nums],
+                                 self.den * c.denominator)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading())
+        return UniPoly.from_ints(self.nums, self.nums[-1])
 
     def derivative(self) -> "UniPoly":
-        return _uni([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly.from_ints([i * n for i, n in enumerate(self.nums)][1:],
+                                 self.den)
 
     def eval(self, t) -> Fraction:
-        t = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        """p(t) for an int or Fraction t, by homogeneous Horner on integers,
+        one Fraction at the end."""
+        return Fraction(_zhorner(self.nums, t.numerator, t.denominator),
+                        self.den * t.denominator ** max(self.degree(), 0))
 
     def compose_affine(self, scale, offset) -> "UniPoly":
         """p(scale*t + offset) as a polynomial in t: the integer Taylor
-        shift by offset, then coefficient j times scale^j."""
-        scale, offset = Fraction(scale), Fraction(offset)
-        terms = {(j, 0): c for j, c in enumerate(self.coeffs) if c}
-        if offset:
-            terms = _shift_rows(terms, offset, 0)
-        out, power = [], Fraction(1)
-        for j in range(len(self.coeffs)):
-            out.append(terms.get((j, 0), _ZERO) * power)
-            power *= scale
-        return _uni(out)
+        shift by offset to q, then sum q_j x^j y^j restricted to y = scale."""
+        q = _new(BiPoly, {(j, 0): n for j, n in enumerate(self.nums) if n},
+                 self.den).translate(offset, 0)
+        return _new(BiPoly, {(j, j): n for (j, _), n in q.nums.items()},
+                    q.den).restrict_y(scale)
 
     def reversed(self) -> "UniPoly":
         """Coefficients in reverse order: zeros become reciprocals of the
         nonzero zeros of self."""
-        return _uni(list(reversed(self.coeffs)))
+        return UniPoly.from_ints(self.nums[::-1], self.den)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for d in range(self.degree(), -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            if d == 0:
-                mono = str(abs(c))
-            else:
-                var = "s" if d == 1 else f"s^{d}"
-                mono = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + mono)
-            else:
-                parts.append((" - " if c < 0 else " + ") + mono)
-        return "".join(parts)
+        return poly_to_str(_new(BiPoly, {(i, 0): n for i, n in enumerate(
+            self.nums) if n}, self.den), ("s", "t"))
 
     __repr__ = __str__
-
-
-_ZERO = Fraction(0)
-
-
-def _uni(coeffs: list[Fraction]) -> UniPoly:
-    """A UniPoly over coefficients that are already Fractions, as the
-    arithmetic on UniPolys and the restrictions leave them: trailing zeros
-    are dropped, and the constructor's per-coefficient conversion is
-    skipped."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    p = UniPoly.__new__(UniPoly)
-    p.coeffs = tuple(coeffs)
-    return p
-
-
-def _zuni(p: UniPoly) -> list[int]:
-    """Primitive integer numerators of p; [] for zero."""
-    return _zprimitive(_numerators(list(p.coeffs))[0])
-
-
-def _zmonic(a: list[int]) -> UniPoly:
-    """The monic UniPoly of integer coefficients a; zero for []."""
-    return _uni([Fraction(v, a[-1]) for v in a]) if a else UniPoly()
 
 
 def uni_gcd(*polys: UniPoly) -> UniPoly:
     """Monic greatest common divisor in Q[t]; zero when every poly is."""
     g: list[int] = []
     for p in polys:
-        g = _zgcd(g, _zuni(p))
+        g = _zgcd(g, _zprimitive(list(p.nums)))
         if len(g) == 1:
             break
-    return _zmonic(g)
+    return UniPoly.from_ints(g).monic()
 
 
 def uni_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic least common multiple in Q[t]."""
-    za, zb = _zuni(a), _zuni(b)
-    return _zmonic(_zmul(_zdivexact(za, _zgcd(za, zb)), zb))
+    za, zb = _zprimitive(list(a.nums)), _zprimitive(list(b.nums))
+    return UniPoly.from_ints(_zmul(_zdivexact(za, _zgcd(za, zb)), zb)).monic()
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
     """p divided by gcd(p, p'), monic; carries one copy of each root."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    a = _zuni(p)
+    a = _zprimitive(list(p.nums))
     da = [i * v for i, v in enumerate(a)][1:]
-    return _zmonic(_zdivexact(a, _zgcd(a, da)))
+    return UniPoly.from_ints(_zdivexact(a, _zgcd(a, da))).monic()
 
 
 def distinct_root_count(p: UniPoly) -> int:
@@ -247,15 +227,8 @@ def distinct_root_count(p: UniPoly) -> int:
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
@@ -268,10 +241,10 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
         raise ValueError("zero polynomial")
     # strip the root at 0 first
     k = 0
-    while p.coeffs[k] == 0:
+    while p.nums[k] == 0:
         k += 1
     roots = [(Fraction(0), k)] if k else []
-    a = _zprimitive(_numerators(list(p.coeffs[k:]))[0])
+    a = _zprimitive(list(p.nums[k:]))
     if len(a) > 1:
         cands = {Fraction(s * u, v) for u in _divisors(a[0])
                  for v in _divisors(a[-1]) for s in (1, -1)}
@@ -283,12 +256,12 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
             if mult:
                 roots.append((r, mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, _zmonic(a)
+    return roots, UniPoly.from_ints(a).monic()
 
 
-def _zhorner(a: list[int], u: int, v: int) -> int:
-    """v^deg(a) * a(u/v), by homogeneous Horner on integers."""
-    acc, vpow = a[-1], 1
+def _zhorner(a, u: int, v: int) -> int:
+    """v^deg(a) * a(u/v), by homogeneous Horner on integers; 0 for []."""
+    acc, vpow = a[-1] if a else 0, 1
     for c in reversed(a[:-1]):
         vpow *= v
         acc = acc * u + c * vpow
@@ -304,91 +277,111 @@ def _grlex_key(e: tuple[int, int]) -> tuple[int, int]:
 
 
 class BiPoly:
-    """Sparse bivariate polynomial over Q in variables x, y."""
+    """Sparse bivariate polynomial over Q in variables x, y.
 
-    __slots__ = ("terms",)
+    `nums` maps exponent pairs (a, b) to nonzero integer numerators over
+    the denominator `den` >= 1, with gcd(den, *nums.values()) == 1; the
+    zero polynomial has no numerators.  `terms` is a read-only Fraction
+    view, {(a, b): coefficient}.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        t: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    t[(int(e[0]), int(e[1]))] = c
-        self.terms = t
+        cs = {(int(a), int(b)): Fraction(c)
+              for (a, b), c in (terms or {}).items()}
+        den = math.lcm(*(c.denominator for c in cs.values()))
+        p = BiPoly.from_ints({e: int(c * den) for e, c in cs.items()}, den)
+        self.nums, self.den = p.nums, p.den
 
     # -- constructors --
 
     @classmethod
+    def from_ints(cls, nums: dict[tuple[int, int], int],
+                  den: int = 1) -> "BiPoly":
+        """The polynomial with coefficients nums[e] / den, den != 0."""
+        g = _lowest(den, nums.values())
+        return _new(cls, {e: n // g for e, n in nums.items() if n}, den // g)
+
+    @classmethod
     def zero(cls) -> "BiPoly":
-        return cls()
+        return _new(cls, {}, 1)
 
     @classmethod
     def const(cls, c) -> "BiPoly":
-        return cls({(0, 0): Fraction(c)})
+        return cls.monomial(0, 0, c)
 
     @classmethod
     def x(cls) -> "BiPoly":
-        return cls({(1, 0): Fraction(1)})
+        return _new(cls, {(1, 0): 1}, 1)
 
     @classmethod
     def y(cls) -> "BiPoly":
-        return cls({(0, 1): Fraction(1)})
+        return _new(cls, {(0, 1): 1}, 1)
 
     @classmethod
     def monomial(cls, a: int, b: int, c=1) -> "BiPoly":
-        return cls({(a, b): Fraction(c)})
+        c = Fraction(c)
+        return cls.from_ints({(a, b): c.numerator}, c.denominator)
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        return {e: Fraction(n, self.den) for e, n in self.nums.items()}
 
     # -- basic queries --
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self.terms)
+        return all(e == (0, 0) for e in self.nums)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
+        return Fraction(self.nums.get((0, 0), 0), self.den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return 0
-        return max(a + b for a, b in self.terms)
+        return max(a + b for a, b in self.nums)
 
     def mult_at_origin(self):
         """Lowest total degree of a term; INFINITE_MULT for zero."""
-        if not self.terms:
+        if not self.nums:
             return INFINITE_MULT
-        return min(a + b for a, b in self.terms)
+        return min(a + b for a, b in self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
+        return (isinstance(other, BiPoly) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     # -- arithmetic --
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return BiPoly(out)
+        den = math.lcm(self.den, other.den)
+        k, m = den // self.den, den // other.den
+        out = {e: n * k for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            out[e] = out.get(e, 0) + n * m
+        return BiPoly.from_ints(out, den)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({e: -c for e, c in self.terms.items()})
+        return _new(BiPoly, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        if not self.terms or not other.terms:
-            return BiPoly()
+        if not self.nums or not other.nums:
+            return BiPoly.zero()
         # (a, b) packs to a*s + b, with s past the product's y-degree
-        s = max(b for _, b in self.terms) + max(b for _, b in other.terms) + 1
-        out = _product({a * s + b: c for (a, b), c in self.terms.items()},
-                       {a * s + b: c for (a, b), c in other.terms.items()})
-        return _normal({divmod(k, s): c for k, c in out.items()})
+        s = max(b for _, b in self.nums) + max(b for _, b in other.nums) + 1
+        out = _product({a * s + b: n for (a, b), n in self.nums.items()},
+                       {a * s + b: n for (a, b), n in other.nums.items()})
+        return BiPoly.from_ints({divmod(k, s): n for k, n in out.items()},
+                                self.den * other.den)
 
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
@@ -404,38 +397,45 @@ class BiPoly:
 
     def scale(self, c) -> "BiPoly":
         c = Fraction(c)
-        return BiPoly({e: v * c for e, v in self.terms.items()})
+        return BiPoly.from_ints({e: n * c.numerator
+                                 for e, n in self.nums.items()},
+                                self.den * c.denominator)
 
     # -- structure --
 
     def lead_grlex(self) -> tuple[tuple[int, int], Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.nums, key=_grlex_key)
+        return e, Fraction(self.nums[e], self.den)
 
     def monic_grlex(self) -> "BiPoly":
         if self.is_zero():
             return self
-        _, c = self.lead_grlex()
-        return self.scale(1 / c)
+        return BiPoly.from_ints(self.nums,
+                                self.nums[max(self.nums, key=_grlex_key)])
 
     def divexact(self, d: "BiPoly") -> "BiPoly":
-        """Exact division; raises ValueError when d does not divide self."""
+        """Exact division; raises ValueError when d does not divide self.
+
+        On integer rows: d's rows are their content c in Z[x] times
+        primitive rows, and by Gauss's lemma the quotients by both are
+        exact in Z[x][y] when d divides self over Q."""
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = BiPoly(dict(self.terms))
-        (de, dc) = d.lead_grlex()
-        quo: dict[tuple[int, int], Fraction] = {}
-        while not rem.is_zero():
-            (re, rc) = rem.lead_grlex()
-            ea, eb = re[0] - de[0], re[1] - de[1]
-            if ea < 0 or eb < 0:
-                raise ValueError("inexact bivariate division")
-            c = rc / dc
-            quo[(ea, eb)] = quo.get((ea, eb), Fraction(0)) + c
-            rem = rem - d * BiPoly.monomial(ea, eb, c)
-        return BiPoly(quo)
+        if self.is_zero():
+            return self
+        b = _rows(d)
+        c = _content(b)
+        if c != [1]:
+            b = [_zdivexact(row, c) for row in b]
+        q = _rdivexact(_rows(self), b)
+        k = math.gcd(*c)
+        c = [v // k for v in c]
+        if c != [1]:
+            q = [_zdivexact(row, c) for row in q]
+        return BiPoly.from_ints({(a, j): n * d.den for j, row in enumerate(q)
+                                 for a, n in enumerate(row)}, self.den * k)
 
     def divides(self, other: "BiPoly") -> bool:
         try:
@@ -446,41 +446,45 @@ class BiPoly:
 
     def x_order(self) -> int:
         """Largest k with x^k dividing self (0 for the zero polynomial)."""
-        if not self.terms:
+        if not self.nums:
             return 0
-        return min(a for a, _ in self.terms)
+        return min(a for a, _ in self.nums)
 
     def y_order(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return 0
-        return min(b for _, b in self.terms)
+        return min(b for _, b in self.nums)
 
     def divide_x_power(self, k: int) -> "BiPoly":
-        return _normal({(a - k, b): c for (a, b), c in self.terms.items()})
+        return _new(BiPoly, {(a - k, b): n for (a, b), n in self.nums.items()},
+                    self.den)
 
     def divide_y_power(self, k: int) -> "BiPoly":
-        return _normal({(a, b - k): c for (a, b), c in self.terms.items()})
+        return _new(BiPoly, {(a, b - k): n for (a, b), n in self.nums.items()},
+                    self.den)
 
     # -- substitutions used by the blow-up kernel --
 
     def subst_chart_a(self) -> "BiPoly":
         """Pullback under (x, y) -> (x, x*y): monomial map (a,b) -> (a+b, b)."""
-        return _normal({(a + b, b): c for (a, b), c in self.terms.items()})
+        return _new(BiPoly, {(a + b, b): n for (a, b), n in self.nums.items()},
+                    self.den)
 
     def subst_chart_b(self) -> "BiPoly":
         """Pullback under (x, y) -> (x*y, y): monomial map (a,b) -> (a, a+b)."""
-        return _normal({(a, a + b): c for (a, b), c in self.terms.items()})
+        return _new(BiPoly, {(a, a + b): n for (a, b), n in self.nums.items()},
+                    self.den)
 
     def translate(self, dx, dy) -> "BiPoly":
-        """p(x + dx, y + dy)."""
-        if not (dx or dy):
-            return BiPoly(self.terms)
-        terms = self.terms
+        """p(x + dx, y + dy), for ints or Fractions dx and dy."""
+        if not self.nums or not (dx or dy):
+            return self
+        nums, den = self.nums, self.den
         if dy:
-            terms = _shift_rows(terms, Fraction(dy), 1)
+            nums, den = _shift_rows(nums, den, dy, 1)
         if dx:
-            terms = _shift_rows(terms, Fraction(dx), 0)
-        return _normal(terms)
+            nums, den = _shift_rows(nums, den, dx, 0)
+        return BiPoly.from_ints(nums, den)
 
     def mult_at_point(self, pt: tuple[Fraction, Fraction]):
         """Lowest total degree of the Taylor expansion at pt."""
@@ -499,29 +503,23 @@ class BiPoly:
         return self._restrict(beta, 1)
 
     def _restrict(self, value, axis: int) -> UniPoly:
-        """Set the variable with exponent index `axis` to value: at 0 a
-        filter of the terms, elsewhere one power table per call."""
-        value = Fraction(value)
-        other = 1 - axis
-        if value == 0:
-            out = {e[other]: c for e, c in self.terms.items() if not e[axis]}
+        """Set the variable with exponent index `axis` to value = u/v, an
+        int or a Fraction: at 0 a filter of the terms, elsewhere the powers
+        u^i v^(D - i) over den v^D, D the largest exponent of the variable."""
+        other, den = 1 - axis, self.den
+        if not value or not self.nums:
+            out = {e[other]: n for e, n in self.nums.items() if not e[axis]}
         else:
-            powers = [Fraction(1)]
-            for _ in range(max((e[axis] for e in self.terms), default=0)):
-                powers.append(powers[-1] * value)
-            out = {}
-            for e, c in self.terms.items():
-                k = e[other]
-                out[k] = out.get(k, _ZERO) + c * powers[e[axis]]
-        deg = max(out, default=-1)
-        return _uni([out.get(i, _ZERO) for i in range(deg + 1)])
+            deg = max(e[axis] for e in self.nums)
+            powers, out = _hpowers(value, deg), {}
+            for e, n in self.nums.items():
+                out[e[other]] = out.get(e[other], 0) + n * powers[e[axis]]
+            den *= value.denominator ** deg
+        return UniPoly.from_ints(
+            [out.get(i, 0) for i in range(max(out, default=-1) + 1)], den)
 
     def eval(self, px, py) -> Fraction:
-        px, py = Fraction(px), Fraction(py)
-        total = Fraction(0)
-        for (a, b), c in self.terms.items():
-            total += c * px ** a * py ** b
-        return total
+        return self.restrict_x(px).eval(py)
 
     # -- printing --
 
@@ -532,30 +530,28 @@ class BiPoly:
         return f"BiPoly({poly_to_str(self)})"
 
 
-def _shift_rows(terms: dict[tuple[int, int], Fraction], delta: Fraction,
-                axis: int) -> dict[tuple[int, int], Fraction]:
-    """Terms of p with the variable of exponent index `axis` replaced by
-    itself plus delta, in integer arithmetic.
+def _shift_rows(nums: dict[tuple[int, int], int], den: int,
+                delta: int | Fraction,
+                axis: int) -> tuple[dict[tuple[int, int], int], int]:
+    """Numerators and denominator of nonzero p = nums / den with the
+    variable of exponent index `axis` replaced by itself plus delta = u/v.
 
-    Each row (the terms sharing the other exponent) is a polynomial r of
-    degree D in t.  With delta = u/v and L the lcm of the row's
-    denominators, L v^D r(z/v) has integer coefficients; the classical
-    Taylor shift by u turns them into those of L v^D r((z + u)/v), and
-    coefficient j of r(t + delta) is the shifted one over L v^(D - j).
+    A row r of degree d (the terms sharing the other exponent, numerators
+    a_j) gives A(z) = sum a_j v^(d - j) z^j with A(v t) = v^d r(t); the
+    classical Taylor shift by u makes A(z + u) = sum A'_j z^j, so numerator
+    j of r(t + delta) over den v^D, D the largest d, is A'_j v^(D - d + j).
     """
     u, v = delta.numerator, delta.denominator
-    rows: dict[int, dict[int, Fraction]] = {}
-    for e, c in terms.items():
-        rows.setdefault(e[1 - axis], {})[e[axis]] = c
-    out: dict[tuple[int, int], Fraction] = {}
+    rows: dict[int, dict[int, int]] = {}
+    for e, n in nums.items():
+        rows.setdefault(e[1 - axis], {})[e[axis]] = n
+    top = max(max(row) for row in rows.values())
+    vpow = [v ** k for k in range(top + 1)]
+    out: dict[tuple[int, int], int] = {}
     for key, row in rows.items():
         deg = max(row)
-        vpow = [1]
-        for _ in range(deg):
-            vpow.append(vpow[-1] * v)
-        nums, den = _numerators(list(row.values()))
         a = [0] * (deg + 1)
-        for j, n in zip(row, nums):
+        for j, n in row.items():
             a[j] = n * vpow[deg - j]
         for i in range(deg):
             acc = a[deg]
@@ -564,18 +560,8 @@ def _shift_rows(terms: dict[tuple[int, int], Fraction], delta: Fraction,
                 a[j] = acc
         for j, n in enumerate(a):
             if n:
-                out[(key, j) if axis else (j, key)] = \
-                    Fraction(n, den * vpow[deg - j])
-    return out
-
-
-def _normal(terms: dict[tuple[int, int], Fraction]) -> BiPoly:
-    """A BiPoly over terms already in normal form (int exponents, nonzero
-    Fraction coefficients), as the kernel's exponent maps and shifts leave
-    them, without the constructor's per-term checks."""
-    p = BiPoly.__new__(BiPoly)
-    p.terms = terms
-    return p
+                out[(key, j) if axis else (j, key)] = n * vpow[top - deg + j]
+    return out, den * vpow[top]
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +654,9 @@ def _zprimitive(a: list[int]) -> list[int]:
 
 
 def _rows(p: BiPoly) -> list[list[int]]:
-    """p as integer rows, its denominators cleared."""
-    nums, _ = _numerators(list(p.terms.values()))
-    rows: list[list[int]] = [[] for _ in range(1 + max(b for _, b in p.terms))]
-    for (a, b), n in zip(p.terms, nums):
+    """The numerators of nonzero p as integer rows indexed by y-degree."""
+    rows: list[list[int]] = [[] for _ in range(1 + max(b for _, b in p.nums))]
+    for (a, b), n in p.nums.items():
         row = rows[b]
         if len(row) <= a:
             row.extend([0] * (a + 1 - len(row)))
@@ -681,10 +666,9 @@ def _rows(p: BiPoly) -> list[list[int]]:
 
 def _from_rows(rows: list[list[int]]) -> BiPoly:
     """The BiPoly of nonzero integer rows, made monic in grlex."""
-    terms = {(a, b): v for b, row in enumerate(rows)
-             for a, v in enumerate(row) if v}
-    lead = terms[max(terms, key=_grlex_key)]
-    return _normal({e: Fraction(v, lead) for e, v in terms.items()})
+    nums = {(a, b): v for b, row in enumerate(rows)
+            for a, v in enumerate(row) if v}
+    return BiPoly.from_ints(nums, nums[max(nums, key=_grlex_key)])
 
 
 def _rsub(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

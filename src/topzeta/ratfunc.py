@@ -78,19 +78,16 @@ class RationalFunctionS:
             return cls(num, ())
         # num = content * prim with prim primitive in Z[s]; by Gauss's lemma
         # a primitive factor divides prim in Q[s] iff it does so in Z[s]
-        scale = math.lcm(*(c.denominator for c in num.coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in num.coeffs]
-        g = math.gcd(*ints)
-        prim = [c // g for c in ints]
+        g = math.gcd(*num.nums)
+        prim = [c // g for c in num.nums]
         for f in list(den):
             while den[f] and (q := _div_factor(prim, f)) is not None:
                 prim = q
                 den[f] -= 1
             if not den[f]:
                 del den[f]
-        content = Fraction(g, scale)
         items = sorted(den.items(), key=_den_sort_key)
-        return cls(UniPoly(content * c for c in prim), items)
+        return cls(UniPoly.from_ints([g * c for c in prim], num.den), items)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -181,7 +178,7 @@ def rf_sum_of_terms(
         k = c.numerator * (L // c.denominator)
         for i, a in enumerate(q):
             acc[i] += k * a
-    num = UniPoly(Fraction(a, L) for a in acc)
+    num = UniPoly.from_ints(acc, L)
     return RationalFunctionS.build(num, common)
 
 

@@ -111,6 +111,39 @@ def test_verify_family(capsys):
     assert "FAIL" not in out
 
 
+#: The lines `verify` prints for a generic member of the generators.
+GENERIC_LINES = ("lambda:", "crossings with generic member:",
+                 "min-property:", "numerical-data relations:")
+
+
+@pytest.mark.parametrize("gens", [("x", "0"), ("0", "y^2-x^3"), ("x-x", "y")])
+def test_verify_one_nonzero_generator_has_no_generic_member(capsys, gens):
+    """Zero generators are dropped before the run: with one left there is
+    no combination to certify, and the suites still pass."""
+    code, out, err = run(capsys, "verify", "--", *gens)
+    assert code == 0 and err == ""
+    assert "minimality: pass" in out and "FAIL" not in out
+    assert not any(line.startswith(GENERIC_LINES)
+                   for line in out.splitlines())
+
+
+def test_verify_zero_among_three_generators(capsys):
+    code, out, _ = run(capsys, "verify", "--", "x", "0", "y")
+    assert code == 0
+    assert out == (
+        "alpha-bounds: pass\n"
+        "two-neighbor-ordering: pass\n"
+        "ordered-tree: pass\n"
+        "nu-bound: pass\n"
+        "tree-shape: pass\n"
+        "criterion-vs-zeta: pass\n"
+        "minimality: pass\n"
+        "lambda: (1, 1), retries 0\n"
+        "crossings with generic member: E1:1\n"
+        "min-property: pass\n"
+        "numerical-data relations: pass\n")
+
+
 def test_verify_corrupted_diagram(capsys, tmp_path):
     bad = {
         "vertices": [

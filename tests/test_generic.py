@@ -199,3 +199,27 @@ def test_certify_generic_takes_generator_orders_once(monkeypatch):
     report = certify_generic(result, seed=0)
     assert report.retries >= 1
     assert len(seen) == len(set(seen)) == len(gens) * len(report.per_divisor)
+
+
+def test_certify_generic_pulls_each_polynomial_back_once(monkeypatch):
+    """Each generator and each sampled member is pulled back along every
+    chart path prefix at most once: on the a = 40 chain the steps stay
+    within (polynomials) x (charts), where a pullback per divisor through
+    the whole path takes 2,577."""
+    import topzeta.blowup as blowup
+
+    result = principalize(build(40, 0))
+    steps = []
+
+    def counted(p, step):
+        steps.append(step)
+        return apply_step(p, step)
+
+    apply_step = blowup.apply_step
+    monkeypatch.setattr(blowup, "apply_step", counted)
+    report = certify_generic(result, seed=0)
+    charts = {leaf.path[:i] for leaf in result.state.leaves
+              for i in range(1, len(leaf.path) + 1)}
+    polys = len(result.gens) + report.retries + 1
+    assert len(charts) == 80 and len(report.per_divisor) == 40
+    assert 0 < len(steps) <= polys * len(charts)

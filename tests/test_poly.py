@@ -18,6 +18,8 @@ from topzeta.poly import (
     INFINITE_MULT,
     BiPoly,
     UniPoly,
+    _product,
+    _shift_rows,
     distinct_root_count,
     gcd_bi,
     mult_at_point,
@@ -102,12 +104,15 @@ def test_degree_cap_after_product():
 
 
 @st.composite
-def bipolys(draw):
+def bipolys(draw, coefficients=None):
+    """Up to six terms of degree at most 5 in each variable; coefficients
+    a/b with |a|, b < 10 unless a coefficient strategy is given."""
     n = draw(st.integers(1, 6))
     terms = {}
     for _ in range(n):
         e = (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
-        c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+        c = (Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+             if coefficients is None else draw(coefficients))
         terms[e] = terms.get(e, 0) + c
     return BiPoly(terms)
 
@@ -733,3 +738,263 @@ def test_uni_lcm_matches_reference(a, b, m):
         lcm = uni_lcm(x, y)
         assert lcm == _reference_sqfree_lcm(x, y).monic()
         _assert_uni_normal(lcm)
+
+
+# --- integer kernel against the Fraction kernels it replaced -------------------
+#
+# The kernels below compute one Fraction per coefficient, as the chart kernel
+# did before it stored integer numerators over one denominator.
+
+def _reference_numerators(cs):
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _reference_product(p, q):
+    """p*q for {packed exponent: Fraction}: the numerators of each factor
+    over its common denominator convolved, one Fraction per output."""
+    pn, pd = _reference_numerators(list(p.values()))
+    qn, qd = _reference_numerators(list(q.values()))
+    qs = list(zip(q, qn))
+    acc = {}
+    for i, a in zip(p, pn):
+        for j, b in qs:
+            acc[i + j] = acc.get(i + j, 0) + a * b
+    return {k: Fraction(n, pd * qd) for k, n in acc.items() if n}
+
+
+def _reference_shift_rows(terms, delta, axis):
+    """{exponents: Fraction} with the variable of index axis replaced by
+    itself plus delta: per row, the integer Taylor shift over L v^D, one
+    Fraction per output coefficient."""
+    u, v = delta.numerator, delta.denominator
+    rows = {}
+    for e, c in terms.items():
+        rows.setdefault(e[1 - axis], {})[e[axis]] = c
+    out = {}
+    for key, row in rows.items():
+        deg = max(row)
+        vpow = [v ** k for k in range(deg + 1)]
+        nums, den = _reference_numerators(list(row.values()))
+        a = [0] * (deg + 1)
+        for j, n in zip(row, nums):
+            a[j] = n * vpow[deg - j]
+        for i in range(deg):
+            acc = a[deg]
+            for j in range(deg - 1, i - 1, -1):
+                acc = a[j] + u * acc
+                a[j] = acc
+        for j, n in enumerate(a):
+            if n:
+                out[(key, j) if axis else (j, key)] = \
+                    Fraction(n, den * vpow[deg - j])
+    return out
+
+
+def _reference_restrict(p, value, axis):
+    """The variable of index axis set to value, by a Fraction power table."""
+    value, other = Fraction(value), 1 - axis
+    if value == 0:
+        out = {e[other]: c for e, c in p.terms.items() if not e[axis]}
+    else:
+        powers = [Fraction(1)]
+        for _ in range(max((e[axis] for e in p.terms), default=0)):
+            powers.append(powers[-1] * value)
+        out = {}
+        for e, c in p.terms.items():
+            out[e[other]] = out.get(e[other], Fraction(0)) + \
+                c * powers[e[axis]]
+    return UniPoly([out.get(i, 0) for i in range(max(out, default=-1) + 1)])
+
+
+def _reference_eval(p, px, py):
+    px, py = Fraction(px), Fraction(py)
+    total = Fraction(0)
+    for (a, b), c in p.terms.items():
+        total += c * px ** a * py ** b
+    return total
+
+
+def _reference_divexact(p, d):
+    """Long division by the graded-lex leading term in Fraction."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    key = (lambda e: (e[0] + e[1], e[0]))
+    rem, dt = p.terms, d.terms
+    de = max(dt, key=key)
+    quo = {}
+    while rem:
+        re = max(rem, key=key)
+        ea, eb = re[0] - de[0], re[1] - de[1]
+        if ea < 0 or eb < 0:
+            raise ValueError("inexact bivariate division")
+        c = rem[re] / dt[de]
+        quo[(ea, eb)] = quo.get((ea, eb), Fraction(0)) + c
+        for (a, b), v in dt.items():
+            e = (a + ea, b + eb)
+            r = rem.get(e, Fraction(0)) - c * v
+            if r:
+                rem[e] = r
+            else:
+                rem.pop(e, None)
+    return BiPoly(quo)
+
+
+def _reference_uni_add(p, q):
+    a, b = p.coeffs, q.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return UniPoly(out)
+
+
+def _reference_uni_scale(p, c):
+    return UniPoly([a * Fraction(c) for a in p.coeffs])
+
+
+def _reference_compose_affine_shift(p, scale, offset):
+    """p(scale*t + offset): the Fraction row shift by offset, then
+    coefficient j times scale^j."""
+    scale, offset = Fraction(scale), Fraction(offset)
+    terms = {(j, 0): c for j, c in enumerate(p.coeffs) if c}
+    if offset:
+        terms = _reference_shift_rows(terms, offset, 0)
+    out, power = [], Fraction(1)
+    for j in range(len(p.coeffs)):
+        out.append(terms.get((j, 0), Fraction(0)) * power)
+        power *= scale
+    return UniPoly(out)
+
+
+def _assert_canonical(p):
+    """Integer numerators over one denominator den >= 1 in lowest terms:
+    no zero numerator in a BiPoly, no trailing zero in a UniPoly."""
+    assert type(p.den) is int and p.den >= 1
+    if isinstance(p, BiPoly):
+        nums = list(p.nums.values())
+        assert all(type(a) is int and type(b) is int for a, b in p.nums)
+        assert all(nums)
+    else:
+        nums = list(p.nums)
+        assert type(p.nums) is tuple and (not nums or nums[-1])
+    assert all(type(n) is int for n in nums)
+    assert math.gcd(p.den, *nums) == 1
+
+
+#: Bivariate polynomials with small or with large (up to 10^12)
+#: denominators.
+any_bipolys = st.one_of(bipolys(), bipolys(coefficients))
+
+
+@given(any_bipolys, any_bipolys)
+@settings(max_examples=200, deadline=None)
+def test_product_matches_fraction_kernel(p, q):
+    r = p * q
+    _assert_canonical(r)
+    if p.is_zero() or q.is_zero():
+        assert r.is_zero()
+        return
+    s = max(b for _, b in p.nums) + max(b for _, b in q.nums) + 1
+    out = _product({a * s + b: n for (a, b), n in p.nums.items()},
+                   {a * s + b: n for (a, b), n in q.nums.items()})
+    want = _reference_product({a * s + b: c for (a, b), c in p.terms.items()},
+                              {a * s + b: c for (a, b), c in q.terms.items()})
+    assert {k: Fraction(n, p.den * q.den) for k, n in out.items() if n} == want
+    assert r.terms == {divmod(k, s): c for k, c in want.items()}
+
+
+@given(any_bipolys, shifts)
+@settings(max_examples=200, deadline=None)
+def test_shift_rows_matches_fraction_kernel(p, delta):
+    if p.is_zero():
+        return
+    for axis in (0, 1):
+        nums, den = _shift_rows(p.nums, p.den, delta, axis)
+        assert {e: Fraction(n, den) for e, n in nums.items()} == \
+            _reference_shift_rows(p.terms, delta, axis)
+    for q in (p.translate(delta, 0), p.translate(0, delta),
+              p.translate(delta, delta)):
+        _assert_canonical(q)
+
+
+@given(any_bipolys, shifts)
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_fraction_kernel(p, value):
+    for v in (value, Fraction(0)):
+        for axis in (0, 1):
+            r = p._restrict(v, axis)
+            assert r == _reference_restrict(p, v, axis)
+            _assert_canonical(r)
+
+
+@given(any_bipolys, shifts, shifts)
+@settings(max_examples=200, deadline=None)
+def test_eval_matches_fraction_kernel(p, px, py):
+    assert p.eval(px, py) == _reference_eval(p, px, py)
+    assert type(p.eval(px, py)) is Fraction
+
+
+@given(any_bipolys, any_bipolys, any_bipolys)
+@settings(max_examples=150, deadline=None)
+def test_divexact_matches_fraction_kernel(a, b, d):
+    if not b.is_zero():
+        q = (a * b).divexact(b)
+        assert q == _reference_divexact(a * b, b) == a
+        _assert_canonical(q)
+    if d.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divexact(d)
+        return
+    try:
+        want = _reference_divexact(a, d)
+    except ValueError:
+        with pytest.raises(ValueError):
+            a.divexact(d)
+        assert not d.divides(a)
+    else:
+        assert a.divexact(d) == want
+        _assert_canonical(want)
+
+
+def test_divexact_inexact_cases():
+    for p, d in (("y", "x"), ("x", "2*x + 1"), ("x^2 + y", "x + y"),
+                 ("1/3*x*y", "x^2"), ("x^2 - y^2", "x + 2*y")):
+        with pytest.raises(ValueError):
+            _reference_divexact(P(p), P(d))
+        with pytest.raises(ValueError):
+            P(p).divexact(P(d))
+    assert P("6*x^2*y - 3/7*y").divexact(P("-3/2*y")) == P("-4*x^2 + 2/7")
+
+
+@given(unipolys, unipolys, coefficients, coefficients, coefficients)
+@settings(max_examples=200, deadline=None)
+def test_uni_kernels_match_fraction_kernel(p, q, c, scale, offset):
+    outputs = [(p + q, _reference_uni_add(p, q)),
+               (p - q, _reference_uni_add(p, _reference_uni_scale(q, -1))),
+               (p.scale(c), _reference_uni_scale(p, c)),
+               (p.scale(0), UniPoly())]
+    for s, o in ((scale, offset), (scale, 0), (0, offset), (1, 0)):
+        outputs.append((p.compose_affine(s, o),
+                        _reference_compose_affine_shift(p, s, o)))
+    for got, want in outputs:
+        assert got == want
+        assert got.coeffs == want.coeffs
+        _assert_canonical(got)
+
+
+@given(any_bipolys, unipolys)
+@settings(max_examples=100, deadline=None)
+def test_kernel_outputs_are_canonical(p, u):
+    outs = [p + p, p - p, -p, p.scale(Fraction(-10**12, 7)), p.monic_grlex(),
+            p.subst_chart_a(), p.subst_chart_b(), p * p,
+            p.divide_x_power(p.x_order()), p.divide_y_power(p.y_order()),
+            u * u, u.derivative(), u.monic(), u.reversed(), -u]
+    if not u.is_zero():
+        outs += [squarefree_part(u), uni_gcd(u, u * u),
+                 uni_lcm(u, u.derivative())]
+    for r in outs:
+        _assert_canonical(r)
+    assert BiPoly(p.terms) == p and UniPoly(u.coeffs) == u
+    assert hash(BiPoly(p.terms)) == hash(p)
