@@ -38,9 +38,7 @@ from .generic import (
 from .poly import (
     BiPoly,
     UniPoly,
-    distinct_root_count,
     gcd_bi,
-    mult_at_point,
     parse_poly,
     poly_to_str,
     squarefree_decomposition,

@@ -189,12 +189,6 @@ class Chart:
             for d, (var, c) in self.axes.items()
             if (pt[0] if var == "x" else pt[1]) == c)
 
-    def pullback(self, p: BiPoly) -> BiPoly:
-        """Pull a polynomial on the base through to this chart."""
-        for step in self.path:
-            p = apply_step(p, step)
-        return p
-
     def restrict(self, p: BiPoly, axis: tuple[str, Fraction]) -> UniPoly:
         var, c = axis
         return p.restrict_x(c) if var == "x" else p.restrict_y(c)
@@ -372,7 +366,9 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
     h = gcd_bi_many(gens)
     carriers: list[CarrierDef] = []
     if not h.is_constant():
-        residual = [g.divexact(h) for g in gens]
+        # one generator: h is its grlex-monic form, the residual a constant
+        residual = ([BiPoly.const(gens[0].lead_grlex()[1])] if len(gens) == 1
+                    else [g.divexact(h) for g in gens])
         for i, (f, e) in enumerate(squarefree_decomposition(h)):
             carriers.append(CarrierDef(
                 ident=f"C{i + 1}",

@@ -99,12 +99,6 @@ class IntersectionDiagram:
         v = self._by_id[ident]
         return Fraction(v.nu, v.N)
 
-    def is_equivalent_to(self, other: "IntersectionDiagram") -> bool:
-        """Same canonical shape: identical vertex lists and edge sets."""
-        return (self.vertices == other.vertices
-                and self.edges == other.edges
-                and self.origin_case == other.origin_case)
-
 
 # --- construction from a completed state -------------------------------------
 

@@ -10,15 +10,19 @@ is a tuple of numerators indexed by degree.
 
 Every kernel computes on integers and builds no Fraction per coefficient;
 gcds, the squarefree split, exact division and the rational roots run on
-primitive integer rows.  `BiPoly.terms` and `UniPoly.coeffs` are read-only
-Fraction views, for printing and callers.
+primitive integer rows; dense bivariate products and powers pack the
+numerators into the signed slots of one Python int, for one C-level
+product or power (Kronecker substitution, von zur Gathen and Gerhard,
+Modern Computer Algebra, 8.4).  `BiPoly.terms` and `UniPoly.coeffs` are
+read-only Fraction views, for printing and callers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from functools import reduce
+from itertools import count, zip_longest
 from typing import Iterable
 
 from .errors import (
@@ -64,16 +68,48 @@ def _hpowers(q: int | Fraction, d: int) -> list[int]:
     return up if v == 1 else [a * b for a, b in zip(up, reversed(vp))]
 
 
+#: Kronecker products once term pairs outnumber packed slots this many times.
+_DENSE = 4
+
+
 def _product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """Integer convolution of polynomials given as {packed exponent:
+    """Integer convolution of nonzero polynomials given as {packed exponent:
     numerator}, packed so that exponents add under multiplication; an
     output entry may be zero."""
+    lo_p, lo_q = min(p), min(q)
+    slots = max(p) - lo_p + max(q) - lo_q + 1
+    if _DENSE * slots < len(p) * len(q):
+        w = (min(len(p), len(q)) * max(map(abs, p.values()))
+             * max(map(abs, q.values()))).bit_length() // 8 + 1
+        return _unpack(_pack(p, lo_p, w) * _pack(q, lo_q, w), lo_p + lo_q,
+                       slots, w)
     qs = list(q.items())
     acc: dict[int, int] = {}
     for i, a in p.items():
         for j, b in qs:
             acc[i + j] = acc.get(i + j, 0) + a * b
     return acc
+
+
+def _pack(nums: dict[int, int], lo: int, width: int) -> int:
+    """sum n X^(k - lo) over nums = {k: n}, X = 2^(8 width); a width of
+    bound.bit_length() // 8 + 1 bytes keeps coefficients |c| <= bound < X/2."""
+    pos, neg = (bytearray((max(nums) - lo + 1) * width) for _ in "+-")
+    for k, n in nums.items():
+        buf, at = pos if n > 0 else neg, (k - lo) * width
+        buf[at:at + width] = abs(n).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(r: int, lo: int, slots: int, width: int) -> dict[int, int]:
+    """{k: c_k} for the nonzero c_k of r = sum c_k X^(k - lo), |c_k| < X/2,
+    over `slots` slots.  Slot i read as two's complement is c_i - b_i: the
+    borrow b_i is 1 exactly when slot i - 1 reads negative."""
+    buf = r.to_bytes(slots * width, "little", signed=True)
+    s = [int.from_bytes(buf[i:i + width], "little", signed=True)
+         for i in range(0, len(buf), width)]
+    return {k: c for k, si, prev in zip(count(lo), s, [0, *s])
+            if (c := si + (prev < 0))}
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +252,6 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     a = _zprimitive(list(p.nums))
     da = [i * v for i, v in enumerate(a)][1:]
     return UniPoly.from_ints(_zdivexact(a, _zgcd(a, da))).monic()
-
-
-def distinct_root_count(p: UniPoly) -> int:
-    """Number of distinct complex zeros, computed without root extraction."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no root count")
-    return squarefree_part(p).degree()
 
 
 def _divisors(n: int) -> list[int]:
@@ -386,14 +415,21 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative power")
-        acc = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        if not self.nums:
+            return self if n else BiPoly.const(1)
+        # (a, b) packs to a*s + b, with s past the power's y-degree
+        s = n * max(b for _, b in self.nums) + 1
+        nums = {a * s + b: v for (a, b), v in self.nums.items()}
+        lo, m = min(nums), len(nums)
+        slots = n * (max(nums) - lo) + 1
+        # n products by p take at most m comb(n + m - 1, m) term pairs
+        if _DENSE * slots < m * math.comb(n + m - 1, m):
+            w = (sum(map(abs, nums.values())) ** n).bit_length() // 8 + 1
+            out = _unpack(_pack(nums, lo, w) ** n, n * lo, slots, w)
+        else:
+            out = reduce(_product, [nums] * n, {0: 1})
+        return BiPoly.from_ints({divmod(k, s): v for k, v in out.items()},
+                                self.den ** n)
 
     def scale(self, c) -> "BiPoly":
         c = Fraction(c)
@@ -485,12 +521,6 @@ class BiPoly:
         if dx:
             nums, den = _shift_rows(nums, den, dx, 0)
         return BiPoly.from_ints(nums, den)
-
-    def mult_at_point(self, pt: tuple[Fraction, Fraction]):
-        """Lowest total degree of the Taylor expansion at pt."""
-        if pt == (0, 0):
-            return self.mult_at_origin()
-        return self.translate(pt[0], pt[1]).mult_at_origin()
 
     # -- restrictions and evaluation --
 
@@ -972,14 +1002,6 @@ def poly_to_str(p: BiPoly, names: tuple[str, str] = ("x", "y")) -> str:
         else:
             out.append((" - " if c < 0 else " + ") + mono)
     return "".join(out)
-
-
-def mult_at_point(p: BiPoly, pt: tuple[Fraction, Fraction]):
-    """Multiplicity of p at a rational point: min total degree after recentering.
-
-    Returns INFINITE_MULT for the zero polynomial.
-    """
-    return p.mult_at_point((Fraction(pt[0]), Fraction(pt[1])))
 
 
 def frac_str(q: Fraction) -> str:

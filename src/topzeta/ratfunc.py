@@ -99,16 +99,6 @@ class RationalFunctionS:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def eval_at(self, s) -> Fraction:
-        s = Fraction(s)
-        d = Fraction(1)
-        for (nu, N), m in self.den:
-            v = nu + N * s
-            if v == 0:
-                raise ZeroDivisionError(f"evaluation at pole {s}")
-            d *= v ** m
-        return self.num.eval(s) / d
-
     def __str__(self) -> str:
         if self.num.is_zero():
             return "0"

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +15,15 @@ from topzeta.errors import (
     UnknownVariableError,
 )
 from reference_q import divexact_q, gcd_q
+from topzeta import poly
 from topzeta.poly import (
     INFINITE_MULT,
     BiPoly,
     UniPoly,
     _product,
     _shift_rows,
-    distinct_root_count,
+    _unpack,
     gcd_bi,
-    mult_at_point,
     parse_poly,
     poly_to_str,
     rational_roots,
@@ -104,17 +105,18 @@ def test_degree_cap_after_product():
 
 
 @st.composite
-def bipolys(draw, coefficients=None):
-    """Up to six terms of degree at most 5 in each variable; coefficients
-    a/b with |a|, b < 10 unless a coefficient strategy is given."""
-    n = draw(st.integers(1, 6))
-    terms = {}
+def bipolys(draw, coefficients=None, terms=6, degree=5):
+    """Up to `terms` terms of degree at most `degree` in each variable;
+    coefficients a/b with |a|, b < 10 unless a coefficient strategy is
+    given."""
+    n = draw(st.integers(1, terms))
+    out = {}
     for _ in range(n):
-        e = (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+        e = (draw(st.integers(0, degree)), draw(st.integers(0, degree)))
         c = (Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
              if coefficients is None else draw(coefficients))
-        terms[e] = terms.get(e, 0) + c
-    return BiPoly(terms)
+        out[e] = out.get(e, 0) + c
+    return BiPoly(out)
 
 
 @given(bipolys())
@@ -232,6 +234,11 @@ def test_translate_dense_row():
 
 
 # --- multiplicity --------------------------------------------------------------
+
+def mult_at_point(p, pt):
+    """Lowest total degree of the Taylor expansion of p at pt."""
+    return p.translate(Fraction(pt[0]), Fraction(pt[1])).mult_at_origin()
+
 
 def test_mult_monomial():
     assert mult_at_point(P("x^4*y"), (0, 0)) == 5
@@ -544,6 +551,13 @@ def test_uni_outputs_keep_normal_form(ca, cb):
 
 # --- univariate ----------------------------------------------------------------
 
+def distinct_root_count(p):
+    """Number of distinct complex zeros: the degree of the squarefree part."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no root count")
+    return squarefree_part(p).degree()
+
+
 def test_distinct_root_count_basic():
     v = UniPoly.var()
     p = v * v * (v - UniPoly.const(1))
@@ -750,7 +764,7 @@ def _reference_numerators(cs):
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _reference_product(p, q):
+def _reference_fraction_product(p, q):
     """p*q for {packed exponent: Fraction}: the numerators of each factor
     over its common denominator convolved, one Fraction per output."""
     pn, pd = _reference_numerators(list(p.values()))
@@ -899,8 +913,9 @@ def test_product_matches_fraction_kernel(p, q):
     s = max(b for _, b in p.nums) + max(b for _, b in q.nums) + 1
     out = _product({a * s + b: n for (a, b), n in p.nums.items()},
                    {a * s + b: n for (a, b), n in q.nums.items()})
-    want = _reference_product({a * s + b: c for (a, b), c in p.terms.items()},
-                              {a * s + b: c for (a, b), c in q.terms.items()})
+    want = _reference_fraction_product(
+        {a * s + b: c for (a, b), c in p.terms.items()},
+        {a * s + b: c for (a, b), c in q.terms.items()})
     assert {k: Fraction(n, p.den * q.den) for k, n in out.items() if n} == want
     assert r.terms == {divmod(k, s): c for k, c in want.items()}
 
@@ -998,3 +1013,132 @@ def test_kernel_outputs_are_canonical(p, u):
         _assert_canonical(r)
     assert BiPoly(p.terms) == p and UniPoly(u.coeffs) == u
     assert hash(BiPoly(p.terms)) == hash(p)
+
+
+# --- Kronecker products and powers against the schoolbook loop -----------------
+
+def _reference_product(p, q):
+    """The schoolbook convolution of {packed exponent: numerator}, one
+    product per term pair, zero outputs dropped."""
+    acc = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            acc[i + j] = acc.get(i + j, 0) + a * b
+    return {k: n for k, n in acc.items() if n}
+
+
+#: Nonzero numerators: small ones, ones up to 10^12, and ones at and next
+#: to the signed limit 2^(8w - 1) of a w-byte slot, where an output can
+#: fill its slot and a wrong borrow or width shows.
+numerators = st.one_of(
+    st.integers(-9, 9), st.integers(-10**12, 10**12),
+    st.builds(lambda bits, d, sign: sign * (2 ** bits + d),
+              st.sampled_from([7, 15, 23, 31, 63, 64, 100]),
+              st.integers(-2, 1), st.sampled_from([-1, 1]))).filter(bool)
+#: Packed polynomials whose products lie on either side of the density
+#: rule: many terms in a short range, or at most three terms, which no
+#: placement makes dense enough.
+dense_packed = st.dictionaries(st.integers(0, 12), numerators,
+                               min_size=11, max_size=13)
+sparse_packed = st.dictionaries(st.integers(0, 2000), numerators,
+                                min_size=1, max_size=3)
+
+
+def _nonzero(nums):
+    return {k: n for k, n in nums.items() if n}
+
+
+def _kronecker_side(p, q):
+    slots = max(p) - min(p) + max(q) - min(q) + 1
+    return poly._DENSE * slots < len(p) * len(q)
+
+
+@pytest.mark.parametrize("packed, kronecker", [(dense_packed, True),
+                                               (sparse_packed, False)],
+                         ids=["dense", "sparse"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_product_matches_schoolbook(packed, kronecker, data):
+    """Both routes on every draw: the one the density rule picks, and
+    Kronecker forced, where one sparse factor makes the slot bound tight."""
+    p, q = data.draw(packed), data.draw(packed)
+    assert _kronecker_side(p, q) == kronecker
+    # (p + q)(p - q): the cross terms cancel
+    a = _nonzero({k: p.get(k, 0) + q.get(k, 0) for k in p.keys() | q.keys()})
+    b = _nonzero({k: p.get(k, 0) - q.get(k, 0) for k in p.keys() | q.keys()})
+    pairs = [(p, q)] + ([(a, b)] if a and b else [])
+    for dense in (poly._DENSE, 0):
+        with mock.patch.object(poly, "_DENSE", dense):
+            for f, g in pairs:
+                assert _nonzero(_product(f, g)) == _reference_product(f, g)
+
+
+def test_product_borrow_chains(monkeypatch):
+    """Negative outputs followed by zeros and by outputs at the slot limit,
+    through Kronecker products: every slot above a negative one reads one
+    too low."""
+    monkeypatch.setattr(poly, "_DENSE", 0)
+    for limit in (127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1,
+                  2**63, 2**100):
+        p = {0: -limit, 1: -1, 5: limit, 6: -limit, 9: 1, 12: limit}
+        for q in ({0: 1}, {0: -1}, {3: 1, 4: -1, 5: 1, 6: -1, 7: 1, 8: 1,
+                                    9: -1, 10: 1, 11: 1}):
+            assert _nonzero(_product(p, q)) == _reference_product(p, q)
+
+
+@given(any_bipolys, any_bipolys)
+@settings(max_examples=200, deadline=None)
+def test_bi_product_cancels_to_canonical_form(p, q):
+    r = (p + q) * (p - q)
+    assert r == p * p - q * q
+    assert r.terms == _reference_bi_mul(p + q, p - q).terms
+    _assert_canonical(r)
+
+
+@given(bipolys(coefficients, terms=3, degree=3), st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_power_matches_repeated_product(p, n):
+    want = BiPoly.const(1)
+    for _ in range(n):
+        want = want * p
+    got = p ** n
+    assert got == want
+    _assert_canonical(got)
+
+
+@pytest.mark.parametrize("text, kronecker", [
+    ("(1 + x + y)^24", True), ("(1 - x)^45", True),
+    ("(1/2 + 1/3*x + y)^20", True), ("(y^2 - x^3)^12", False),
+    ("(x^20 + y^20 + x)^3", False)])
+def test_power_on_both_sides_of_density_rule(text, kronecker, monkeypatch):
+    base, n = text.rsplit("^", 1)
+    p, n = P(base), int(n)
+    unpacked = []
+    monkeypatch.setattr(poly, "_unpack",
+                        lambda *args: unpacked.append(args) or _unpack(*args))
+    got = p ** n
+    assert bool(unpacked) == kronecker
+    want = BiPoly.const(1)
+    for _ in range(n):
+        want = want * p
+    assert got == want
+    _assert_canonical(got)
+
+
+def test_power_of_zero_and_small_exponents():
+    p = P("3/4*x - y^2")
+    assert p ** 0 == BiPoly.const(1) == BiPoly.zero() ** 0
+    assert p ** 1 == p
+    assert BiPoly.zero() ** 5 == BiPoly.zero()
+    with pytest.raises(ValueError):
+        p ** -1
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_trinomial_power_is_multinomial(n):
+    f = math.factorial
+    p = P(f"(1 + x + y)^{n}")
+    assert p.den == 1
+    assert p.nums == {(a, b): f(n) // (f(a) * f(b) * f(n - a - b))
+                      for a in range(n + 1) for b in range(n + 1 - a)}
+    _assert_canonical(p)
