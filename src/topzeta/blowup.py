@@ -19,10 +19,9 @@ coordinate in Q plus a point at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     AllZero,
@@ -70,8 +69,7 @@ def apply_step(p: BiPoly, step: tuple) -> BiPoly:
 
 # --- point maps -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(NamedTuple):
     """Affine identification of a chart parameter with a divisor's birth
     coordinate.
 
@@ -99,8 +97,7 @@ class PointMap:
 
 # --- records ----------------------------------------------------------------
 
-@dataclass
-class DivisorRecord:
+class DivisorRecord(NamedTuple):
     """One component of the total-transform support.
 
     N is the multiplicity of the component in the divisor of the pulled-back
@@ -114,8 +111,7 @@ class DivisorRecord:
     nu: int
 
 
-@dataclass(frozen=True)
-class BlowUpEvent:
+class BlowUpEvent(NamedTuple):
     step: int
     chart_path: tuple
     center: tuple[Fraction, Fraction]
@@ -126,8 +122,7 @@ class BlowUpEvent:
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     """A point over the origin, pinned to a specific leaf chart."""
 
     leaf_index: int
@@ -138,7 +133,6 @@ class PointRecord:
 
 # --- charts -----------------------------------------------------------------
 
-@dataclass
 class Chart:
     """One affine chart of the tree.
 
@@ -147,15 +141,18 @@ class Chart:
     rely on this and are never invalidated.
     """
 
-    path: tuple
-    exc: dict[str, BiPoly] = field(default_factory=dict)
-    pms: dict[str, PointMap] = field(default_factory=dict)
-    carriers: dict[str, BiPoly] = field(default_factory=dict)
-    residual: list[BiPoly] = field(default_factory=list)
-    #: The chart's bad-point hits, stored by `principalize.find_bad_points`
-    #: on its first successful scan of the chart.
-    bad_hits: Optional[tuple] = field(default=None, init=False, repr=False,
-                                      compare=False)
+    def __init__(self, path: tuple, exc: dict[str, BiPoly] | None = None,
+                 pms: dict[str, PointMap] | None = None,
+                 carriers: dict[str, BiPoly] | None = None,
+                 residual: list[BiPoly] | None = None):
+        self.path = path
+        self.exc = {} if exc is None else exc
+        self.pms = {} if pms is None else pms
+        self.carriers = {} if carriers is None else carriers
+        self.residual = [] if residual is None else residual
+        #: The chart's bad-point hits, stored by
+        #: `principalize.find_bad_points` on its first successful scan.
+        self.bad_hits: Optional[tuple] = None
 
     def axis_of(self, ident: str) -> Optional[tuple[str, Fraction]]:
         """("x", alpha) when the divisor is the line x = alpha, similarly
@@ -201,8 +198,7 @@ class Chart:
                     if d in axes else eq.eval(pt[0], pt[1]) == 0)]
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """An analyzable appearance of an exceptional divisor in a leaf chart,
     and the one place that decides which points a chart speaks for.
 
@@ -286,8 +282,7 @@ def _zero_at_0(p: UniPoly) -> bool:
     return not p.nums or p.nums[0] == 0
 
 
-@dataclass
-class CarrierDef:
+class CarrierDef(NamedTuple):
     ident: str
     root_eq: BiPoly  # squarefree factor of the common curve part
     exponent: int
@@ -381,8 +376,6 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
 
     root = Chart(
         path=(),
-        exc={},
-        pms={},
         carriers={c.ident: c.root_eq for c in carriers},
         residual=residual,
     )

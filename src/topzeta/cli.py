@@ -12,7 +12,6 @@ import argparse
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache, partial
@@ -349,6 +348,8 @@ def _invoke(args) -> int:
 
     options = {k: v for k, v in vars(args).items() if k != "func"}
     if (args.jobs or 1) > 1:
+        # only a parallel batch pays for loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(files))) as pool:
             outcomes = list(pool.map(

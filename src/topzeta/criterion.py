@@ -10,8 +10,8 @@ neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .diagram import IntersectionDiagram, alphas
 from .errors import NonMinimalDiagram, NotACandidate
@@ -19,17 +19,15 @@ from .poly import frac_str
 from .zeta import ZetaReport
 
 
-@dataclass(frozen=True)
-class ConditionHit:
+class ConditionHit(NamedTuple):
     condition: int
     witness: str
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     s0: Fraction
     is_pole: bool
-    hits: list[ConditionHit] = field(default_factory=list)
+    hits: Sequence[ConditionHit] = ()
 
 
 def classify(diagram: IntersectionDiagram, s0: Fraction,
@@ -72,8 +70,7 @@ def poles_by_criterion(diagram: IntersectionDiagram,
     }
 
 
-@dataclass
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     passed: bool
     criterion_poles: set[Fraction]
     exact_poles: set[Fraction]

@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .blowup import ChartState, carrier_intersections, zero_count
 from .errors import InternalInvariantError, MalformedDiagram
 from .poly import frac_str
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     ident: str
     kind: str  # "exceptional" | "strict-branch"
     N: int
@@ -38,21 +36,19 @@ def _id_key(ident: str) -> tuple:
     return (ident, 0)
 
 
-@dataclass
 class IntersectionDiagram:
-    """A diagram never changes after it is built, so ``__post_init__``
+    """A diagram never changes after it is built, so the constructor
     derives once the tables that every query reads: the canonical edge
     pairs (``edge_pairs``, in id order), each vertex's neighbours in id
     order, and the vertices grouped by candidate ``-nu/N`` (``by_candidate``,
     candidates ascending, vertices in id order)."""
 
-    vertices: list[Vertex]
-    edges: set[frozenset]
-    origin_case: Optional[list[str]] = None  # branch vertex ids
-    minimal: bool = False
-
-    def __post_init__(self):
-        self.vertices = sorted(self.vertices, key=lambda v: _id_key(v.ident))
+    def __init__(self, vertices: list[Vertex], edges: set[frozenset],
+                 origin_case: Optional[list[str]] = None,  # branch vertex ids
+                 minimal: bool = False):
+        self.edges, self.origin_case = edges, origin_case
+        self.minimal = minimal
+        self.vertices = sorted(vertices, key=lambda v: _id_key(v.ident))
         self._by_id = {v.ident: v for v in self.vertices}
         if len(self._by_id) != len(self.vertices):
             raise MalformedDiagram("duplicate vertex identifiers")
@@ -171,11 +167,10 @@ def alphas(diagram: IntersectionDiagram,
     return [(w.ident, w.nu - r * w.N) for w in ws]
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     name: str
     passed: bool
-    failures: list[str] = field(default_factory=list)
+    failures: Sequence[str] = ()
 
     def __bool__(self) -> bool:
         return self.passed

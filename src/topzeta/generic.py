@@ -17,7 +17,6 @@ m diagram neighbors and ratio nu/N:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blowup import (
@@ -46,25 +45,25 @@ def sample_lambda(count: int, seed: int, attempt: int) -> list[Fraction]:
     return [Fraction(rng.randint(1, 9)) for _ in range(count)]
 
 
-@dataclass
 class DivisorCheck:
-    ident: str
-    N_from_generic: int
-    N_min: int
-    n: int | None = None           # None for strict branches
-    relation_lhs: Fraction | None = None
-    relation_rhs: Fraction | None = None
+    def __init__(self, ident: str, N_from_generic: int, N_min: int,
+                 n: int | None = None,  # None for strict branches
+                 relation_lhs: Fraction | None = None,
+                 relation_rhs: Fraction | None = None):
+        self.ident, self.N_min, self.n = ident, N_min, n
+        self.N_from_generic = N_from_generic
+        self.relation_lhs, self.relation_rhs = relation_lhs, relation_rhs
 
     @property
     def min_property_ok(self) -> bool:
         return self.N_from_generic == self.N_min
 
 
-@dataclass
 class GenericCheckReport:
-    lam: list[Fraction]
-    retries: int
-    per_divisor: dict[str, DivisorCheck] = field(default_factory=dict)
+    def __init__(self, lam: list[Fraction], retries: int,
+                 per_divisor: dict[str, DivisorCheck] | None = None):
+        self.lam, self.retries = lam, retries
+        self.per_divisor = {} if per_divisor is None else per_divisor
 
     def n_table(self) -> dict[str, int]:
         return {d: c.n for d, c in self.per_divisor.items()

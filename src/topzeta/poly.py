@@ -891,7 +891,10 @@ class _Parser:
         acc = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
-            acc = acc * self.parse_factor()
+            factor = self.parse_factor()
+            # exact before expanding, as for powers (0 has degree 0)
+            _check_degree(acc.total_degree() + factor.total_degree())
+            acc = acc * factor
         return acc
 
     def parse_factor(self) -> BiPoly:

@@ -11,9 +11,8 @@ a fixed order so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .blowup import (
     BlowUpEvent,
@@ -124,8 +123,8 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
                     if not ident <= known:
                         identities[i] = known | ident
                     if reason not in records[i].reasons:
-                        records[i] = replace(
-                            records[i], reasons=records[i].reasons + (reason,))
+                        records[i] = records[i]._replace(
+                            reasons=records[i].reasons + (reason,))
                     break
             else:
                 identities.append(ident)
@@ -134,12 +133,11 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
     return records
 
 
-@dataclass
 class PrincipalizationResult:
-    state: ChartState
-    diagram: IntersectionDiagram
-    log: list[BlowUpEvent]
-    step_count: int
+    def __init__(self, state: ChartState, diagram: IntersectionDiagram,
+                 log: list[BlowUpEvent], step_count: int):
+        self.state, self.diagram = state, diagram
+        self.log, self.step_count = log, step_count
 
     @property
     def gens(self) -> list[BiPoly]:
@@ -169,8 +167,7 @@ def principalize(gens: Iterable[BiPoly],
     return PrincipalizationResult(state, diagram, list(state.log), steps)
 
 
-@dataclass
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     passed: bool
     failures: list[str]
 

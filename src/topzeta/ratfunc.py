@@ -9,9 +9,8 @@ matter of reading off factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .poly import UniPoly, frac_str
 
@@ -52,8 +51,7 @@ def _den_sort_key(item: tuple[Factor, int]):
     return (Fraction(nu, N), N)
 
 
-@dataclass(frozen=True)
-class Pole:
+class Pole(NamedTuple):
     location: Fraction
     order: int
     leading_coefficient: Fraction

@@ -10,8 +10,8 @@ itself lies on the branch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .diagram import IntersectionDiagram, Vertex
 from .errors import MalformedDiagram, OrderTwoCandidate
@@ -76,14 +76,38 @@ def residue_contribution(diagram: IntersectionDiagram, ident: str,
     return total / v.N
 
 
-@dataclass
 class ZetaReport:
-    zeta: RationalFunctionS
-    terms: list[ZetaTerm]
-    candidate_poles: list[Fraction]        # sorted ascending
-    poles: list[Pole]                      # sorted ascending by location
-    contributions: dict[Fraction, dict[str, Fraction]] = field(
-        default_factory=dict)
+    """Zeta function with candidates and poles; the residue contributions
+    are the given ones, or computed from the diagram on first read."""
+
+    def __init__(self, zeta: RationalFunctionS, terms: list[ZetaTerm],
+                 candidate_poles: list[Fraction],  # sorted ascending
+                 poles: list[Pole],  # sorted ascending by location
+                 contributions: dict[Fraction, dict] | None = None,
+                 diagram: IntersectionDiagram | None = None):
+        self.zeta, self.terms, self.poles = zeta, terms, poles
+        self.candidate_poles, self._diagram = candidate_poles, diagram
+        if diagram is None or contributions is not None:
+            self.contributions = contributions or {}
+
+    @cached_property
+    def contributions(self) -> dict[Fraction, dict[str, Fraction]]:
+        diagram = self._diagram
+        orders = {p.location: p.order for p in self.poles}
+        out: dict[Fraction, dict[str, Fraction]] = {}
+        for s0, group in diagram.by_candidate.items():
+            if orders.get(s0, 0) >= 2:
+                continue
+            per: dict[str, Fraction] = {}
+            for v in group:
+                try:
+                    per[v.ident] = residue_contribution(diagram, v.ident, s0)
+                except OrderTwoCandidate:
+                    per = {}
+                    break
+            if per:
+                out[s0] = per
+        return out
 
     def pole_locations(self) -> set[Fraction]:
         return {p.location for p in self.poles}
@@ -105,25 +129,18 @@ def candidate_poles(diagram: IntersectionDiagram) -> list[Fraction]:
 
 
 def pole_report(diagram: IntersectionDiagram) -> ZetaReport:
-    """Zeta function with candidates, poles, orders, residues, and the
-    per-component residue contributions at each order-one candidate."""
+    """Zeta function with candidates, poles, orders and residues.  The
+    residue contributions follow on first read; an isolated strict branch
+    outside the origin case, which has none, refuses the diagram here."""
     terms = zeta_terms(diagram)
     rf = rf_sum_of_terms(terms)
     poles = poles_of(rf)
     orders = {p.location: p.order for p in poles}
-    contributions: dict[Fraction, dict[str, Fraction]] = {}
-    for s0, group in diagram.by_candidate.items():
-        if orders.get(s0, 0) >= 2:
-            continue
-        per: dict[str, Fraction] = {}
-        for v in group:
-            try:
-                per[v.ident] = residue_contribution(diagram, v.ident, s0)
-            except OrderTwoCandidate:
-                per = {}
-                break
-        if per:
-            contributions[s0] = per
+    isolated = [v.ident for s0, group in diagram.by_candidate.items()
+                if orders.get(s0, 0) < 2 for v in group
+                if not (diagram.degree(v.ident) or _chi(diagram, v))]
+    if isolated:
+        raise MalformedDiagram(f"isolated strict branch {isolated[0]}")
     return ZetaReport(zeta=rf, terms=terms,
                       candidate_poles=candidate_poles(diagram), poles=poles,
-                      contributions=contributions)
+                      diagram=diagram)

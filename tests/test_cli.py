@@ -55,6 +55,62 @@ def test_power_over_degree_cap_exit_2(capsys):
     assert err.startswith("error: total degree 900 exceeds cap 64")
 
 
+def test_product_over_degree_cap_exit_2(capsys, monkeypatch):
+    from topzeta.poly import BiPoly
+    original = BiPoly.__mul__
+    degrees = []
+
+    def counted(a, b):
+        degrees.append(a.total_degree() + b.total_degree())
+        return original(a, b)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    # refused before the product of the two powers expands
+    code, out, err = run(capsys, "zeta", "--", "(1+x+y)^64*(1+x+y)^64", "y")
+    assert code == 2 and out == ""
+    assert err == "error: total degree 128 exceeds cap 64\n"
+    assert max(degrees, default=0) <= 64
+    # a product over the cap refuses even when a later term cancels it
+    for text in ("x^40*x^40 - x^80 + x", "x^40*x^40 - x^40*x^40 + x"):
+        code, out, err = run(capsys, "zeta", "--", text, "y")
+        assert code == 2 and out == ""
+        assert err == "error: total degree 80 exceeds cap 64\n"
+    code, out, err = run(capsys, "zeta", "--", "(1+x+y)^20*(1+x)^45", "y")
+    assert code == 2 and out == ""
+    assert err == "error: total degree 65 exceeds cap 64\n"
+    # a zero factor passes the check: the product is 0
+    code, _, _ = run(capsys, "zeta", "--", "x^40*0*x^40 + x", "y")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta",), ("zeta", "--json", "--check"), ("classify", "--check"),
+    ("verify",)])
+def test_cli_runs_read_no_residue_contribution(capsys, monkeypatch, argv):
+    import topzeta.zeta
+    from topzeta.poly import parse_poly
+    from topzeta.principalize import principalize
+    original = topzeta.zeta.residue_contribution
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "topzeta" or name.startswith("topzeta."):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    code, _, _ = run(capsys, *argv, "x^4*y", "x^7 + x*y^4")
+    assert code == 0
+    assert calls == []
+    # the patch is live: reading the contributions does call it
+    result = principalize([parse_poly("x^4*y"), parse_poly("x^7 + x*y^4")])
+    topzeta.zeta.pole_report(result.diagram).contributions
+    assert calls
+
+
 def test_principalize_irrational_exit_3(capsys):
     code, _, err = run(capsys, "principalize", "x^3", "y^2 - 2*x^2")
     assert code == 3

@@ -98,7 +98,7 @@ def test_degree_cap_before_power():
 
 
 def test_degree_cap_after_product():
-    # each power is under the cap, the product is not: the final check
+    # each power is under the cap, the product is not: refused before expanding
     with pytest.raises(DegreeCapExceeded, match="total degree 65 exceeds"):
         P("(1+x+y)^20*(1+x)^45")
     assert P("(1+x)^64").total_degree() == 64

@@ -1,0 +1,117 @@
+"""The public records keep their constructors, fields, defaults, properties
+and methods: each builds by keyword and reads its fields back."""
+
+from fractions import Fraction
+
+import pytest
+
+from topzeta.blowup import (
+    BlowUpEvent,
+    CarrierDef,
+    Chart,
+    DivisorRecord,
+    Occurrence,
+    PointMap,
+    PointRecord,
+)
+from topzeta.criterion import ConditionHit, CrossCheckReport, Verdict
+from topzeta.diagram import IntersectionDiagram, Report, Vertex
+from topzeta.generic import DivisorCheck, GenericCheckReport
+from topzeta.poly import BiPoly, parse_poly
+from topzeta.principalize import (
+    MinimalityReport,
+    PrincipalizationResult,
+    principalize,
+)
+from topzeta.ratfunc import Pole
+from topzeta.zeta import ZetaReport, pole_report
+
+F = Fraction
+GOLDEN = [parse_poly("x^4*y"), parse_poly("x^7 + x*y^4")]
+
+#: (record, its fields given by keyword, the defaults of the rest)
+RECORDS = [
+    (PointMap, dict(side="A", scale=F(2), offset=F(1, 3)), {}),
+    (DivisorRecord, dict(ident="E1", kind="exceptional", N=5, nu=2), {}),
+    (BlowUpEvent, dict(step=0, chart_path=(), center=(F(0), F(0)),
+                       divisors_through=(), new_divisor="E1", N=1, nu=2,
+                       reasons=("residual-vanishes",)), {}),
+    (PointRecord, dict(leaf_index=0, coords=(F(0), F(0)), divisors=()),
+     {"reasons": ()}),
+    (CarrierDef, dict(ident="C1", root_eq=BiPoly.y(), exponent=1,
+                      through_origin=True), {}),
+    (ConditionHit, dict(condition=2, witness="E1"), {}),
+    (Verdict, dict(s0=F(-1), is_pole=False), {"hits": ()}),
+    (CrossCheckReport, dict(passed=True, criterion_poles={F(-1)},
+                            exact_poles={F(-1)}), {"detail": ""}),
+    (Vertex, dict(ident="E1", kind="exceptional", N=5, nu=2), {}),
+    (Report, dict(name="nu-bound", passed=True), {"failures": ()}),
+    (MinimalityReport, dict(passed=True, failures=[]), {}),
+    (Pole, dict(location=F(-1), order=1, leading_coefficient=F(2)), {}),
+    (Chart, dict(path=()),
+     {"exc": {}, "pms": {}, "carriers": {}, "residual": [],
+      "bad_hits": None}),
+    (IntersectionDiagram, dict(vertices=[], edges=set()),
+     {"origin_case": None, "minimal": False}),
+    (DivisorCheck, dict(ident="E1", N_from_generic=2, N_min=2),
+     {"n": None, "relation_lhs": None, "relation_rhs": None}),
+    (GenericCheckReport, dict(lam=[F(1), F(1)], retries=0),
+     {"per_divisor": {}}),
+]
+
+
+@pytest.mark.parametrize("cls, given, defaults", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_builds_by_keyword(cls, given, defaults):
+    rec = cls(**given)
+    for name, value in given.items():
+        assert getattr(rec, name) == value, name
+    for name, value in defaults.items():
+        assert getattr(rec, name) == value, name
+        if isinstance(value, (dict, list)):  # a fresh one per record
+            assert getattr(cls(**given), name) is not getattr(rec, name)
+
+
+def test_named_tuple_records_take_replace():
+    pr = PointRecord(leaf_index=0, coords=(F(0), F(0)), divisors=("E1",))
+    assert pr._replace(reasons=("x",)) == (0, (F(0), F(0)), ("E1",), ("x",))
+    pm = PointMap("B", F(1), F(0))
+    assert pm.rescale(F(2)) == PointMap(side="B", scale=F(2), offset=F(0))
+    assert pm.shift(F(1)).to_birth(F(0)) == F(1)
+    assert not Report(name="r", passed=False)
+    assert Report(name="r", passed=True)
+
+
+def test_chart_memos_and_occurrence_properties():
+    result = principalize(GOLDEN)
+    for leaf_index, chart in enumerate(result.state.leaves):
+        assert chart.axes is chart.axes
+        for occ in chart.occurrences(leaf_index):
+            assert isinstance(occ, Occurrence)
+            assert occ.chart is chart
+            assert occ.mode == ("all" if occ.axis[0] == "x" else "point")
+            assert all(d in chart.axes and d != occ.ident
+                       for _, d in occ.corners)
+    assert all(ch.bad_hits == () for ch in result.state.leaves)
+
+
+def test_result_and_report_methods():
+    result = principalize(GOLDEN)
+    assert isinstance(result, PrincipalizationResult)
+    assert result.gens is result.state.gens
+    assert result.step_count == len(result.log) == 3
+    rep = pole_report(result.diagram)
+    assert rep.pole_locations() == {F(-1), F(-4, 7), F(-2, 5)}
+    assert rep.to_json_dict()["candidates"] == ["-1", "-4/7", "-1/2", "-2/5"]
+    bare = ZetaReport(zeta=rep.zeta, terms=rep.terms,
+                      candidate_poles=rep.candidate_poles, poles=rep.poles)
+    assert bare.contributions == {}
+    assert bare.to_json_dict() == rep.to_json_dict()
+    given = {F(-1): {"S1": F(-1, 3)}}
+    assert ZetaReport(rep.zeta, rep.terms, rep.candidate_poles, rep.poles,
+                      given).contributions is given
+    check = DivisorCheck(ident="E1", N_from_generic=2, N_min=3, n=1)
+    assert not check.min_property_ok
+    report = GenericCheckReport(lam=[F(1)], retries=0, per_divisor={
+        "E1": check, "S1": DivisorCheck("S1", 1, 1)})
+    assert report.n_table() == {"E1": 1}

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from test_diagram_tables import drawn_diagrams
 from topzeta.diagram import IntersectionDiagram, Vertex
-from topzeta.errors import OrderTwoCandidate
+from topzeta.errors import MalformedDiagram, OrderTwoCandidate
 from topzeta.poly import UniPoly, parse_poly
 from topzeta.principalize import principalize
 from topzeta.zeta import (
@@ -239,3 +241,89 @@ def test_empty_diagram_refused(fn):
     from topzeta.errors import MalformedDiagram
     with pytest.raises(MalformedDiagram, match="empty diagram"):
         fn(IntersectionDiagram(vertices=[], edges=set()))
+
+
+# --- lazy residue contributions ----------------------------------------------
+
+def _eager_pole_report(diagram):
+    """pole_report as it was when it computed every contribution up front:
+    the contributions, or the name of the error it raised."""
+    from topzeta.ratfunc import poles_of, rf_sum_of_terms
+    try:
+        poles = poles_of(rf_sum_of_terms(zeta_terms(diagram)))
+        orders = {p.location: p.order for p in poles}
+        contributions = {}
+        for s0, group in diagram.by_candidate.items():
+            if orders.get(s0, 0) >= 2:
+                continue
+            per = {}
+            for v in group:
+                try:
+                    per[v.ident] = residue_contribution(diagram, v.ident, s0)
+                except OrderTwoCandidate:
+                    per = {}
+                    break
+            if per:
+                contributions[s0] = per
+        return contributions
+    except MalformedDiagram as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _lazy_pole_report(diagram):
+    """The same outcome from today's pole_report; an error must come from
+    pole_report itself, not from the first read of the contributions."""
+    try:
+        rep = pole_report(diagram)
+    except MalformedDiagram as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return rep.contributions
+
+
+def test_contributions_match_eager_loop_on_corpus_replay(corpus_results,
+                                                          replay_states):
+    from topzeta.diagram import diagram_from_state
+    from topzeta.errors import InternalInvariantError
+    seen = 0
+    for name, result in corpus_results:
+        for state in replay_states(result):
+            try:
+                d = diagram_from_state(state)
+            except InternalInvariantError:
+                continue  # a branch through a corner before the last step
+            assert _lazy_pole_report(d) == _eager_pole_report(d), name
+            seen += 1
+    assert seen > 400
+
+
+@given(drawn_diagrams())
+@settings(max_examples=200, deadline=None)
+def test_contributions_match_eager_loop_on_drawn_diagrams(d):
+    """Cycles, forests, isolated branches and the origin case."""
+    assert _lazy_pole_report(d) == _eager_pole_report(d)
+
+
+def test_isolated_branch_refused_by_pole_report():
+    d = IntersectionDiagram(
+        vertices=[Vertex("E1", "exceptional", 2, 1),
+                  Vertex("S1", "strict-branch", 1, 1)],
+        edges=set())
+    with pytest.raises(MalformedDiagram, match="isolated strict branch S1"):
+        pole_report(d)
+
+
+def test_contributions_computed_once_on_first_read(golden, monkeypatch):
+    import topzeta.zeta
+    original = topzeta.zeta.residue_contribution
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(topzeta.zeta, "residue_contribution", counted)
+    rep = pole_report(golden)
+    assert calls == []
+    first = rep.contributions
+    assert len(calls) == len(golden.vertices)
+    assert rep.contributions is first and len(calls) == len(golden.vertices)
