@@ -36,7 +36,7 @@ from .poly import (
     INFINITE_MULT,
     BiPoly,
     UniPoly,
-    gcd_bi_many,
+    gcd_bi,
     rational_roots,
     squarefree_decomposition,
     squarefree_part,
@@ -358,22 +358,9 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
             raise SupportMissesOrigin(
                 f"generator {g} does not vanish at the origin")
 
-    h = gcd_bi_many(gens)
-    carriers: list[CarrierDef] = []
-    if not h.is_constant():
-        # one generator: h is its grlex-monic form, the residual a constant
-        residual = ([BiPoly.const(gens[0].lead_grlex()[1])] if len(gens) == 1
-                    else [g.divexact(h) for g in gens])
-        for i, (f, e) in enumerate(squarefree_decomposition(h)):
-            carriers.append(CarrierDef(
-                ident=f"C{i + 1}",
-                root_eq=f,
-                exponent=e,
-                through_origin=(f.constant_term() == 0),
-            ))
-    else:
-        residual = list(gens)
-
+    split, residual = curve_part(gens)
+    carriers = [CarrierDef(f"C{i + 1}", f, e, f.constant_term() == 0)
+                for i, (f, e) in enumerate(split)]
     root = Chart(
         path=(),
         carriers={c.ident: c.root_eq for c in carriers},
@@ -386,6 +373,79 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
                 ident=c.ident, kind="strict-branch",
                 N=c.exponent, nu=1))
     return state
+
+
+def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
+                                            list[BiPoly]]:
+    """For nonzero gens with gcd h: squarefree_decomposition(h), and the
+    quotients g / h with h monic in grlex.
+
+    Reads each generator as its product of powers (`factors`, or itself).
+    x and y split off by their orders; the other bases, made monic, are
+    refined into a gcd-free base, each element with its exponent in every
+    generator (factor refinement: Bach, Driscoll and Shallit, J. Algorithms
+    15, 1993).  Yun's split runs on the base elements only.  A common factor
+    divides a base of every generator, so one gcd chain over the bases
+    rules it out first, and then each quotient is g over x^a y^b.
+    """
+    n = len(gens)
+    xs, ys = [0] * n, [0] * n
+    exps: dict[BiPoly, list[int]] = {}  # monic base -> exponent per generator
+    for i, g in enumerate(gens):
+        for b, e in getattr(g, "factors", None) or ((g, 1),):
+            a, c = b.x_order(), b.y_order()
+            xs[i] += a * e
+            ys[i] += c * e
+            if len(b.nums) > 1:
+                r = b.divide_x_power(a).divide_y_power(c).monic_grlex()
+                exps.setdefault(r, [0] * n)[i] += e
+    common = [b for b, es in exps.items() if es[0]]
+    for i in range(1, n):
+        gcds = (c if c == b else gcd_bi(c, b)
+                for c in common for b, es in exps.items() if es[i])
+        common = list(dict.fromkeys(d for d in gcds if not d.is_constant()))
+    mx, my = min(xs), min(ys)
+    base = [(BiPoly.x(), xs), (BiPoly.y(), ys)]
+    if common:
+        base += _refine(list(exps.items()))
+    parts: dict[int, BiPoly] = {}
+    for p, es in base:
+        if m := min(es):
+            for q, j in squarefree_decomposition(p):
+                parts[j * m] = parts[j * m] * q if j * m in parts else q
+    split = [(parts[e], e) for e in sorted(parts)]
+    if not common:
+        return split, (list(gens) if not (mx or my) else
+                       [g.divide_x_power(mx).divide_y_power(my) for g in gens])
+    residual = []
+    for i, g in enumerate(gens):
+        r = BiPoly.monomial(xs[i] - mx, ys[i] - my, g.lead_grlex()[1])
+        for p, es in base[2:]:
+            if es[i] > min(es):
+                r = r * p ** (es[i] - min(es))
+        residual.append(r)
+    return split, residual
+
+
+def _refine(pieces: list[tuple[BiPoly, list[int]]]
+            ) -> list[tuple[BiPoly, list[int]]]:
+    """Pairwise coprime monic polynomials with exponent vectors, of the
+    same product of p^es[i] for every i as the monic pieces (p, es)."""
+    out: list[tuple[BiPoly, list[int]]] = []
+    while pieces:
+        p, es = pieces.pop()
+        for k, (q, fs) in enumerate(out):
+            g = gcd_bi(p, q)
+            if not g.is_constant():
+                del out[k]
+                pieces += [(f, v) for f, v in (
+                    (g, [a + b for a, b in zip(es, fs)]),
+                    (p.divexact(g), es), (q.divexact(g), fs))
+                    if not f.is_constant()]
+                break
+        else:
+            out.append((p, es))
+    return out
 
 
 def _translated(chart: Chart, dy: Fraction) -> Chart:

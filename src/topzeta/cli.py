@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -308,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("realize", help="find (a, b) realizing a pole")
     p.add_argument("s0", help="target pole, e.g. -3/5")
+    # argparse reads -3/5 as an option unless it looks like a number
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.set_defaults(func=cmd_realize)
     return ap
 

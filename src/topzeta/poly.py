@@ -275,8 +275,10 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     roots = [(Fraction(0), k)] if k else []
     a = _zprimitive(list(p.nums[k:]))
     if len(a) > 1:
-        cands = {Fraction(s * u, v) for u in _divisors(a[0])
-                 for v in _divisors(a[-1]) for s in (1, -1)}
+        # a linear part's one candidate is its root: no trial division
+        cands = {Fraction(-a[0], a[1])} if len(a) == 2 else {
+            Fraction(s * u, v) for u in _divisors(a[0])
+            for v in _divisors(a[-1]) for s in (1, -1)}
         for r in sorted(cands):
             u, v, mult = r.numerator, r.denominator, 0
             while len(a) > 1 and _zhorner(a, u, v) == 0:
@@ -311,10 +313,11 @@ class BiPoly:
     `nums` maps exponent pairs (a, b) to nonzero integer numerators over
     the denominator `den` >= 1, with gcd(den, *nums.values()) == 1; the
     zero polynomial has no numerators.  `terms` is a read-only Fraction
-    view, {(a, b): coefficient}.
+    view, {(a, b): coefficient}.  `factors`, set only by `parse_poly`, is
+    the product of powers the polynomial was typed as.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "factors")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
         cs = {(int(a), int(b)): Fraction(c)
@@ -405,6 +408,10 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not self.nums or not other.nums:
             return BiPoly.zero()
+        if len(other.nums) == 1:
+            ((a, b), c), = other.nums.items()
+            return BiPoly.from_ints({(u + a, v + b): n * c for (u, v), n in
+                                     self.nums.items()}, self.den * other.den)
         # (a, b) packs to a*s + b, with s past the product's y-degree
         s = max(b for _, b in self.nums) + max(b for _, b in other.nums) + 1
         out = _product({a * s + b: n for (a, b), n in self.nums.items()},
@@ -417,6 +424,9 @@ class BiPoly:
             raise ValueError("negative power")
         if not self.nums:
             return self if n else BiPoly.const(1)
+        if len(self.nums) == 1:
+            ((a, b), c), = self.nums.items()
+            return _new(BiPoly, {(a * n, b * n): c ** n}, self.den ** n)
         # (a, b) packs to a*s + b, with s past the power's y-degree
         s = n * max(b for _, b in self.nums) + 1
         nums = {a * s + b: v for (a, b), v in self.nums.items()}
@@ -777,20 +787,10 @@ def gcd_bi(p: BiPoly, q: BiPoly) -> BiPoly:
     Brown's primitive PRS over Z[x][y] on integer rows, with contents
     taken in Z[x].
     """
-    return gcd_bi_many([p, q])
-
-
-def gcd_bi_many(polys: Iterable[BiPoly]) -> BiPoly:
-    g: list[list[int]] = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        g = _rows(p) if not g else _gcd_rows(g, _rows(p))
-        if len(g) == 1 and len(g[0]) == 1:
-            break
-    if not g:
-        raise ValueError("gcd of all-zero family")
-    return _from_rows(g)
+    rows = [_rows(f) for f in (p, q) if f.nums]
+    if not rows:
+        raise ValueError("gcd of two zero polynomials")
+    return _from_rows(rows[0] if len(rows) == 1 else _gcd_rows(*rows))
 
 
 def _yun(f: list[list[int]]) -> list[tuple[list[list[int]], int]]:
@@ -868,37 +868,40 @@ class _Parser:
             self.error("decimal literals are not rational", NonRationalLiteralError)
         return int(self.text[start:self.pos])
 
-    def parse_expr(self) -> BiPoly:
+    # Each parse_* returns (poly, bases): a nonzero poly is a constant times
+    # the product of base^e over bases = [(base, e)], nonconstant bases only.
+
+    def parse_expr(self) -> tuple[BiPoly, list]:
         sign = 1
         if self.peek() == "-":
             self.pos += 1
             sign = -1
         elif self.peek() == "+":
             self.pos += 1
-        acc = self.parse_term().scale(sign)
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self.parse_term()
-            elif ch == "-":
-                self.pos += 1
-                acc = acc - self.parse_term()
-            else:
-                return acc
+        acc, bases = self.parse_term()
+        acc = acc.scale(sign)
+        while (ch := self.peek()) in ("+", "-"):
+            self.pos += 1
+            term = self.parse_term()[0]
+            acc = acc + term if ch == "+" else acc - term
+            bases = None
+        if bases is None:  # a sum is one base
+            bases = [] if acc.is_constant() else [(acc, 1)]
+        return acc, bases
 
-    def parse_term(self) -> BiPoly:
-        acc = self.parse_factor()
+    def parse_term(self) -> tuple[BiPoly, list]:
+        acc, bases = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
-            factor = self.parse_factor()
+            factor, more = self.parse_factor()
             # exact before expanding, as for powers (0 has degree 0)
             _check_degree(acc.total_degree() + factor.total_degree())
             acc = acc * factor
-        return acc
+            bases = bases + more
+        return acc, bases
 
-    def parse_factor(self) -> BiPoly:
-        base = self.parse_atom()
+    def parse_factor(self) -> tuple[BiPoly, list]:
+        base, bases = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
@@ -909,10 +912,10 @@ class _Parser:
                 raise DegreeCapExceeded(f"exponent {k} exceeds cap {_EXPONENT_CAP}")
             # exact before expanding: Q[x, y] has no zero divisors
             _check_degree(base.total_degree() * k)
-            return base ** k
-        return base
+            return base ** k, [(b, e * k) for b, e in bases if k]
+        return base, bases
 
-    def parse_atom(self) -> BiPoly:
+    def parse_atom(self) -> tuple[BiPoly, list]:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -923,7 +926,8 @@ class _Parser:
             return inner
         if ch == "-":
             self.pos += 1
-            return -self.parse_atom()
+            p, bases = self.parse_atom()
+            return -p, bases
         if ch.isdigit():
             num = self.take_int()
             if self.peek() == "/":
@@ -936,8 +940,8 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator in rational literal",
                                NonRationalLiteralError)
-                return BiPoly.const(Fraction(num, den))
-            return BiPoly.const(num)
+                return BiPoly.const(Fraction(num, den)), []
+            return BiPoly.const(num), []
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -945,10 +949,9 @@ class _Parser:
             ):
                 self.pos += 1
             name = self.text[start:self.pos]
-            if name == self.names[0]:
-                return BiPoly.x()
-            if name == self.names[1]:
-                return BiPoly.y()
+            if name in self.names:
+                v = BiPoly.x() if name == self.names[0] else BiPoly.y()
+                return v, [(v, 1)]
             self.pos = start
             self.error(f"unknown variable {name!r}", UnknownVariableError)
         if ch == "":
@@ -961,13 +964,21 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
 
     Grammar: integers, rational literals a/b, the two declared variables,
     operators + - * ^ and parentheses.  Multiplication is always explicit.
+
+    A product of powers keeps its bases as `factors`: the result is a
+    constant times the product of base^e over factors = ((base, e), ...).
+    Units are dropped, parenthesized products and nested powers flattened,
+    and a sum stays one base.  A result that is one base, or a sum, gets no
+    `factors`: it is its own only factor.
     """
     p = _Parser(text, names)
-    result = p.parse_expr()
+    result, bases = p.parse_expr()
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")
     _check_degree(result.total_degree())
+    if len(bases) > 1 or bases and bases[0][1] > 1:
+        result.factors = tuple(bases)
     return result
 
 

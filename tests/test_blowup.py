@@ -23,7 +23,7 @@ from topzeta.errors import (
     ResidualNotUnit,
     SupportMissesOrigin,
 )
-from topzeta.poly import BiPoly, UniPoly, gcd_bi_many, parse_poly
+from topzeta.poly import BiPoly, UniPoly, parse_poly
 from topzeta.principalize import principalize
 
 
@@ -79,7 +79,7 @@ def test_initial_state_one_generator_residual(gens):
     gs = [P(g) for g in gens]
     st = initial_state(gs)
     (g,) = st.gens
-    assert st.leaves[0].residual == [g.divexact(gcd_bi_many([g]))]
+    assert st.leaves[0].residual == [g.divexact(g.monic_grlex())]
 
 
 def test_initial_state_errors():

@@ -266,6 +266,15 @@ def test_realize_command(capsys):
     assert "(a,b)=(5,3); verified pole -3/5" in out
 
 
+def test_realize_negative_rational_without_separator(capsys):
+    # argparse takes -3/5 for an option unless told it is a number
+    for s0 in ("-3/5", "-3/2", "-1", "-0.5"):
+        code, out, err = run(capsys, "realize", s0)
+        assert code == 0 and err == ""
+        assert (code, out, err) == run(capsys, "realize", "--", s0)
+    assert refused(capsys, "realize", "-3/x")[0] == 2
+
+
 def test_realize_out_of_range(capsys):
     code, out, _ = run(capsys, "realize", "--", "-5/2")
     assert code == 2
@@ -561,3 +570,39 @@ def test_classify_text_pinned(capsys):
         "-4/7: pole via cond3[E3]\n"
         "-1/2: no pole\n"
         "-2/5: pole via cond4[E1]\n")
+
+
+# --- generators typed as products of powers ----------------------------------
+
+def _expanded(text):
+    """The generator typed out as one sum, which parses to no factors."""
+    from topzeta.poly import parse_poly, poly_to_str
+    return poly_to_str(parse_poly(text)) + " + 0"
+
+
+@pytest.mark.parametrize("gens", [
+    ("(1 + x)*(1 + y)",),
+    ("0*x", "x^4*y", "x^7 + x*y^4"),
+    ("(x - x)*y", "x^3", "x*y^2"),
+    ("-2/3*x^2*y", "x^5 + y^3"),
+    ("((x*y)^2)^3", "x^8"),
+    ("x*x*(y - x^2)*(y - x^2)^2", "(y - x^2)^2*y"),
+])
+def test_factored_input_matches_expanded(capsys, gens):
+    expanded = [_expanded(g) for g in gens]
+    for cmd in (("zeta", "--json"), ("verify",)):
+        assert run(capsys, *cmd, "--", *gens) == run(capsys, *cmd, "--",
+                                                     *expanded)
+    if gens == ("(1 + x)*(1 + y)",):
+        assert run(capsys, "zeta", "--", *gens) == (
+            2, "", "error: generator x*y + x + y + 1 does not vanish at the "
+                   "origin\n")
+
+
+def test_factored_degree_cap_matches_expanded(capsys):
+    from topzeta.poly import parse_poly, poly_to_str
+    big = poly_to_str(parse_poly("(1 + x + y)^20") * parse_poly("(1 + x)^45"))
+    for text in ("(1 + x + y)^20*(1 + x)^45", big):
+        for cmd in (("zeta", "--json"), ("verify",)):
+            assert run(capsys, *cmd, "--", text, "y") == (
+                2, "", "error: total degree 65 exceeds cap 64\n")

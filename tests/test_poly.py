@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topzeta.blowup import curve_part, initial_state
 from topzeta.errors import (
     DegreeCapExceeded,
     NonRationalLiteralError,
@@ -23,6 +25,7 @@ from topzeta.poly import (
     _product,
     _shift_rows,
     _unpack,
+    frac_str,
     gcd_bi,
     parse_poly,
     poly_to_str,
@@ -102,6 +105,23 @@ def test_degree_cap_after_product():
     with pytest.raises(DegreeCapExceeded, match="total degree 65 exceeds"):
         P("(1+x+y)^20*(1+x)^45")
     assert P("(1+x)^64").total_degree() == 64
+
+
+def test_parse_keeps_products_of_powers():
+    def factors_of(text):
+        return [(poly_to_str(b), e) for b, e in P(text).factors]
+
+    assert factors_of("-2/3*x^2*y") == [("x", 2), ("y", 1)]
+    assert factors_of("((x*y)^2)^3") == [("x", 6), ("y", 6)]
+    assert factors_of("x*x*(y - x^2)*(y - x^2)^2") == [
+        ("x", 1), ("x", 1), ("-x^2 + y", 1), ("-x^2 + y", 2)]
+    assert factors_of("-(2*(x + y))^2*3") == [("x + y", 2)]
+    assert factors_of("x*(1 + x)^0*(x^2 - y)") == [("x", 1), ("x^2 - y", 1)]
+    # one base to the first power, or a sum: the polynomial is its own
+    # only factor
+    for text in ("x", "-3*x", "((x + y))", "x^2 - y", "x*y + x",
+                 "(x - x)*y", "x*(1 + x)^0"):
+        assert not hasattr(P(text), "factors")
 
 
 @st.composite
@@ -517,6 +537,70 @@ def test_gcd_powered_pair():
     assert gcd_bi(p, q) == P("(y + x + x*y)^20")
 
 
+# --- curve part from the typed products of powers -----------------------------
+
+def _reference_curve_part(gens):
+    """The curve part from the expanded generators: one gcd chain, Yun's
+    split of the gcd h, and the exact quotients by h."""
+    h = reduce(gcd_bi, gens)
+    if len(gens) == 1:
+        return squarefree_decomposition(h), [BiPoly.const(h.lead_grlex()[1])]
+    if h.is_constant():
+        return [], list(gens)
+    return squarefree_decomposition(h), [g.divexact(h) for g in gens]
+
+
+@st.composite
+def factored_ideals(draw):
+    """Generators typed as products of powers: a unit, x and y powers, and
+    parenthesized bases drawn as products of a few shared factors, so that
+    bases repeat, share factors and need not be squarefree; some powers
+    nested."""
+    pool = draw(st.lists(factors(), min_size=1, max_size=3))
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = [f"({frac_str(draw(small_coefficients.filter(bool)))})"]
+        for var in "xy":
+            if k := draw(st.integers(0, 2)):
+                parts.append(f"{var}^{k}")
+        for _ in range(draw(st.integers(0, 3))):
+            base = reduce(BiPoly.__mul__, draw(st.lists(
+                st.sampled_from(pool), min_size=1, max_size=2)))
+            power = f"({poly_to_str(base)})^{draw(st.integers(1, 2))}"
+            parts.append(f"({power})^2" if draw(st.booleans()) else power)
+        text = "*".join(parts)
+        texts.append(text if P(text).constant_term() == 0 else text + "*x")
+    return texts
+
+
+@given(factored_ideals())
+@settings(max_examples=80, deadline=None)
+def test_initial_state_factored_matches_expanded(texts):
+    """The curve part read from the typed factors is the one the expanded
+    generators give: carriers, strict records and residuals, constants
+    included."""
+    gens = [P(t) for t in texts]
+    expanded = [P(poly_to_str(g)) for g in gens]
+    assert curve_part(gens) == _reference_curve_part(expanded)
+    a, b = initial_state(gens), initial_state(expanded)
+    assert a.carriers == b.carriers
+    assert a.strict_records == b.strict_records
+    assert a.leaves[0].residual == b.leaves[0].residual
+
+
+@pytest.mark.parametrize("texts", [
+    ["x*(1 + x + y)^24"], ["(y^2 - x^3)^12*x", "(y^2 - x^3)^12*y"],
+    ["(y + x + x*y)^16*y^2", "(y + x + x*y)^16*x"],
+    ["x*x*(y - x^2)*(y - x^2)^2", "(y^2 - x^4)*(y - x^2)^2*y"],
+    ["(x^2 - y^2)^2", "(x + y)^3*(x - y)*x^2"], ["x^4*y", "x^7 + x*y^4"],
+    ["(x*y)^2*(x - y)", "x^2*y^2*(x + y)", "x^3*y^3"],
+])
+def test_curve_part_cases(texts):
+    gens = [P(t) for t in texts]
+    assert curve_part(gens) == _reference_curve_part(
+        [P(poly_to_str(g)) for g in gens])
+
+
 @given(bipolys(), bipolys())
 @settings(max_examples=200, deadline=None)
 def test_bi_mul_matches_reference(p, q):
@@ -600,6 +684,20 @@ def test_rational_roots_with_multiplicity():
     roots, cofactor = rational_roots(p)
     assert dict(roots) == {Fraction(0): 1, Fraction(1, 2): 2, Fraction(-3): 1}
     assert cofactor.degree() == 0
+
+
+def test_rational_roots_linear_takes_no_divisors():
+    # trial division up to the square root of a 60-bit constant would not
+    # finish; a linear primitive part has its root read off
+    c = 2**60 + 5
+    with mock.patch.object(poly, "_divisors",
+                           side_effect=AssertionError("trial division")):
+        roots, cofactor = rational_roots(UniPoly.from_ints([c, 3]))
+        assert roots == [(Fraction(-c, 3), 1)]
+        assert cofactor == UniPoly.const(1)
+        roots, cofactor = rational_roots(UniPoly.from_ints([0, 0, -4 * c, 14]))
+        assert roots == [(Fraction(0), 2), (Fraction(2 * c, 7), 1)]
+        assert cofactor == UniPoly.const(1)
 
 
 def test_rational_roots_leftover():
