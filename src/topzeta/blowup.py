@@ -381,15 +381,19 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
     quotients g / h with h monic in grlex.
 
     Reads each generator as its product of powers (`factors`, or itself).
-    x and y split off by their orders; the other bases, made monic, are
-    refined into a gcd-free base, each element with its exponent in every
-    generator (factor refinement: Bach, Driscoll and Shallit, J. Algorithms
-    15, 1993).  Yun's split runs on the base elements only.  A common factor
-    divides a base of every generator, so one gcd chain over the bases
-    rules it out first, and then each quotient is g over x^a y^b.
+    x and y split off by their orders.  A common factor divides a base of
+    every generator, so one gcd chain over the other bases, made monic,
+    rules it out first, and then each quotient is g over x^a y^b.  When
+    every generator has one such base, to the first power, the chain ends
+    at the rest of h, and each base is h times its exact quotient by h.
+    Otherwise the bases are refined into a gcd-free base, each element
+    with its exponent in every generator (factor refinement: Bach, Driscoll
+    and Shallit, J. Algorithms 15, 1993).  Yun's split runs on h or on the
+    base elements only, and each quotient is a product of the remaining
+    powers.
     """
     n = len(gens)
-    xs, ys = [0] * n, [0] * n
+    xs, ys, sums = [0] * n, [0] * n, [0] * n
     exps: dict[BiPoly, list[int]] = {}  # monic base -> exponent per generator
     for i, g in enumerate(gens):
         for b, e in getattr(g, "factors", None) or ((g, 1),):
@@ -399,6 +403,7 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
             if len(b.nums) > 1:
                 r = b.divide_x_power(a).divide_y_power(c).monic_grlex()
                 exps.setdefault(r, [0] * n)[i] += e
+                sums[i] += e
     common = [b for b, es in exps.items() if es[0]]
     for i in range(1, n):
         gcds = (c if c == b else gcd_bi(c, b)
@@ -406,7 +411,11 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
         common = list(dict.fromkeys(d for d in gcds if not d.is_constant()))
     mx, my = min(xs), min(ys)
     base = [(BiPoly.x(), xs), (BiPoly.y(), ys)]
-    if common:
+    if common and n > 1 and sums.count(1) == n:
+        base.append((common[0], [1] * n))
+        base += [(b.divexact(common[0]), es) for b, es in exps.items()
+                 if b != common[0]]
+    elif common:
         base += _refine(list(exps.items()))
     parts: dict[int, BiPoly] = {}
     for p, es in base:
@@ -421,8 +430,8 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
     for i, g in enumerate(gens):
         r = BiPoly.monomial(xs[i] - mx, ys[i] - my, g.lead_grlex()[1])
         for p, es in base[2:]:
-            if es[i] > min(es):
-                r = r * p ** (es[i] - min(es))
+            if (k := es[i] - min(es)) > 0:
+                r = (p if k == 1 else p ** k) * r
         residual.append(r)
     return split, residual
 

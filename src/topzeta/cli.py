@@ -309,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("realize", help="find (a, b) realizing a pole")
     p.add_argument("s0", help="target pole, e.g. -3/5")
-    # argparse reads -3/5 as an option unless it looks like a number
+    # argparse reads -3/5 as an option unless it looks like a number; the
+    # pattern is argparse's private attribute, pinned by
+    # test_realize_negative_rational_without_separator
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.set_defaults(func=cmd_realize)
     return ap

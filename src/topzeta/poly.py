@@ -968,8 +968,8 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
     A product of powers keeps its bases as `factors`: the result is a
     constant times the product of base^e over factors = ((base, e), ...).
     Units are dropped, parenthesized products and nested powers flattened,
-    and a sum stays one base.  A result that is one base, or a sum, gets no
-    `factors`: it is its own only factor.
+    and a sum stays one base.  A result that is zero, one base or a sum
+    gets no `factors`: it is its own only factor.
     """
     p = _Parser(text, names)
     result, bases = p.parse_expr()
@@ -977,7 +977,7 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
     if p.pos != len(text):
         p.error("trailing input")
     _check_degree(result.total_degree())
-    if len(bases) > 1 or bases and bases[0][1] > 1:
+    if result.nums and (len(bases) > 1 or bases and bases[0][1] > 1):
         result.factors = tuple(bases)
     return result
 

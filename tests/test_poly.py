@@ -17,7 +17,7 @@ from topzeta.errors import (
     UnknownVariableError,
 )
 from reference_q import divexact_q, gcd_q
-from topzeta import poly
+from topzeta import blowup, poly
 from topzeta.poly import (
     INFINITE_MULT,
     BiPoly,
@@ -120,7 +120,7 @@ def test_parse_keeps_products_of_powers():
     # one base to the first power, or a sum: the polynomial is its own
     # only factor
     for text in ("x", "-3*x", "((x + y))", "x^2 - y", "x*y + x",
-                 "(x - x)*y", "x*(1 + x)^0"):
+                 "(x - x)*y", "x*(1 + x)^0", "0*x*y", "(0*x)^2"):
         assert not hasattr(P(text), "factors")
 
 
@@ -582,6 +582,7 @@ def test_initial_state_factored_matches_expanded(texts):
     gens = [P(t) for t in texts]
     expanded = [P(poly_to_str(g)) for g in gens]
     assert curve_part(gens) == _reference_curve_part(expanded)
+    assert curve_part(expanded) == _reference_curve_part(expanded)
     a, b = initial_state(gens), initial_state(expanded)
     assert a.carriers == b.carriers
     assert a.strict_records == b.strict_records
@@ -597,8 +598,27 @@ def test_initial_state_factored_matches_expanded(texts):
 ])
 def test_curve_part_cases(texts):
     gens = [P(t) for t in texts]
-    assert curve_part(gens) == _reference_curve_part(
-        [P(poly_to_str(g)) for g in gens])
+    expanded = [P(poly_to_str(g)) for g in gens]
+    assert curve_part(gens) == _reference_curve_part(expanded)
+    assert curve_part(expanded) == _reference_curve_part(expanded)
+
+
+def test_curve_part_expanded_costs_one_gcd_chain(monkeypatch):
+    """Generators typed expanded, with a common factor and nonconstant
+    cofactors, cost one gcd per generator after the first and no
+    refinement, as the gcd chain on the expanded generators does."""
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return gcd_bi(p, q)
+
+    monkeypatch.setattr(blowup, "gcd_bi", counted)
+    texts = ["(y^2 - x^3)*(x + y)*x", "(y^2 - x^3)*(x - y^2)",
+             "(y^2 - x^3)*(y - x^2)^2*y"]
+    expanded = [P(poly_to_str(P(t))) for t in texts]
+    assert curve_part(expanded) == _reference_curve_part(expanded)
+    assert len(calls) == 2
 
 
 @given(bipolys(), bipolys())
