@@ -38,15 +38,17 @@ from .poly import (
     UniPoly,
     gcd_bi,
     rational_roots,
+    row_gcd,
     squarefree_decomposition,
     squarefree_part,
-    uni_gcd,
     uni_lcm,
     uni_to_str,
 )
 
 #: Point on a projective line over Q: a Fraction, or None for infinity.
 PPoint = Optional[Fraction]
+
+_ZERO = Fraction(0)
 
 
 # --- chart path steps -------------------------------------------------------
@@ -83,7 +85,8 @@ class PointMap(NamedTuple):
     offset: Fraction
 
     def to_birth(self, t: Fraction) -> PPoint:
-        v = self.scale * Fraction(t) + self.offset
+        v = t if self.scale == 1 and not self.offset else \
+            self.scale * t + self.offset
         if self.side == "A":
             return v
         return None if v == 0 else Fraction(1) / v
@@ -163,7 +166,8 @@ class Chart:
         nums = eq.nums
         for var, e in (("x", (1, 0)), ("y", (0, 1))):
             if e in nums and nums.keys() <= {e, (0, 0)}:
-                return (var, Fraction(-nums.get((0, 0), 0), nums[e]))
+                c = nums.get((0, 0))
+                return (var, Fraction(-c, nums[e]) if c else _ZERO)
         return None
 
     @cached_property
@@ -210,9 +214,10 @@ class Occurrence(NamedTuple):
     the atlas (bad points, corners, branch points, generic crossings) is
     read through `corners`, `owned_params` or `owned_zeros`.
 
-    Ownership decides the work: a point-owned occurrence reads only the
-    constant coefficients of its restrictions, whether they vanish at
-    t = 0; only a fully owned divisor takes gcds and roots.
+    Ownership decides the work, on integer rows (`restriction`): only a
+    fully owned divisor takes gcds and roots; a point-owned one reads the
+    coefficients of t^0 and t^1 in p(t, beta), and all of p(t, beta) only
+    when p(0, beta) = 0, to rule out a restriction that vanishes.
     """
 
     leaf_index: int
@@ -241,28 +246,49 @@ class Occurrence(NamedTuple):
     def to_birth(self, t: Fraction) -> PPoint:
         return self.pm.to_birth(t)
 
-    def carrier_restrictions(self) -> list[tuple[str, UniPoly]]:
+    def restriction(self, p: BiPoly) -> list[int]:
+        """p on the divisor by degree in t, up to a positive factor: p(0, t)
+        when fully owned, else the coefficients of t^0 and t^1 in
+        p(t, beta), zeros kept, which answer only at t = 0."""
+        return p.x0_row() if self.mode == "all" else p.y_coeffs(self.axis[1], 1)
+
+    def _vanishes(self, p: BiPoly, row: list[int]) -> bool:
+        """Whether p, whose row is zero at t = 0, vanishes on the divisor."""
+        return not row if self.mode == "all" else not any(p.y_coeffs(
+            self.axis[1], max((a for a, _ in p.nums), default=0)))
+
+    def residual_restrictions(self) -> list[list[int]]:
+        """Restriction of every residual generator, in order; refuses a
+        residual ideal that vanishes along the divisor."""
+        rows = [self.restriction(r) for r in self.chart.residual]
+        if all(map(_zero_at_0, rows)) and all(
+                map(self._vanishes, self.chart.residual, rows)):
+            raise InternalInvariantError(
+                f"residual ideal vanishes along divisor {self.ident}")
+        return rows
+
+    def carrier_restrictions(self) -> list[tuple[str, list[int]]]:
         """Restriction of every carrier visible in the chart, in carrier
-        order."""
+        order; refuses the first carrier that contains the divisor."""
         out = []
         for c, eq in self.chart.carriers.items():
-            sigma = self.chart.restrict(eq, self.axis)
-            if sigma.is_zero():
+            row = self.restriction(eq)
+            if _zero_at_0(row) and self._vanishes(eq, row):
                 raise InternalInvariantError(
                     f"carrier {c} contains divisor {self.ident}")
-            out.append((c, sigma))
+            out.append((c, row))
         return out
 
-    def owned_params(self, polys: list[UniPoly],
+    def owned_params(self, rows: list[list[int]],
                      context: str) -> list[Fraction]:
-        """Parameters of the common zeros of polys, not all zero, on the
-        owned locus; refuses the run when an owned zero is irrational."""
+        """Parameters of the common zeros of restriction rows, not all
+        zero, on the owned locus; refuses the run when one is irrational."""
         if self.mode == "point":
-            return [Fraction(0)] if all(map(_zero_at_0, polys)) else []
-        locator = uni_gcd(*polys)
-        if locator.degree() <= 0:
+            return [_ZERO] if all(map(_zero_at_0, rows)) else []
+        locator = row_gcd(rows)
+        if len(locator) <= 1:
             return []
-        roots, cofactor = rational_roots(locator)
+        roots, cofactor = rational_roots(UniPoly.from_ints(locator))
         if cofactor.degree() > 0:
             # a fully owned divisor is {x = 0}, parametrized by y
             raise CenterNotRational(
@@ -270,16 +296,17 @@ class Occurrence(NamedTuple):
                 f"({context} on {self.ident})")
         return [r for r, _ in roots]
 
-    def owned_zeros(self, p: UniPoly) -> Optional[tuple[UniPoly, bool]]:
-        """Birth-coordinate zero data of a nonzero restriction on the owned
-        locus, or None when it has no zero there."""
+    def owned_zeros(self, row) -> Optional[tuple[UniPoly, bool]]:
+        """Birth-coordinate zero data of a nonzero restriction row (or all
+        its numerators) on the owned locus, or None for no zero there."""
         if self.mode == "point":
-            return point_zero_data(self.pm) if _zero_at_0(p) else None
-        return zeros_in_birth(self.pm, p) if p.degree() > 0 else None
+            return point_zero_data(self.pm) if _zero_at_0(row) else None
+        return zeros_in_birth(self.pm, UniPoly.from_ints(row)) \
+            if len(row) > 1 else None
 
 
-def _zero_at_0(p: UniPoly) -> bool:
-    return not p.nums or p.nums[0] == 0
+def _zero_at_0(row) -> bool:
+    return not row or not row[0]
 
 
 class CarrierDef(NamedTuple):
@@ -503,7 +530,7 @@ def _child(chart: Chart, side: str, new_ident: str) -> Chart:
 
     new_eq = BiPoly.x() if side == "A" else BiPoly.y()
     exc[new_ident] = new_eq
-    pms[new_ident] = PointMap(side, Fraction(1), Fraction(0))
+    pms[new_ident] = PointMap(side, Fraction(1), _ZERO)
 
     carriers = {}
     for k, v in chart.carriers.items():
@@ -631,7 +658,7 @@ def zeros_in_birth(pm: PointMap, p: UniPoly) -> tuple[UniPoly, bool]:
     tau = p.compose_affine(1 / pm.scale, -pm.offset / pm.scale)
     if pm.side == "A":
         return squarefree_part(tau), False
-    return squarefree_part(tau.reversed()), _zero_at_0(tau)
+    return squarefree_part(tau.reversed()), _zero_at_0(tau.nums)
 
 
 def union_zero_data(acc: Optional[tuple[UniPoly, bool]],
@@ -650,7 +677,7 @@ def zero_count(data: Optional[tuple[UniPoly, bool]]) -> int:
 
 def point_zero_data(pm: PointMap) -> tuple[UniPoly, bool]:
     """Zero data consisting of the single point at parameter t = 0."""
-    birth = pm.to_birth(Fraction(0))
+    birth = pm.to_birth(_ZERO)
     if birth is None:
         return UniPoly.const(1), True
     return UniPoly([-birth, 1]), False

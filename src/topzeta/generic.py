@@ -137,10 +137,10 @@ def _count_n(state: ChartState, lam: list[Fraction], ident: str,
         if p.is_zero():
             raise DegenerateLambda(
                 f"combination vanishes along {ident}")
-        if occ.owned_zeros(uni_gcd(p, p.derivative())) is not None:
+        if occ.owned_zeros(uni_gcd(p, p.derivative()).nums) is not None:
             raise DegenerateLambda(
                 f"restriction to {ident} is not squarefree")
-        zeros = occ.owned_zeros(p)
+        zeros = occ.owned_zeros(p.nums)
         if zeros is not None:
             data = union_zero_data(data, zeros)
     poly, inf = data if data is not None else (None, False)

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import count, zip_longest
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DegreeCapExceeded,
@@ -231,12 +231,18 @@ class UniPoly:
 
 def uni_gcd(*polys: UniPoly) -> UniPoly:
     """Monic greatest common divisor in Q[t]; zero when every poly is."""
+    return UniPoly.from_ints(row_gcd(p.nums for p in polys)).monic()
+
+
+def row_gcd(rows: Iterable[Sequence[int]]) -> list[int]:
+    """gcd in Z[t] of integer rows by degree, up to sign, stopping at the
+    first constant gcd; [] when every row is zero."""
     g: list[int] = []
-    for p in polys:
-        g = _zgcd(g, _zprimitive(list(p.nums)))
+    for row in rows:
+        g = _zgcd(g, _zprimitive(list(row)))
         if len(g) == 1:
             break
-    return UniPoly.from_ints(g).monic()
+    return g
 
 
 def uni_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -558,6 +564,24 @@ class BiPoly:
         return UniPoly.from_ints(
             [out.get(i, 0) for i in range(max(out, default=-1) + 1)], den)
 
+    def x0_row(self) -> list[int]:
+        """The numerators of p(0, t) by degree, without a trailing zero:
+        den times restrict_x(0)."""
+        col = {b: n for (a, b), n in self.nums.items() if not a}
+        return [col.get(b, 0) for b in range(max(col, default=-1) + 1)]
+
+    def y_coeffs(self, beta, upto: int) -> list[int]:
+        """The coefficients of t^0..t^upto in p(t, beta), zeros kept, times
+        one positive integer: den v^D for beta = u/v, D the y-degree read."""
+        if not beta:
+            return [self.nums.get((a, 0), 0) for a in range(upto + 1)]
+        out, cols = [0] * (upto + 1), [
+            (a, b, n) for (a, b), n in self.nums.items() if a <= upto]
+        powers = _hpowers(beta, max((b for _, b, _ in cols), default=0))
+        for a, b, n in cols:
+            out[a] += n * powers[b]
+        return out
+
     def eval(self, px, py) -> Fraction:
         return self.restrict_x(px).eval(py)
 
@@ -842,23 +866,22 @@ _EXPONENT_CAP = 256
 
 class _Parser:
     def __init__(self, text: str, names: tuple[str, str]):
-        self.text = text
-        self.pos = 0
-        self.names = names
+        self.text, self.pos, self.names = text, 0, names
+        self.advance(0)
 
     def error(self, msg: str, cls=ParseError):
         raise cls(msg, self.pos)
 
-    def skip_ws(self):
+    def advance(self, k: int = 1):
+        """Step over k characters and the whitespace after them."""
+        self.pos += k
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
-    def take_int(self) -> int:
-        self.skip_ws()
+    def take_int(self, denominator: bool = False) -> int:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -866,82 +889,85 @@ class _Parser:
             self.error("expected an integer")
         if self.pos < len(self.text) and self.text[self.pos] == ".":
             self.error("decimal literals are not rational", NonRationalLiteralError)
-        return int(self.text[start:self.pos])
+        n = int(self.text[start:self.pos])
+        if denominator and not n:
+            self.error("zero denominator in rational literal",
+                       NonRationalLiteralError)
+        self.advance(0)
+        return n
 
-    # Each parse_* returns (poly, bases): a nonzero poly is a constant times
-    # the product of base^e over bases = [(base, e)], nonconstant bases only.
+    # Each parse_* returns (poly, bases, total degree): a nonzero poly is a
+    # constant times the product of base^e over bases, nonconstant bases.
 
-    def parse_expr(self) -> tuple[BiPoly, list]:
+    def parse_expr(self) -> tuple[BiPoly, list, int]:
         sign = 1
         if self.peek() == "-":
-            self.pos += 1
+            self.advance()
             sign = -1
         elif self.peek() == "+":
-            self.pos += 1
-        acc, bases = self.parse_term()
+            self.advance()
+        acc, bases, degree = self.parse_term()
         acc = acc.scale(sign)
         while (ch := self.peek()) in ("+", "-"):
-            self.pos += 1
+            self.advance()
             term = self.parse_term()[0]
             acc = acc + term if ch == "+" else acc - term
             bases = None
         if bases is None:  # a sum is one base
             bases = [] if acc.is_constant() else [(acc, 1)]
-        return acc, bases
+            degree = acc.total_degree()
+        return acc, bases, degree
 
-    def parse_term(self) -> tuple[BiPoly, list]:
-        acc, bases = self.parse_factor()
+    def parse_term(self) -> tuple[BiPoly, list, int]:
+        acc, bases, degree = self.parse_factor()
         while self.peek() == "*":
-            self.pos += 1
-            factor, more = self.parse_factor()
+            self.advance()
+            factor, more, d = self.parse_factor()
             # exact before expanding, as for powers (0 has degree 0)
-            _check_degree(acc.total_degree() + factor.total_degree())
+            _check_degree(degree + d)
             acc = acc * factor
             bases = bases + more
-        return acc, bases
+            degree = degree + d if acc.nums else 0
+        return acc, bases, degree
 
-    def parse_factor(self) -> tuple[BiPoly, list]:
-        base, bases = self.parse_atom()
+    def parse_factor(self) -> tuple[BiPoly, list, int]:
+        base, bases, degree = self.parse_atom()
         if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
+            self.advance()
             if self.peek() == "-":
                 self.error("exponent must be a nonnegative integer")
             k = self.take_int()
             if k > _EXPONENT_CAP:
                 raise DegreeCapExceeded(f"exponent {k} exceeds cap {_EXPONENT_CAP}")
             # exact before expanding: Q[x, y] has no zero divisors
-            _check_degree(base.total_degree() * k)
-            return base ** k, [(b, e * k) for b, e in bases if k]
-        return base, bases
+            _check_degree(degree * k)
+            return base ** k, [(b, e * k) for b, e in bases if k], degree * k
+        return base, bases, degree
 
-    def parse_atom(self) -> tuple[BiPoly, list]:
+    def parse_atom(self) -> tuple[BiPoly, list, int]:
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
+            self.advance()
             inner = self.parse_expr()
             if self.peek() != ")":
                 self.error("expected ')'")
-            self.pos += 1
+            self.advance()
             return inner
         if ch == "-":
-            self.pos += 1
-            p, bases = self.parse_atom()
-            return -p, bases
+            self.advance()
+            p, bases, degree = self.parse_atom()
+            return -p, bases, degree
         if ch.isdigit():
             num = self.take_int()
             if self.peek() == "/":
                 mark = self.pos
-                self.pos += 1
+                self.advance()
                 if not self.peek().isdigit():
                     self.pos = mark
                     self.error("'/' outside a rational literal")
-                den = self.take_int()
-                if den == 0:
-                    self.error("zero denominator in rational literal",
-                               NonRationalLiteralError)
-                return BiPoly.const(Fraction(num, den)), []
-            return BiPoly.const(num), []
+                den = self.take_int(denominator=True)
+                return BiPoly.const(Fraction(num, den)), [], 0
+            return BiPoly.const(num), [], 0
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -950,8 +976,9 @@ class _Parser:
                 self.pos += 1
             name = self.text[start:self.pos]
             if name in self.names:
+                self.advance(0)
                 v = BiPoly.x() if name == self.names[0] else BiPoly.y()
-                return v, [(v, 1)]
+                return v, [(v, 1)], 1
             self.pos = start
             self.error(f"unknown variable {name!r}", UnknownVariableError)
         if ch == "":
@@ -972,11 +999,10 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
     gets no `factors`: it is its own only factor.
     """
     p = _Parser(text, names)
-    result, bases = p.parse_expr()
-    p.skip_ws()
+    result, bases, degree = p.parse_expr()
     if p.pos != len(text):
         p.error("trailing input")
-    _check_degree(result.total_degree())
+    _check_degree(degree)
     if result.nums and (len(bases) > 1 or bases and bases[0][1] > 1):
         result.factors = tuple(bases)
     return result

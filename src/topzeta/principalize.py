@@ -6,12 +6,14 @@ vanishes, a strict branch of the curve part is singular or tangent to the
 exceptional locus, a branch passes through a crossing of two exceptional
 curves, or two branches meet.  Blowing up bad points until none remain is
 the minimal principalization in dimension two; bad points are processed in
-a fixed order so runs are reproducible.
+a fixed order so runs are reproducible.  Each chart is scanned once, on the
+integer rows `Occurrence` reads its polynomials as on each divisor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .blowup import (
@@ -24,50 +26,42 @@ from .blowup import (
     initial_state,
 )
 from .diagram import IntersectionDiagram, diagram_from_state
-from .errors import InternalInvariantError, StepBudgetExceeded
-from .poly import BiPoly, UniPoly
+from .errors import StepBudgetExceeded
+from .poly import BiPoly, _zhorner
 
 DEFAULT_MAX_STEPS = 512
 
 
 def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
     """(parameter value, reason) pairs for bad points on the owned part of
-    one divisor appearance."""
-    chart = occ.chart
+    one divisor appearance, read from the integer restrictions."""
     found: list[tuple[Fraction, str]] = []
 
-    def emit(polys: list[UniPoly], context: str, reason: str):
-        for t in occ.owned_params(polys, context):
-            found.append((t, reason))
+    def emit(rows: list[list[int]], context: str, reason: str):
+        found.extend((t, reason) for t in occ.owned_params(rows, context))
 
     # (a) residual ideal vanishes: common zeros of the restrictions
-    restrictions = [chart.restrict(r, occ.axis) for r in chart.residual]
-    if all(rho.is_zero() for rho in restrictions):
-        raise InternalInvariantError(
-            f"residual ideal vanishes along divisor {occ.ident}")
-    emit(restrictions, "residual zero locus", "residual-vanishes")
+    emit(occ.residual_restrictions(), "residual zero locus",
+         "residual-vanishes")
 
     carrier_restrictions = occ.carrier_restrictions()
 
     # (b)/(c) singular or tangential branch: multiple zeros of a restriction
     for ident, sigma in carrier_restrictions:
-        if sigma.degree() <= 0:
+        if len(sigma) <= 1:
             continue
-        emit([sigma, sigma.derivative()],
+        emit([sigma, [i * v for i, v in enumerate(sigma)][1:]],
              f"tangency of {ident}", f"branch-tangent:{ident}")
 
     # (d) two branches meet on the divisor
-    for i in range(len(carrier_restrictions)):
-        for j in range(i + 1, len(carrier_restrictions)):
-            ki, si = carrier_restrictions[i]
-            kj, sj = carrier_restrictions[j]
-            emit([si, sj], f"crossing {ki}/{kj}",
-                 f"branches-meet:{ki}:{kj}")
+    for (ki, si), (kj, sj) in combinations(carrier_restrictions, 2):
+        emit([si, sj], f"crossing {ki}/{kj}", f"branches-meet:{ki}:{kj}")
 
     # (c) branch through a crossing of two exceptional divisors
     for t_corner, other in occ.corners:
+        u, v = t_corner.numerator, t_corner.denominator
         for ident, sigma in carrier_restrictions:
-            if sigma.eval(t_corner) == 0:
+            if _zhorner(sigma, u, v) == 0:
                 found.append((t_corner, f"branch-at-corner:{ident}:{other}"))
     return found
 
@@ -101,18 +95,12 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
     if not state.log:
         chart = state.leaves[0]
         reasons = []
-        if all(r.constant_term() == 0 for r in chart.residual):
+        if all((0, 0) not in r.nums for r in chart.residual):
             reasons.append("residual-vanishes")
-        total_mult = sum(
-            m for v in chart.carriers.values()
-            if (m := v.mult_at_origin()) != 0
-        )
-        if total_mult >= 2:
+        if sum(v.mult_at_origin() for v in chart.carriers.values()) >= 2:
             reasons.append("curve-part-not-normal-crossings")
-        if reasons:
-            return [PointRecord(0, (Fraction(0), Fraction(0)), (),
-                                tuple(reasons))]
-        return []
+        return [PointRecord(0, (Fraction(0), Fraction(0)), (),
+                            tuple(reasons))] if reasons else []
 
     records: list[PointRecord] = []
     identities: list[frozenset] = []

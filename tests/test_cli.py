@@ -272,7 +272,18 @@ def test_realize_negative_rational_without_separator(capsys):
         code, out, err = run(capsys, "realize", s0)
         assert code == 0 and err == ""
         assert (code, out, err) == run(capsys, "realize", "--", s0)
-    assert refused(capsys, "realize", "-3/x")[0] == 2
+
+
+def test_realize_non_rational_without_separator(capsys):
+    # a token starting "-" and a digit is the positional, so the refusal
+    # names the value instead of a missing argument
+    for s0 in ("-3/x", "-3/", "-.5x", "-1/0"):
+        code, out, err = run(capsys, "realize", s0)
+        assert code == 2 and out == ""
+        assert err == f"error: not a rational number: {s0!r}\n"
+        assert (code, out, err) == run(capsys, "realize", "--", s0)
+    # an option-shaped token is still a usage error
+    assert refused(capsys, "realize", "-x")[0] == 2
 
 
 def test_realize_out_of_range(capsys):

@@ -86,6 +86,38 @@ def test_parse_error_position():
         assert exc.position == 4
 
 
+@pytest.mark.parametrize("text, cls, message", [
+    ("x + y )", ParseError, "trailing input (at position 6)"),
+    ("x*y  z", ParseError, "trailing input (at position 5)"),
+    ("1 /  x", ParseError, "'/' outside a rational literal (at position 2)"),
+    ("2/x", ParseError, "'/' outside a rational literal (at position 1)"),
+    ("1.5*x", NonRationalLiteralError,
+     "decimal literals are not rational (at position 1)"),
+    ("x^2.5", NonRationalLiteralError,
+     "decimal literals are not rational (at position 3)"),
+    ("3/0 ", NonRationalLiteralError,
+     "zero denominator in rational literal (at position 3)"),
+    ("x + z", UnknownVariableError, "unknown variable 'z' (at position 4)"),
+    ("  w*x", UnknownVariableError, "unknown variable 'w' (at position 2)"),
+    ("x * (y + ", ParseError, "unexpected end of input (at position 9)"),
+    ("", ParseError, "unexpected end of input (at position 0)"),
+    ("   ", ParseError, "unexpected end of input (at position 3)"),
+    ("(x - y", ParseError, "expected ')' (at position 6)"),
+    ("x^", ParseError, "expected an integer (at position 2)"),
+    ("x^ -2", ParseError,
+     "exponent must be a nonnegative integer (at position 3)"),
+    ("x + * y", ParseError, "unexpected character '*' (at position 4)"),
+])
+def test_parse_error_table(text, cls, message):
+    """Each malformed input's refusal: its class, message and position,
+    with whitespace before and after the offending token."""
+    with pytest.raises(ParseError) as exc:
+        P(text)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+    assert f"(at position {exc.value.position})" in message
+
+
 def test_degree_cap_on_expansion():
     with pytest.raises(DegreeCapExceeded):
         P("(x^2)^40")
@@ -226,6 +258,33 @@ def test_restrict_matches_reference(p, value):
     for v in (value, Fraction(0)):
         assert p.restrict_x(v).coeffs == _reference_restrict_x(p, v).coeffs
         assert p.restrict_y(v).coeffs == _reference_restrict_y(p, v).coeffs
+
+
+def _positive_multiple(ints, coeffs):
+    """Whether ints equals coeffs times one positive rational."""
+    ratios = {Fraction(n) / c for n, c in zip(ints, coeffs) if c}
+    return (len(ints) == len(coeffs)
+            and all(bool(n) == bool(c) for n, c in zip(ints, coeffs))
+            and len(ratios) <= 1 and all(r > 0 for r in ratios))
+
+
+@given(bipolys(), st.sampled_from([0, Fraction(0), 1, -1, 2, -2,
+                                   Fraction(3, 2), Fraction(-3, 2),
+                                   Fraction(-5, 7)]))
+@settings(max_examples=300, deadline=None)
+def test_integer_restrictions_match_restrict(p, c):
+    """The rows the bad-point scan reads: the coefficients of t^0 and t^1
+    in p(t, c), all of p(t, c), and p(0, t), each equal up to one positive
+    factor to the coefficients of restrict_y(c) or restrict_x(0)."""
+    top = max((a for a, _ in p.nums), default=0)
+    full = p.restrict_y(c).coeffs
+    full += (Fraction(0),) * (top + 3 - len(full))
+    for upto in (1, top, top + 2):
+        assert _positive_multiple(p.y_coeffs(c, upto), full[:upto + 1])
+    row = p.x0_row()
+    assert not row or row[-1]
+    assert _positive_multiple(row, p.restrict_x(0).coeffs)
+    assert UniPoly.from_ints(row, p.den) == p.restrict_x(0)
 
 
 @given(bipolys())

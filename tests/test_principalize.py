@@ -1,11 +1,18 @@
 """Principalization driver: bad points, termination, minimality."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from reference_q import gcd_q
-from topzeta.blowup import PointRecord, blow_up, initial_state
+from topzeta.blowup import (
+    Chart,
+    PointMap,
+    PointRecord,
+    blow_up,
+    initial_state,
+)
 from topzeta.errors import (
     CenterNotRational,
     InternalInvariantError,
@@ -301,6 +308,19 @@ def _reference_owned_params(occ, locator, context):
     return [r for r, _ in roots]
 
 
+def _reference_carrier_restrictions(occ):
+    """Every carrier's restriction as a UniPoly, in carrier order, as the
+    scan built them before it read integer rows."""
+    out = []
+    for c, eq in occ.chart.carriers.items():
+        sigma = occ.chart.restrict(eq, occ.axis)
+        if sigma.is_zero():
+            raise InternalInvariantError(
+                f"carrier {c} contains divisor {occ.ident}")
+        out.append((c, sigma))
+    return out
+
+
 def _reference_bad_values_on_occurrence(occ):
     """The bad values as found before ownership decided the work: a full
     gcd of the polynomials for every mode, then its zeros on the owned
@@ -319,7 +339,7 @@ def _reference_bad_values_on_occurrence(occ):
         raise InternalInvariantError(
             f"residual ideal vanishes along divisor {occ.ident}")
     emit(locator, "residual zero locus", "residual-vanishes")
-    carrier_restrictions = occ.carrier_restrictions()
+    carrier_restrictions = _reference_carrier_restrictions(occ)
     for ident, sigma in carrier_restrictions:
         if sigma.degree() <= 0:
             continue
@@ -345,17 +365,45 @@ def _scan_outcome(scan, occ):
         return type(exc).__name__, str(exc)
 
 
-def _assert_scans_match(states, name):
+def _assert_scans_match(states, name, features=None):
     """Both scans agree on every occurrence of every state; returns the
-    number of occurrences compared."""
+    number of occurrences compared, and counts in `features` the kinds of
+    occurrence and outcome compared."""
     seen = 0
     for state in states:
         for occ in state.occurrences():
-            assert _scan_outcome(_bad_values_on_occurrence, occ) == \
+            outcome = _scan_outcome(_bad_values_on_occurrence, occ)
+            assert outcome == \
                 _scan_outcome(_reference_bad_values_on_occurrence, occ), \
                 (name, len(state.log), occ.leaf_index, occ.ident)
             seen += 1
+            if features is not None:
+                features.update(_scan_features(occ, outcome))
     return seen
+
+
+def _scan_features(occ, outcome):
+    if occ.mode == "point" and occ.axis[1] != 0:
+        yield "point-owned, nonzero axis constant"
+    if len(occ.chart.carriers) >= 2:
+        yield "two or more carriers"
+    if isinstance(outcome, tuple):
+        yield outcome[0]
+    elif any(reason.startswith("branch-at-corner") for _, reason in outcome):
+        yield "corner hit"
+
+
+def _states_up_to_refusal(gens):
+    """The states of a run that blows up the first bad point until the
+    scan refuses an irrational centre, the refusing state last."""
+    state = initial_state(gens)
+    while True:
+        yield state
+        try:
+            bad = find_bad_points(state)
+        except CenterNotRational:
+            return
+        blow_up(state, bad[0])
 
 
 def test_scan_matches_full_gcd_on_corpus_replay(corpus_results,
@@ -363,6 +411,22 @@ def test_scan_matches_full_gcd_on_corpus_replay(corpus_results,
     seen = sum(_assert_scans_match(replay_states(result), name)
                for name, result in corpus_results)
     assert seen > 1000
+
+
+def test_scan_oracle_covers_every_fast_path(corpus_results, replay_states):
+    """The compared occurrences include every case the integer scan
+    treats apart, so no fast path goes unchecked against the oracle."""
+    features = Counter()
+    # no corpus chart shows two carriers: a curve part of two exponents
+    h = "(y^2 - x^3)^2*(y - x^2)"
+    two_carriers = principalize([P(f"{h}*x"), P(f"{h}*y^2")])
+    for name, result in corpus_results + [("two-carriers", two_carriers)]:
+        _assert_scans_match(replay_states(result), name, features)
+    _assert_scans_match(_states_up_to_refusal([P("x^3"), P("y^2 - 2*x^2")]),
+                        "refusal", features)
+    assert set(features) == {
+        "point-owned, nonzero axis constant", "two or more carriers",
+        "corner hit", "CenterNotRational"}, features
 
 
 @pytest.mark.parametrize("gens", [
@@ -380,15 +444,103 @@ def test_scan_matches_full_gcd_on_long_runs(gens, replay_states):
     [P("y^2 + x^2"), P("x^5")],
 ], ids=["real-irrational", "imaginary"])
 def test_scan_matches_full_gcd_up_to_refusal(gens):
-    state = initial_state(gens)
-    while True:
-        _assert_scans_match([state], "refusal")
-        try:
-            bad = find_bad_points(state)
-        except CenterNotRational:
-            break
-        blow_up(state, bad[0])
-    assert state.log
+    features = Counter()
+    states = _states_up_to_refusal(gens)
+    assert _assert_scans_match(states, "refusal", features) >= 2
+    assert features["CenterNotRational"] >= 1
+
+
+def _crafted_occurrence(axis_eq, residual, carriers, others=()):
+    """The occurrence of E1 in a chart where E1 is {axis_eq = 0} and E2,
+    E3, ... are {others[i] = 0}."""
+    exc = {f"E{i + 1}": P(eq) for i, eq in enumerate((axis_eq, *others))}
+    chart = Chart((), exc=exc,
+                  pms={d: PointMap("A", Fraction(1), Fraction(0)) for d in exc},
+                  carriers={f"C{i + 1}": P(c) for i, c in enumerate(carriers)},
+                  residual=[P(r) for r in residual])
+    return next(occ for occ in chart.occurrences(0) if occ.ident == "E1")
+
+
+RESIDUAL_E1 = "residual ideal vanishes along divisor E1"
+
+
+@pytest.mark.parametrize("axis_eq, residual, carriers, message", [
+    # fully owned: E1 is x = 0
+    ("x", ["x*y", "x^2"], ["x*(y + 1)"], RESIDUAL_E1),
+    ("x", ["y", "x"], ["y + 1", "x*y", "x"], "carrier C2 contains divisor E1"),
+    # point-owned: E1 is y = 2, or y = 0
+    ("y - 2", ["(y - 2)*x", "x^2*(y - 2)^2"], ["(y - 2)*x"], RESIDUAL_E1),
+    ("y - 2", ["x*y - 2*x", "x + y - 2"],
+     ["x + y - 1", "(y - 2)*(x + 1)", "y - 2"], "carrier C2 contains divisor E1"),
+    ("y", ["x*y", "y^2"], ["x*y"], RESIDUAL_E1),
+    ("y", ["x", "x*y + x"], ["x + y", "y*(1 + x)"],
+     "carrier C2 contains divisor E1"),
+])
+def test_scan_invariant_errors(axis_eq, residual, carriers, message):
+    """A restriction that vanishes along the divisor is refused, the
+    residual ideal first and then the carriers in carrier order, with the
+    oracle's text."""
+    occ = _crafted_occurrence(axis_eq, residual, carriers)
+    assert occ.mode == ("all" if axis_eq == "x" else "point")
+    with pytest.raises(InternalInvariantError) as exc:
+        _bad_values_on_occurrence(occ)
+    assert str(exc.value) == message
+    assert _scan_outcome(_reference_bad_values_on_occurrence, occ) == \
+        ("InternalInvariantError", message)
+
+
+@pytest.mark.parametrize("axis_eq", ["y - 2", "y"])
+def test_scan_zero_constant_terms_are_not_vanishing(axis_eq):
+    """Point-owned restrictions whose t^0 coefficients all vanish, none
+    of them identically: a bad point at t = 0, no invariant error."""
+    c = f"({axis_eq})"
+    occ = _crafted_occurrence(
+        axis_eq, [f"x*{c} + x^2", "x^2"], [f"x + {c}", f"x^2 + {c}"])
+    found = _bad_values_on_occurrence(occ)
+    assert found == _reference_bad_values_on_occurrence(occ)
+    assert {reason for _, reason in found} == {
+        "residual-vanishes", "branch-tangent:C2", "branches-meet:C1:C2"}
+
+
+@pytest.mark.parametrize("gens, steps, whole_reads", [
+    (build(40, 0), 40, 0),
+    ([P("((y^2-x^3)^2-4*x^5*y-x^7)*(y-x^2)"), P("x^8")], 5, 2),
+], ids=["chain-40-0", "swell"])
+def test_principalize_builds_no_restriction(monkeypatch, gens, steps,
+                                            whole_reads):
+    """The scan and the diagram read integer rows: no BiPoly._restrict
+    call.  A point-owned restriction is read whole only to rule out that
+    it vanishes identically, when its t^0 coefficient is zero; swell has
+    two such reads, on integers too."""
+    from topzeta.poly import BiPoly
+
+    def refuse(*args):
+        raise AssertionError("BiPoly._restrict called")
+
+    reads = []
+    y_coeffs = BiPoly.y_coeffs
+
+    def counted(p, beta, upto):
+        reads.append(upto)
+        return y_coeffs(p, beta, upto)
+
+    monkeypatch.setattr(BiPoly, "_restrict", refuse)
+    monkeypatch.setattr(BiPoly, "y_coeffs", counted)
+    result = principalize(gens)
+    assert result.step_count == steps
+    assert sum(upto > 1 for upto in reads) == whole_reads
+    assert reads
+
+
+def test_scan_corner_at_nonzero_parameter():
+    """A branch through the crossing of E1 = {x = 0} with E2 = {y = -2}
+    is found at t = -2; no replayed run has one, so it is crafted."""
+    occ = _crafted_occurrence("x", ["1"], ["y + 2 + x", "y - 1 + x^2"],
+                              others=["y + 2"])
+    assert occ.corners == [(Fraction(-2), "E2")]
+    found = _bad_values_on_occurrence(occ)
+    assert found == _reference_bad_values_on_occurrence(occ) == [
+        (Fraction(-2), "branch-at-corner:C1:E2")]
 
 
 @pytest.mark.parametrize("gens", [
