@@ -36,17 +36,27 @@ from .poly import (
     INFINITE_MULT,
     BiPoly,
     UniPoly,
+    _hpowers,
+    _shift_rows,
+    _zdivexact,
+    _zgcd,
+    _zhorner,
+    _zmul,
+    combination,
     gcd_bi,
     rational_roots,
     row_gcd,
     squarefree_decomposition,
     squarefree_part,
-    uni_lcm,
     uni_to_str,
 )
 
 #: Point on a projective line over Q: a Fraction, or None for infinity.
 PPoint = Optional[Fraction]
+
+#: Zero set on a divisor: a squarefree primitive row of its finite birth
+#: coordinates, up to sign, and whether it holds the point at infinity.
+ZeroData = tuple[list[int], bool]
 
 _ZERO = Fraction(0)
 
@@ -190,16 +200,15 @@ class Chart:
             for d, (var, c) in self.axes.items()
             if (pt[0] if var == "x" else pt[1]) == c)
 
-    def restrict(self, p: BiPoly, axis: tuple[str, Fraction]) -> UniPoly:
-        var, c = axis
-        return p.restrict_x(c) if var == "x" else p.restrict_y(c)
-
     def divisors_through(self, pt: tuple[Fraction, Fraction]) -> list[str]:
-        """Divisors through pt: those in axis form by their coordinate."""
-        axes = self.axes
+        """Divisors through pt: those in axis form by their coordinate,
+        the others by their equation's row at y = pt[1], at x = pt[0]."""
+        axes, (px, py) = self.axes, pt
         return [d for d, eq in self.exc.items()
-                if ((pt[0] if axes[d][0] == "x" else pt[1]) == axes[d][1]
-                    if d in axes else eq.eval(pt[0], pt[1]) == 0)]
+                if ((px if axes[d][0] == "x" else py) == axes[d][1]
+                    if d in axes else _zhorner(eq.y_coeffs(py, max(
+                        a for a, _ in eq.nums)), px.numerator,
+                        px.denominator) == 0)]
 
 
 class Occurrence(NamedTuple):
@@ -243,9 +252,6 @@ class Occurrence(NamedTuple):
         var, c = self.axis
         return (c, t) if var == "x" else (t, c)
 
-    def to_birth(self, t: Fraction) -> PPoint:
-        return self.pm.to_birth(t)
-
     def restriction(self, p: BiPoly) -> list[int]:
         """p on the divisor by degree in t, up to a positive factor: p(0, t)
         when fully owned, else the coefficients of t^0 and t^1 in
@@ -288,21 +294,21 @@ class Occurrence(NamedTuple):
         locator = row_gcd(rows)
         if len(locator) <= 1:
             return []
-        roots, cofactor = rational_roots(UniPoly.from_ints(locator))
-        if cofactor.degree() > 0:
-            # a fully owned divisor is {x = 0}, parametrized by y
+        roots, cofactor = rational_roots(locator)
+        if len(cofactor) > 1:
+            # printed monic, in y: a fully owned divisor is {x = 0}
+            s = squarefree_part(cofactor)
             raise CenterNotRational(
-                f"{uni_to_str(squarefree_part(cofactor), 'y')} "
+                f"{uni_to_str(UniPoly.from_ints(s, s[-1]), 'y')} "
                 f"({context} on {self.ident})")
         return [r for r, _ in roots]
 
-    def owned_zeros(self, row) -> Optional[tuple[UniPoly, bool]]:
-        """Birth-coordinate zero data of a nonzero restriction row (or all
-        its numerators) on the owned locus, or None for no zero there."""
+    def owned_zeros(self, row: list[int]) -> Optional[ZeroData]:
+        """Birth-coordinate zero data of a nonzero restriction row on the
+        owned locus, or None for no zero there."""
         if self.mode == "point":
             return point_zero_data(self.pm) if _zero_at_0(row) else None
-        return zeros_in_birth(self.pm, UniPoly.from_ints(row)) \
-            if len(row) > 1 else None
+        return zeros_in_birth(self.pm, row) if len(row) > 1 else None
 
 
 def _zero_at_0(row) -> bool:
@@ -347,12 +353,6 @@ class ChartState:
             p, node = hit
         return p
 
-    def carrier_exponent(self, ident: str) -> int:
-        for c in self.carriers:
-            if c.ident == ident:
-                return c.exponent
-        raise KeyError(ident)
-
     def occurrences(self) -> Iterator[Occurrence]:
         """Owning divisor appearances, leaves in path order, divisors in
         birth order."""
@@ -365,7 +365,7 @@ class ChartState:
         reg: dict[str, dict[PPoint, str]] = {d: {} for d in self.divisor_order}
         for occ in self.occurrences():
             for t, partner in occ.corners:
-                reg[occ.ident][occ.to_birth(t)] = partner
+                reg[occ.ident][occ.pm.to_birth(t)] = partner
         return reg
 
 
@@ -381,12 +381,12 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
     if not gens:
         raise AllZero("all generators are zero")
     for g in gens:
-        if g.constant_term() != 0:
+        if (0, 0) in g.nums:
             raise SupportMissesOrigin(
                 f"generator {g} does not vanish at the origin")
 
     split, residual = curve_part(gens)
-    carriers = [CarrierDef(f"C{i + 1}", f, e, f.constant_term() == 0)
+    carriers = [CarrierDef(f"C{i + 1}", f, e, (0, 0) not in f.nums)
                 for i, (f, e) in enumerate(split)]
     root = Chart(
         path=(),
@@ -581,8 +581,8 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
     nu = 2 + sum(state.divisors[d].nu - 1 for d in through)
     exc_part = sum(state.divisors[d].N * eq.mult_at_origin()
                    for d, eq in chart.exc.items() if not eq.is_zero())
-    car_part = sum(state.carrier_exponent(k) * v.mult_at_origin()
-                   for k, v in chart.carriers.items() if not v.is_zero())
+    car_part = sum(c.exponent * chart.carriers[c.ident].mult_at_origin()
+                   for c in state.carriers if c.ident in chart.carriers)
     res_part = min(r.mult_at_origin() for r in chart.residual)
     if res_part == INFINITE_MULT:
         raise InternalInvariantError("all residual generators are zero")
@@ -650,45 +650,47 @@ _X, _Y = BiPoly.x(), BiPoly.y()
 
 # --- zero sets on a divisor, in birth coordinates ----------------------------
 
-def zeros_in_birth(pm: PointMap, p: UniPoly) -> tuple[UniPoly, bool]:
-    """Zero set of a chart restriction as (squarefree polynomial in the birth
-    coordinate, flag for a zero at infinity)."""
-    if p.is_zero():
-        raise ValueError("identically zero restriction")
-    tau = p.compose_affine(1 / pm.scale, -pm.offset / pm.scale)
+def zeros_in_birth(pm: PointMap, row: list[int]) -> ZeroData:
+    """Zero data of a restriction row p(t), nonzero, in b = scale*t + offset
+    (side "A") or 1/b ("B"): the row of p((b - offset) / scale), a Taylor
+    shift and a rescale, each up to a nonzero factor, reversed for "B"."""
+    inv = 1 / pm.scale
+    if pm.offset:
+        nums, _ = _shift_rows({(j, 0): n for j, n in enumerate(row) if n}, 1,
+                              -pm.offset * inv, 0)
+        row = [nums.get((j, 0), 0) for j in range(len(row))]
+    if inv != 1:
+        row = [n * w for n, w in zip(row, _hpowers(inv, len(row) - 1))]
     if pm.side == "A":
-        return squarefree_part(tau), False
-    return squarefree_part(tau.reversed()), _zero_at_0(tau.nums)
+        return squarefree_part(row), False
+    return squarefree_part(row[::-1]), _zero_at_0(row)
 
 
-def union_zero_data(acc: Optional[tuple[UniPoly, bool]],
-                    new: tuple[UniPoly, bool]) -> tuple[UniPoly, bool]:
+def union_zero_data(acc: Optional[ZeroData], new: ZeroData) -> ZeroData:
+    """Zero data of the union: the lcm of the two squarefree rows."""
     if acc is None:
-        return (new[0].monic(), new[1])
-    return (uni_lcm(acc[0], new[0]), acc[1] or new[1])
+        return new
+    a, b = acc[0], new[0]
+    return _zmul(_zdivexact(a, _zgcd(a, b)), b), acc[1] or new[1]
 
 
-def zero_count(data: Optional[tuple[UniPoly, bool]]) -> int:
-    if data is None:
-        return 0
-    poly, inf = data
-    return max(poly.degree(), 0) + (1 if inf else 0)
+def zero_count(data: Optional[ZeroData]) -> int:
+    """Points of a zero set: the degree of its row, and infinity."""
+    return 0 if data is None else len(data[0]) - 1 + data[1]
 
 
-def point_zero_data(pm: PointMap) -> tuple[UniPoly, bool]:
+def point_zero_data(pm: PointMap) -> ZeroData:
     """Zero data consisting of the single point at parameter t = 0."""
-    birth = pm.to_birth(_ZERO)
-    if birth is None:
-        return UniPoly.const(1), True
-    return UniPoly([-birth, 1]), False
+    b = pm.to_birth(_ZERO)
+    return ([1], True) if b is None else ([-b.numerator, b.denominator], False)
 
 
 def carrier_intersections(
     state: ChartState,
-) -> dict[tuple[str, str], tuple[UniPoly, bool]]:
+) -> dict[tuple[str, str], ZeroData]:
     """Birth-coordinate zero data of every carrier on every exceptional
     divisor it meets."""
-    out: dict[tuple[str, str], tuple[UniPoly, bool]] = {}
+    out: dict[tuple[str, str], ZeroData] = {}
     for occ in state.occurrences():
         for c, sigma in occ.carrier_restrictions():
             data = occ.owned_zeros(sigma)
@@ -700,9 +702,10 @@ def carrier_intersections(
 
 def restrict_residual_to(
     state: ChartState, ident: str, coeffs: list[Fraction],
-) -> list[tuple[Occurrence, UniPoly]]:
-    """Restrictions of sum(coeffs_i * residual_i) to an exceptional divisor,
-    one per occurrence of it."""
+) -> list[tuple[Occurrence, list[int]]]:
+    """Restriction of sum(coeffs_i * residual_i) to an exceptional divisor,
+    one per occurrence of it, as `Occurrence.restriction` reads it: [] when
+    the combination vanishes along the divisor."""
     if not state.complete:
         raise ResidualNotUnit("principalization is not complete")
     if all(Fraction(c) == 0 for c in coeffs):
@@ -712,12 +715,11 @@ def restrict_residual_to(
         axis = chart.axes.get(ident)
         if axis is None:
             continue
-        # restriction is linear: combine the restrictions
-        p = UniPoly()
-        for c, r in zip(coeffs, chart.residual):
-            p = p + chart.restrict(r, axis).scale(c)
-        pieces.append((Occurrence(idx, chart, ident, axis, chart.pms[ident]),
-                       p))
+        occ = Occurrence(idx, chart, ident, axis, chart.pms[ident])
+        p = combination(coeffs, chart.residual)
+        row = occ.restriction(p)
+        pieces.append((occ, [] if _zero_at_0(row) and occ._vanishes(p, row)
+                       else row))
     if not pieces:
         raise KeyError(f"divisor {ident} not visible in any leaf chart")
     return pieces

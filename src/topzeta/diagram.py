@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .blowup import ChartState, carrier_intersections, zero_count
 from .errors import InternalInvariantError, MalformedDiagram
-from .poly import frac_str
+from .poly import _zhorner, frac_str
 
 
 class Vertex(NamedTuple):
@@ -134,15 +134,12 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
             count = zero_count(data)
             if not count:
                 continue
-            poly, inf = data
-            for lam, _partner in corners[d].items():
-                if lam is None:
-                    if inf:
-                        raise InternalInvariantError(
-                            f"branch of {c.ident} at a corner of {d}")
-                elif poly.eval(lam) == 0:
-                    raise InternalInvariantError(
-                        f"branch of {c.ident} at a corner of {d}")
+            row, inf = data
+            if any(inf if lam is None else
+                   _zhorner(row, lam.numerator, lam.denominator) == 0
+                   for lam in corners[d]):
+                raise InternalInvariantError(
+                    f"branch of {c.ident} at a corner of {d}")
             for _ in range(count):
                 serial += 1
                 ident = f"S{serial}"

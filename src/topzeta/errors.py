@@ -32,7 +32,8 @@ class NonRationalLiteralError(ParseError):
 
 
 class DegreeCapExceeded(TopZetaError):
-    """Input polynomial exceeds the supported total degree (64)."""
+    """Input polynomial exceeds a size cap: total degree 64, an exponent
+    256, a literal's digits or a coefficient's bit size."""
 
 
 class SupportMissesOrigin(TopZetaError):

@@ -29,7 +29,7 @@ from .blowup import (
 )
 from .diagram import alphas
 from .errors import DegenerateLambda, InternalInvariantError, RetriesExhausted
-from .poly import BiPoly, uni_gcd
+from .poly import _zhorner, combination, row_gcd
 from .principalize import PrincipalizationResult
 
 RETRY_BUDGET = 16
@@ -70,14 +70,6 @@ class GenericCheckReport:
                 if c.n is not None}
 
 
-def _member(result: PrincipalizationResult,
-            lam: list[Fraction]) -> BiPoly:
-    g = BiPoly.zero()
-    for c, f in zip(lam, result.gens):
-        g = g + f.scale(c)
-    return g
-
-
 def verify_min_property(result: PrincipalizationResult,
                         lam: list[Fraction]) -> dict[str, DivisorCheck]:
     """Order of the combination along each divisor versus the minimum over
@@ -99,7 +91,8 @@ def _min_orders(result: PrincipalizationResult) -> dict[str, int]:
 
 def _verify_min_property(result: PrincipalizationResult, lam: list[Fraction],
                          n_min: dict[str, int]) -> dict[str, DivisorCheck]:
-    member = _member(result, lam)
+    # a positive multiple of the member has the same orders
+    member = combination(lam, result.gens)
     if member.is_zero():
         raise DegenerateLambda("combination is identically zero")
     return {ident: DivisorCheck(
@@ -133,28 +126,30 @@ def count_n(result: PrincipalizationResult, lam: list[Fraction],
 def _count_n(state: ChartState, lam: list[Fraction], ident: str,
              points: tuple[dict, dict]) -> int:
     data = None
-    for occ, p in restrict_residual_to(state, ident, lam):
-        if p.is_zero():
+    for occ, row in restrict_residual_to(state, ident, lam):
+        if not row:
             raise DegenerateLambda(
                 f"combination vanishes along {ident}")
-        if occ.owned_zeros(uni_gcd(p, p.derivative()).nums) is not None:
+        # a repeated zero is a common zero of the row and its derivative
+        if occ.owned_zeros(row_gcd(
+                [row, [i * v for i, v in enumerate(row)][1:]])) is not None:
             raise DegenerateLambda(
                 f"restriction to {ident} is not squarefree")
-        zeros = occ.owned_zeros(p.nums)
+        zeros = occ.owned_zeros(row)
         if zeros is not None:
             data = union_zero_data(data, zeros)
-    poly, inf = data if data is not None else (None, False)
+    crossings, inf = data if data is not None else (None, False)
 
     corner_registry, branches = points
     corners = corner_registry[ident]
     excluded_inf = any(lam0 is None for lam0 in corners)
-    if poly is not None:
-        for lam0 in corners:
-            if lam0 is not None and poly.eval(lam0) == 0:
-                raise DegenerateLambda(
-                    f"crossing at a corner of {ident}")
-        for bpoly, binf in branches[ident]:
-            if uni_gcd(poly, bpoly).degree() > 0:
+    if crossings is not None:
+        if any(lam0 is not None and _zhorner(
+                crossings, lam0.numerator, lam0.denominator) == 0
+               for lam0 in corners):
+            raise DegenerateLambda(f"crossing at a corner of {ident}")
+        for brow, binf in branches[ident]:
+            if len(row_gcd([crossings, brow])) > 1:
                 raise DegenerateLambda(
                     f"crossing at a branch point of {ident}")
             if inf and binf:

@@ -5,8 +5,9 @@ denominator in lowest terms: gcd(den, *numerators) == 1 and no numerator
 is zero (no trailing zero in a dense tuple).  The form is unique, so the
 identity tests everything downstream depends on compare integers.  A
 bivariate polynomial maps exponent pairs (a, b) to numerators; a
-univariate one (a restriction to an exceptional line, a zeta numerator)
-is a tuple of numerators indexed by degree.
+univariate one, the zeta numerator, is a tuple of numerators indexed by
+degree.  A restriction to an exceptional line, and a zero set on it, is a
+plain list of integers by degree (a row), up to a nonzero factor.
 
 Every kernel computes on integers and builds no Fraction per coefficient;
 gcds, the squarefree split, exact division and the rational roots run on
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import count, zip_longest
+from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -141,15 +142,6 @@ class UniPoly:
         g = _lowest(den, nums)
         return _new(cls, tuple(n // g for n in nums), den // g)
 
-    @classmethod
-    def const(cls, c) -> "UniPoly":
-        c = Fraction(c)
-        return cls.from_ints([c.numerator], c.denominator)
-
-    @classmethod
-    def var(cls) -> "UniPoly":
-        return cls.from_ints([0, 1])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
@@ -161,11 +153,6 @@ class UniPoly:
         """Degree, with deg(0) = -1."""
         return len(self.nums) - 1
 
-    def leading(self) -> Fraction:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, UniPoly) and self.den == other.den
                 and self.nums == other.nums)
@@ -173,54 +160,11 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        den = math.lcm(self.den, other.den)
-        k, m = den // self.den, den // other.den
-        return UniPoly.from_ints([a * k + b * m for a, b in zip_longest(
-            self.nums, other.nums, fillvalue=0)], den)
-
-    def __neg__(self) -> "UniPoly":
-        return _new(UniPoly, tuple(-n for n in self.nums), self.den)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly.from_ints(_zmul(self.nums, other.nums),
-                                 self.den * other.den)
-
-    def scale(self, c) -> "UniPoly":
-        c = Fraction(c)
-        return UniPoly.from_ints([n * c.numerator for n in self.nums],
-                                 self.den * c.denominator)
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return UniPoly.from_ints(self.nums, self.nums[-1])
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly.from_ints([i * n for i, n in enumerate(self.nums)][1:],
-                                 self.den)
-
     def eval(self, t) -> Fraction:
         """p(t) for an int or Fraction t, by homogeneous Horner on integers,
         one Fraction at the end."""
         return Fraction(_zhorner(self.nums, t.numerator, t.denominator),
                         self.den * t.denominator ** max(self.degree(), 0))
-
-    def compose_affine(self, scale, offset) -> "UniPoly":
-        """p(scale*t + offset) as a polynomial in t: the integer Taylor
-        shift by offset to q, then sum q_j x^j y^j restricted to y = scale."""
-        q = _new(BiPoly, {(j, 0): n for j, n in enumerate(self.nums) if n},
-                 self.den).translate(offset, 0)
-        return _new(BiPoly, {(j, j): n for (j, _), n in q.nums.items()},
-                    q.den).restrict_y(scale)
-
-    def reversed(self) -> "UniPoly":
-        """Coefficients in reverse order: zeros become reciprocals of the
-        nonzero zeros of self."""
-        return UniPoly.from_ints(self.nums[::-1], self.den)
 
     def __str__(self) -> str:
         return poly_to_str(_new(BiPoly, {(i, 0): n for i, n in enumerate(
@@ -229,35 +173,25 @@ class UniPoly:
     __repr__ = __str__
 
 
-def uni_gcd(*polys: UniPoly) -> UniPoly:
-    """Monic greatest common divisor in Q[t]; zero when every poly is."""
-    return UniPoly.from_ints(row_gcd(p.nums for p in polys)).monic()
-
-
 def row_gcd(rows: Iterable[Sequence[int]]) -> list[int]:
     """gcd in Z[t] of integer rows by degree, up to sign, stopping at the
     first constant gcd; [] when every row is zero."""
     g: list[int] = []
     for row in rows:
-        g = _zgcd(g, _zprimitive(list(row)))
+        g = _zgcd(g, _zprimitive(_strip(list(row))))
         if len(g) == 1:
             break
     return g
 
 
-def uni_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic least common multiple in Q[t]."""
-    za, zb = _zprimitive(list(a.nums)), _zprimitive(list(b.nums))
-    return UniPoly.from_ints(_zmul(_zdivexact(za, _zgcd(za, zb)), zb)).monic()
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """p divided by gcd(p, p'), monic; carries one copy of each root."""
-    if p.is_zero():
+def squarefree_part(row: Sequence[int]) -> list[int]:
+    """The primitive row of p / gcd(p, p'), up to sign, for the nonzero
+    integer row p: one copy of each root."""
+    a = _zprimitive(_strip(list(row)))
+    if not a:
         raise ValueError("zero polynomial")
-    a = _zprimitive(list(p.nums))
     da = [i * v for i, v in enumerate(a)][1:]
-    return UniPoly.from_ints(_zdivexact(a, _zgcd(a, da))).monic()
+    return _zdivexact(a, _zgcd(a, da))
 
 
 def _divisors(n: int) -> list[int]:
@@ -266,20 +200,21 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
-    """All rational roots with multiplicities, plus the root-free cofactor.
-
-    The cofactor is monic; it is nonconstant exactly when p has irrational
-    (or complex) zeros.
+def rational_roots(row: Sequence[int]
+                   ) -> tuple[list[tuple[Fraction, int]], list[int]]:
+    """All rational roots of the nonzero integer row with multiplicities,
+    plus the primitive root-free cofactor, up to sign; the cofactor has
+    positive degree exactly when the row has irrational (or complex) zeros.
     """
-    if p.is_zero():
+    p = _strip(list(row))
+    if not p:
         raise ValueError("zero polynomial")
     # strip the root at 0 first
     k = 0
-    while p.nums[k] == 0:
+    while p[k] == 0:
         k += 1
     roots = [(Fraction(0), k)] if k else []
-    a = _zprimitive(list(p.nums[k:]))
+    a = _zprimitive(p[k:])
     if len(a) > 1:
         # a linear part's one candidate is its root: no trial division
         cands = {Fraction(-a[0], a[1])} if len(a) == 2 else {
@@ -293,7 +228,7 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
             if mult:
                 roots.append((r, mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, UniPoly.from_ints(a).monic()
+    return roots, a
 
 
 def _zhorner(a, u: int, v: int) -> int:
@@ -374,9 +309,6 @@ class BiPoly:
     def is_constant(self) -> bool:
         return all(e == (0, 0) for e in self.nums)
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self.nums.get((0, 0), 0), self.den)
-
     def total_degree(self) -> int:
         if not self.nums:
             return 0
@@ -447,12 +379,6 @@ class BiPoly:
         return BiPoly.from_ints({divmod(k, s): v for k, v in out.items()},
                                 self.den ** n)
 
-    def scale(self, c) -> "BiPoly":
-        c = Fraction(c)
-        return BiPoly.from_ints({e: n * c.numerator
-                                 for e, n in self.nums.items()},
-                                self.den * c.denominator)
-
     # -- structure --
 
     def lead_grlex(self) -> tuple[tuple[int, int], Fraction]:
@@ -488,13 +414,6 @@ class BiPoly:
             q = [_zdivexact(row, c) for row in q]
         return BiPoly.from_ints({(a, j): n * d.den for j, row in enumerate(q)
                                  for a, n in enumerate(row)}, self.den * k)
-
-    def divides(self, other: "BiPoly") -> bool:
-        try:
-            other.divexact(self)
-            return True
-        except ValueError:
-            return False
 
     def x_order(self) -> int:
         """Largest k with x^k dividing self (0 for the zero polynomial)."""
@@ -538,35 +457,11 @@ class BiPoly:
             nums, den = _shift_rows(nums, den, dx, 0)
         return BiPoly.from_ints(nums, den)
 
-    # -- restrictions and evaluation --
-
-    def restrict_x(self, alpha) -> UniPoly:
-        """p(alpha, t) as a univariate polynomial in t = y."""
-        return self._restrict(alpha, 0)
-
-    def restrict_y(self, beta) -> UniPoly:
-        """p(t, beta) as a univariate polynomial in t = x."""
-        return self._restrict(beta, 1)
-
-    def _restrict(self, value, axis: int) -> UniPoly:
-        """Set the variable with exponent index `axis` to value = u/v, an
-        int or a Fraction: at 0 a filter of the terms, elsewhere the powers
-        u^i v^(D - i) over den v^D, D the largest exponent of the variable."""
-        other, den = 1 - axis, self.den
-        if not value or not self.nums:
-            out = {e[other]: n for e, n in self.nums.items() if not e[axis]}
-        else:
-            deg = max(e[axis] for e in self.nums)
-            powers, out = _hpowers(value, deg), {}
-            for e, n in self.nums.items():
-                out[e[other]] = out.get(e[other], 0) + n * powers[e[axis]]
-            den *= value.denominator ** deg
-        return UniPoly.from_ints(
-            [out.get(i, 0) for i in range(max(out, default=-1) + 1)], den)
+    # -- restrictions to a divisor, as integer rows --
 
     def x0_row(self) -> list[int]:
         """The numerators of p(0, t) by degree, without a trailing zero:
-        den times restrict_x(0)."""
+        den times p(0, t)."""
         col = {b: n for (a, b), n in self.nums.items() if not a}
         return [col.get(b, 0) for b in range(max(col, default=-1) + 1)]
 
@@ -582,9 +477,6 @@ class BiPoly:
             out[a] += n * powers[b]
         return out
 
-    def eval(self, px, py) -> Fraction:
-        return self.restrict_x(px).eval(py)
-
     # -- printing --
 
     def __str__(self) -> str:
@@ -592,6 +484,19 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({poly_to_str(self)})"
+
+
+def combination(coeffs: Sequence, polys: Iterable[BiPoly]) -> BiPoly:
+    """sum(c_i p_i) for int or Fraction coefficients, times one positive
+    integer, on numerators: one Fraction per coefficient, none per term."""
+    pairs = [(Fraction(c), p) for c, p in zip(coeffs, polys)]
+    scale = math.lcm(*(c.denominator * p.den for c, p in pairs))
+    out: dict[tuple[int, int], int] = {}
+    for c, p in pairs:
+        if k := c.numerator * (scale // (c.denominator * p.den)):
+            for e, n in p.nums.items():
+                out[e] = out.get(e, 0) + k * n
+    return BiPoly.from_ints(out)
 
 
 def _shift_rows(nums: dict[tuple[int, int], int], den: int,
@@ -862,11 +767,15 @@ def squarefree_decomposition(h: BiPoly) -> list[tuple[BiPoly, int]]:
 # ---------------------------------------------------------------------------
 
 _EXPONENT_CAP = 256
+#: A literal's digits, a coefficient's bits (`_bits`: 2^4096 has 1,234
+#: digits, which str() prints), and parentheses open at once.
+_DIGIT_CAP, _BIT_CAP, _DEPTH_CAP = 1000, 4096, 100
 
 
 class _Parser:
     def __init__(self, text: str, names: tuple[str, str]):
         self.text, self.pos, self.names = text, 0, names
+        self.depth = 0
         self.advance(0)
 
     def error(self, msg: str, cls=ParseError):
@@ -889,6 +798,10 @@ class _Parser:
             self.error("expected an integer")
         if self.pos < len(self.text) and self.text[self.pos] == ".":
             self.error("decimal literals are not rational", NonRationalLiteralError)
+        if self.pos - start > _DIGIT_CAP:
+            raise DegreeCapExceeded(
+                f"integer literal of {self.pos - start} digits exceeds cap "
+                f"{_DIGIT_CAP}")
         n = int(self.text[start:self.pos])
         if denominator and not n:
             self.error("zero denominator in rational literal",
@@ -896,18 +809,16 @@ class _Parser:
         self.advance(0)
         return n
 
-    # Each parse_* returns (poly, bases, total degree): a nonzero poly is a
-    # constant times the product of base^e over bases, nonconstant bases.
+    # Each parse_* returns (poly, bases, total degree, bits): a nonzero poly
+    # is a constant times the product of base^e over bases, nonconstant
+    # bases, and bits bounds its coefficients (`_bits`).
 
-    def parse_expr(self) -> tuple[BiPoly, list, int]:
-        sign = 1
-        if self.peek() == "-":
+    def parse_expr(self) -> tuple[BiPoly, list, int, int]:
+        if (negate := self.peek() == "-") or self.peek() == "+":
             self.advance()
-            sign = -1
-        elif self.peek() == "+":
-            self.advance()
-        acc, bases, degree = self.parse_term()
-        acc = acc.scale(sign)
+        acc, bases, degree, bits = self.parse_term()
+        if negate:
+            acc = -acc
         while (ch := self.peek()) in ("+", "-"):
             self.advance()
             term = self.parse_term()[0]
@@ -915,23 +826,24 @@ class _Parser:
             bases = None
         if bases is None:  # a sum is one base
             bases = [] if acc.is_constant() else [(acc, 1)]
-            degree = acc.total_degree()
-        return acc, bases, degree
+            degree, bits = acc.total_degree(), _bits(acc)
+            _check_caps(degree, bits)
+        return acc, bases, degree, bits
 
-    def parse_term(self) -> tuple[BiPoly, list, int]:
-        acc, bases, degree = self.parse_factor()
+    def parse_term(self) -> tuple[BiPoly, list, int, int]:
+        acc, bases, degree, bits = self.parse_factor()
         while self.peek() == "*":
             self.advance()
-            factor, more, d = self.parse_factor()
+            factor, more, d, b = self.parse_factor()
             # exact before expanding, as for powers (0 has degree 0)
-            _check_degree(degree + d)
+            _check_caps(degree + d, bits + b)
             acc = acc * factor
             bases = bases + more
-            degree = degree + d if acc.nums else 0
-        return acc, bases, degree
+            degree, bits = (degree + d, bits + b) if acc.nums else (0, 0)
+        return acc, bases, degree, bits
 
-    def parse_factor(self) -> tuple[BiPoly, list, int]:
-        base, bases, degree = self.parse_atom()
+    def parse_factor(self) -> tuple[BiPoly, list, int, int]:
+        base, bases, degree, bits = self.parse_atom()
         if self.peek() == "^":
             self.advance()
             if self.peek() == "-":
@@ -940,23 +852,31 @@ class _Parser:
             if k > _EXPONENT_CAP:
                 raise DegreeCapExceeded(f"exponent {k} exceeds cap {_EXPONENT_CAP}")
             # exact before expanding: Q[x, y] has no zero divisors
-            _check_degree(degree * k)
-            return base ** k, [(b, e * k) for b, e in bases if k], degree * k
-        return base, bases, degree
+            _check_caps(degree * k, bits * k)
+            return (base ** k, [(b, e * k) for b, e in bases if k], degree * k,
+                    bits * k)
+        return base, bases, degree, bits
 
-    def parse_atom(self) -> tuple[BiPoly, list, int]:
+    def parse_atom(self) -> tuple[BiPoly, list, int, int]:
         ch = self.peek()
         if ch == "(":
+            if self.depth == _DEPTH_CAP:
+                self.error(f"parentheses nested deeper than {_DEPTH_CAP}")
+            self.depth += 1
             self.advance()
             inner = self.parse_expr()
             if self.peek() != ")":
                 self.error("expected ')'")
+            self.depth -= 1
             self.advance()
             return inner
         if ch == "-":
-            self.advance()
-            p, bases, degree = self.parse_atom()
-            return -p, bases, degree
+            odd = False  # a run of signs is a loop, not a recursion
+            while self.peek() == "-":
+                self.advance()
+                odd = not odd
+            p, bases, degree, bits = self.parse_atom()
+            return (-p if odd else p), bases, degree, bits
         if ch.isdigit():
             num = self.take_int()
             if self.peek() == "/":
@@ -966,8 +886,10 @@ class _Parser:
                     self.pos = mark
                     self.error("'/' outside a rational literal")
                 den = self.take_int(denominator=True)
-                return BiPoly.const(Fraction(num, den)), [], 0
-            return BiPoly.const(num), [], 0
+                c = BiPoly.const(Fraction(num, den))
+            else:
+                c = BiPoly.const(num)
+            return c, [], 0, _bits(c)
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -978,7 +900,7 @@ class _Parser:
             if name in self.names:
                 self.advance(0)
                 v = BiPoly.x() if name == self.names[0] else BiPoly.y()
-                return v, [(v, 1)], 1
+                return v, [(v, 1)], 1, 0
             self.pos = start
             self.error(f"unknown variable {name!r}", UnknownVariableError)
         if ch == "":
@@ -996,22 +918,34 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
     constant times the product of base^e over factors = ((base, e), ...).
     Units are dropped, parenthesized products and nested powers flattened,
     and a sum stays one base.  A result that is zero, one base or a sum
-    gets no `factors`: it is its own only factor.
+    gets no `factors`: it is its own only factor.  A degree, exponent,
+    literal or coefficient size past its cap is refused before expanding,
+    and so is nesting past 100 parentheses.
     """
     p = _Parser(text, names)
-    result, bases, degree = p.parse_expr()
+    result, bases, degree, _ = p.parse_expr()
     if p.pos != len(text):
         p.error("trailing input")
-    _check_degree(degree)
+    _check_caps(degree, 0)
     if result.nums and (len(bases) > 1 or bases and bases[0][1] > 1):
         result.factors = tuple(bases)
     return result
 
 
-def _check_degree(degree: int) -> None:
+def _bits(p: BiPoly) -> int:
+    """ceil(log2) of den and of the sum of |numerators|, the larger: it
+    adds under products and multiplies under powers."""
+    return max((max(sum(map(abs, p.nums.values())), 1) - 1).bit_length(),
+               (p.den - 1).bit_length())
+
+
+def _check_caps(degree: int, bits: int) -> None:
     if degree > DEGREE_CAP:
         raise DegreeCapExceeded(
             f"total degree {degree} exceeds cap {DEGREE_CAP}")
+    if bits > _BIT_CAP:
+        raise DegreeCapExceeded(
+            f"coefficient size bound of {bits} bits exceeds cap {_BIT_CAP}")
 
 
 def _monomial_str(a: int, b: int, c: Fraction,

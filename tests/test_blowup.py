@@ -4,6 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from reference_q import (
+    chart_restrict,
+    combination_q,
+    compose_affine,
+    const_q,
+    divides,
+    lcm_q,
+    reversed_q,
+    row_q,
+    squarefree_q,
+)
 from topzeta.blowup import (
     PointRecord,
     apply_step,
@@ -11,11 +22,7 @@ from topzeta.blowup import (
     carrier_intersections,
     divisor_order_of,
     initial_state,
-    point_zero_data,
     restrict_residual_to,
-    union_zero_data,
-    zero_count,
-    zeros_in_birth,
 )
 from topzeta.errors import (
     AllZero,
@@ -268,15 +275,15 @@ def test_n_matches_min_multiplicity_of_pullbacks(gens):
 def test_restrict_residual_golden_e1():
     result = principalize(GOLDEN)
     pieces = restrict_residual_to(result.state, "E1", [Fraction(1), Fraction(1)])
-    full = [p for occ, p in pieces if occ.axis == ("x", Fraction(0))]
-    assert any(p == UniPoly([1, 0, 0, 1]) for p in full)  # 1 + t^3
+    full = [row for occ, row in pieces if occ.axis == ("x", Fraction(0))]
+    assert [1, 0, 0, 1] in full  # 1 + t^3
 
 
 def test_restrict_residual_golden_e3():
     result = principalize(GOLDEN)
     pieces = restrict_residual_to(result.state, "E3", [Fraction(1), Fraction(1)])
-    full = [p for occ, p in pieces if occ.axis == ("x", Fraction(0))]
-    assert any(p == UniPoly([1, 1]) for p in full)  # y + 1
+    full = [row for occ, row in pieces if occ.axis == ("x", Fraction(0))]
+    assert [1, 1] in full  # y + 1
 
 
 def test_restrict_residual_requires_completion():
@@ -295,28 +302,50 @@ def test_restrict_residual_zero_coeffs_flagged():
 
 def _reference_restrict_residual_to(state, ident, coeffs):
     """The pieces as built before: every occurrence of every leaf visited,
-    the combination formed in Q[x, y] and then restricted."""
+    the combination formed in Q[x, y] and then restricted in Fraction."""
     pieces = []
     for occ in state.occurrences():
         if occ.ident != ident:
             continue
-        combo = BiPoly.zero()
-        for c, r in zip(coeffs, occ.chart.residual):
-            combo = combo + r.scale(c)
-        pieces.append((occ, occ.chart.restrict(combo, occ.axis)))
+        combo = combination_q(coeffs, occ.chart.residual)
+        pieces.append((occ, chart_restrict(combo, occ.axis)))
     return pieces
 
 
-def _piece_keys(pieces):
-    return [(occ.leaf_index, id(occ.chart), occ.ident, occ.axis, occ.pm, p)
-            for occ, p in pieces]
+def _positive_multiple(row, poly):
+    """Whether the integer row is poly's coefficients times one positive
+    rational, zeros kept."""
+    cs = poly.coeffs + (Fraction(0),) * (len(row) - len(poly.coeffs))
+    ratios = {Fraction(n) / c for n, c in zip(row, cs) if c}
+    return (len(cs) == len(row) and len(ratios) <= 1
+            and all(r > 0 for r in ratios)
+            and all(bool(n) == bool(c) for n, c in zip(row, cs)))
+
+
+def _assert_pieces_match(pieces, reference, context, kinds):
+    """Same occurrences; each row the restriction up to a positive factor:
+    all of it on a fully owned divisor, its coefficients of 1 and t on a
+    point-owned one, and [] exactly when it vanishes.  Adds to `kinds`
+    (mode, vanishing or zero at t = 0 or neither) of each piece."""
+    assert [occ for occ, _ in pieces] == [occ for occ, _ in reference], \
+        context
+    for (occ, row), (_, want) in zip(pieces, reference):
+        kinds.add((occ.mode, "vanishes" if not row else
+                   "zero at 0" if not row[0] else "nonzero at 0"))
+        if want.is_zero():
+            assert row == [], context
+        elif occ.mode == "all":
+            assert _positive_multiple(row, want), context
+        else:
+            assert len(row) == 2 and _positive_multiple(
+                row, UniPoly(want.coeffs[:2])), context
 
 
 def test_restrict_residual_matches_reference(corpus_results):
     from topzeta.family import build
     from topzeta.generic import sample_lambda
     runs = corpus_results + [("chain-40-0", principalize(build(40, 0)))]
-    checked = 0
+    checked, kinds = 0, set()
     for name, result in runs:
         state = result.state
         count = len(state.gens)
@@ -325,11 +354,14 @@ def test_restrict_residual_matches_reference(corpus_results):
              * (count - 1)] if count > 1 else [])
         for ident in state.divisor_order:
             for lam in lams:
-                assert _piece_keys(restrict_residual_to(state, ident, lam)) \
-                    == _piece_keys(_reference_restrict_residual_to(
-                        state, ident, lam)), (name, ident, lam)
+                _assert_pieces_match(
+                    restrict_residual_to(state, ident, lam),
+                    _reference_restrict_residual_to(state, ident, lam),
+                    (name, ident, lam), kinds)
                 checked += 1
-    assert checked > 500
+        assert _monic_data(carrier_intersections(state)) == \
+            _reference_carrier_data(state), name
+    assert checked > 500 and len(kinds) == 6, kinds
 
 
 # --- the ownership walk against a per-divisor reference --------------------------
@@ -377,7 +409,18 @@ def _reference_corner_registry(state):
     return reg
 
 
+def _reference_zero_data(pm, sigma):
+    """Monic squarefree polynomial in the birth coordinate and infinity
+    flag of a restriction's zeros, through the Fraction compose_affine."""
+    tau = compose_affine(sigma, 1 / pm.scale, -pm.offset / pm.scale)
+    if pm.side == "A":
+        return squarefree_q(tau), False
+    return squarefree_q(reversed_q(tau)), tau.coeffs[0] == 0
+
+
 def _reference_carrier_data(state):
+    """The carrier zero data as built before it was read on integer rows:
+    Fraction restrictions, compose_affine and lcms in Q[t], monic."""
     out = {}
     for idx, ident, axis, pm in _reference_occurrences(state):
         chart = state.leaves[idx]
@@ -385,18 +428,27 @@ def _reference_carrier_data(state):
             eq = chart.carriers.get(c.ident)
             if eq is None:
                 continue
-            sigma = chart.restrict(eq, axis)
+            sigma = chart_restrict(eq, axis)
             if axis[0] == "x":
-                data = zeros_in_birth(pm, sigma)
-            elif sigma.eval(0) == 0:
-                data = point_zero_data(pm)
+                data = _reference_zero_data(pm, sigma)
+            elif sigma.eval(Fraction(0)) == 0:
+                birth = pm.to_birth(Fraction(0))
+                data = (const_q(1), True) if birth is None else (
+                    UniPoly([-birth, 1]), False)
             else:
                 continue
-            if zero_count(data) == 0:
+            if data[0].degree() == 0 and not data[1]:
                 continue
             key = (c.ident, ident)
-            out[key] = union_zero_data(out.get(key), data)
+            if key in out:
+                data = (lcm_q(out[key][0], data[0]), out[key][1] or data[1])
+            out[key] = data
     return out
+
+
+def _monic_data(zero_data):
+    """Zero data with each row read as its monic polynomial."""
+    return {k: (row_q(row), inf) for k, (row, inf) in zero_data.items()}
 
 
 def _reference_point_identity(chart, coords):
@@ -430,8 +482,36 @@ def test_ownership_walk_matches_reference(corpus_results, replay_states):
                         _reference_point_identity(o.chart, pt), name
             assert state.corner_registry() == \
                 _reference_corner_registry(state), name
-            assert carrier_intersections(state) == \
+            assert _monic_data(carrier_intersections(state)) == \
                 _reference_carrier_data(state), name
+
+
+#: Branches meeting E1 at distinct points, one of them after a translation:
+#: a fully owned divisor whose point map has a nonzero offset then carries
+#: branch zeros, which no corpus run has.
+MOVED = ["(y - 2*x)*((y - x)^2 - x^3)*(y^3 - x^2)*x",
+         "(y - 2*x)*((y - x)^2 - x^3)*(y^3 - x^2)*y"]
+
+
+def test_zero_data_on_moved_point_maps_matches_reference(replay_states):
+    """Carrier zero data and generic-member restrictions where the birth
+    coordinate is a shifted or rescaled chart parameter."""
+    result = principalize([P(t) for t in MOVED])
+    moved = 0
+    for state in replay_states(result):
+        assert _monic_data(carrier_intersections(state)) == \
+            _reference_carrier_data(state)
+        moved += sum(len(row) > 1 for occ in state.occurrences()
+                     if occ.mode == "all" and (occ.pm.scale, occ.pm.offset)
+                     != (1, 0) for _, row in occ.carrier_restrictions())
+    assert moved >= 4
+    state = result.state
+    for ident in state.divisor_order:
+        for lam in ([Fraction(1), Fraction(1)], [Fraction(2), Fraction(-3)]):
+            _assert_pieces_match(
+                restrict_residual_to(state, ident, lam),
+                _reference_restrict_residual_to(state, ident, lam),
+                (ident, lam), set())
 
 
 def _reference_order(state, g, ident):
@@ -442,7 +522,7 @@ def _reference_order(state, g, ident):
         if eq is None:
             continue
         p, order = _pullback(chart, g), 0
-        while eq.divides(p):
+        while divides(eq, p):
             p, order = p.divexact(eq), order + 1
         return order
     raise KeyError(ident)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,49 @@ def test_product_over_degree_cap_exit_2(capsys, monkeypatch):
     # a zero factor passes the check: the product is 0
     code, _, _ = run(capsys, "zeta", "--", "x^40*0*x^40 + x", "y")
     assert code == 0
+
+
+BIT_CAP_ERROR = "error: coefficient size bound of 8450 bits exceeds cap 4096\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("zeta", "(" * 2000 + "x" + ")" * 2000, "y"), 2,
+     "error: parentheses nested deeper than 100 (at position 100)\n"),
+    (("zeta", "--", "-" * 5000 + "x", "y"), 0, ""),
+    (("zeta", "1" * 5000 + "*x", "y"), 2,
+     "error: integer literal of 5000 digits exceeds cap 1000\n"),
+    (("principalize", "--json", "(((3/4)^65)^65)^3*x + y", "x^2"), 2,
+     BIT_CAP_ERROR),
+    (("zeta", "((((3/4)^65)^65)^33)^45*x", "y"), 2, BIT_CAP_ERROR),
+], ids=["nesting", "minus-run", "long-literal", "printed-power",
+        "runaway-power"])
+def test_hostile_inputs_refused_quickly(capsys, argv, code, err):
+    """Inputs that used to end in a RecursionError or ValueError traceback
+    (exit 1), or not at all: each exits with its documented code and
+    stderr in well under a second."""
+    start = time.perf_counter()
+    got_code, out, got_err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (got_code, got_err) == (code, err)
+    assert (out == "") == (code != 0)
+
+
+def test_recorded_generators_pass_the_size_caps():
+    """No generator of a recorded benchmark operation is refused by the
+    literal, coefficient or nesting caps."""
+    from topzeta.errors import TopZetaError
+    from topzeta.poly import parse_poly
+    refused_texts = []
+    for key, (code, _) in RECORDED.items():
+        argv = json.loads(key)
+        for text in argv[argv.index("--") + 1:]:
+            try:
+                parse_poly(text)
+            except TopZetaError as exc:
+                refused_texts.append((code, str(exc)))
+    assert all(code == 2 and "exceeds cap 4096" not in msg
+               and "digits" not in msg and "nested" not in msg
+               for code, msg in refused_texts), refused_texts
 
 
 @pytest.mark.parametrize("argv", [

@@ -122,7 +122,7 @@ def test_total_crossings_positive_when_residual_vanishes(corpus_results):
             continue
         from topzeta.blowup import initial_state
         root = initial_state(list(result.gens)).leaves[0]
-        if any(r.constant_term() != 0 for r in root.residual):
+        if any((0, 0) in r.nums for r in root.residual):
             continue
         report = certify_generic(result, seed=0)
         assert sum(report.n_table().values()) >= 1, name

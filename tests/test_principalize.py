@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference_q import gcd_q
+from reference_q import chart_restrict, derivative_q, gcd_q, squarefree_q
 from topzeta.blowup import (
     Chart,
     PointMap,
@@ -23,7 +23,6 @@ from topzeta.poly import (
     UniPoly,
     parse_poly,
     rational_roots,
-    squarefree_part,
     uni_to_str,
 )
 from topzeta.principalize import (
@@ -168,17 +167,16 @@ def test_confluence_reverse_order(corpus_results):
 def test_residual_unit_everywhere_after_completion(corpus_results):
     """The weak transform is the unit ideal at every owned point of every
     final chart."""
-    from topzeta.poly import uni_gcd
     for name, result in corpus_results[:15]:
         state = result.state
         for occ in state.occurrences():
             g = UniPoly()
             for r in occ.chart.residual:
-                g = uni_gcd(g, occ.chart.restrict(r, occ.axis))
+                g = gcd_q(g, chart_restrict(r, occ.axis))
             if occ.mode == "all":
                 assert g.degree() == 0, (name, occ.ident)
             else:
-                assert g.eval(0) != 0, (name, occ.ident)
+                assert g.eval(Fraction(0)) != 0, (name, occ.ident)
 
 
 # --- the per-call rescan, kept as the oracle of the per-chart memo ----------
@@ -189,7 +187,7 @@ def _reference_find_bad_points(state):
     if not state.log:
         chart = state.leaves[0]
         reasons = []
-        if all(r.constant_term() == 0 for r in chart.residual):
+        if all((0, 0) not in r.nums for r in chart.residual):
             reasons.append("residual-vanishes")
         total_mult = sum(
             m for v in chart.carriers.values()
@@ -297,13 +295,13 @@ def test_failed_scan_is_not_stored():
 
 def _reference_owned_params(occ, locator, context):
     if occ.mode == "point":
-        return [Fraction(0)] if locator.eval(0) == 0 else []
+        return [Fraction(0)] if locator.eval(Fraction(0)) == 0 else []
     if locator.degree() <= 0:
         return []
-    roots, cofactor = rational_roots(locator)
-    if cofactor.degree() > 0:
+    roots, cofactor = rational_roots(locator.nums)
+    if len(cofactor) > 1:
         raise CenterNotRational(
-            f"{uni_to_str(squarefree_part(cofactor), 'y')} "
+            f"{uni_to_str(squarefree_q(UniPoly(cofactor)), 'y')} "
             f"({context} on {occ.ident})")
     return [r for r, _ in roots]
 
@@ -313,7 +311,7 @@ def _reference_carrier_restrictions(occ):
     scan built them before it read integer rows."""
     out = []
     for c, eq in occ.chart.carriers.items():
-        sigma = occ.chart.restrict(eq, occ.axis)
+        sigma = chart_restrict(eq, occ.axis)
         if sigma.is_zero():
             raise InternalInvariantError(
                 f"carrier {c} contains divisor {occ.ident}")
@@ -334,7 +332,7 @@ def _reference_bad_values_on_occurrence(occ):
 
     locator = UniPoly()
     for r in chart.residual:
-        locator = gcd_q(locator, chart.restrict(r, occ.axis))
+        locator = gcd_q(locator, chart_restrict(r, occ.axis))
     if locator.is_zero():
         raise InternalInvariantError(
             f"residual ideal vanishes along divisor {occ.ident}")
@@ -343,7 +341,7 @@ def _reference_bad_values_on_occurrence(occ):
     for ident, sigma in carrier_restrictions:
         if sigma.degree() <= 0:
             continue
-        emit(gcd_q(sigma, sigma.derivative()),
+        emit(gcd_q(sigma, derivative_q(sigma)),
              f"tangency of {ident}", f"branch-tangent:{ident}")
     for i in range(len(carrier_restrictions)):
         for j in range(i + 1, len(carrier_restrictions)):
@@ -508,14 +506,14 @@ def test_scan_zero_constant_terms_are_not_vanishing(axis_eq):
 ], ids=["chain-40-0", "swell"])
 def test_principalize_builds_no_restriction(monkeypatch, gens, steps,
                                             whole_reads):
-    """The scan and the diagram read integer rows: no BiPoly._restrict
-    call.  A point-owned restriction is read whole only to rule out that
-    it vanishes identically, when its t^0 coefficient is zero; swell has
-    two such reads, on integers too."""
+    """The scan and the diagram read integer rows and build no UniPoly.
+    A point-owned restriction is read whole only to rule out that it
+    vanishes identically, when its t^0 coefficient is zero; swell has two
+    such reads, on integers too."""
     from topzeta.poly import BiPoly
 
     def refuse(*args):
-        raise AssertionError("BiPoly._restrict called")
+        raise AssertionError("UniPoly built")
 
     reads = []
     y_coeffs = BiPoly.y_coeffs
@@ -524,7 +522,8 @@ def test_principalize_builds_no_restriction(monkeypatch, gens, steps,
         reads.append(upto)
         return y_coeffs(p, beta, upto)
 
-    monkeypatch.setattr(BiPoly, "_restrict", refuse)
+    monkeypatch.setattr(UniPoly, "__init__", refuse)
+    monkeypatch.setattr(UniPoly, "from_ints", classmethod(refuse))
     monkeypatch.setattr(BiPoly, "y_coeffs", counted)
     result = principalize(gens)
     assert result.step_count == steps

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_q import divexact_q
+from reference_q import add_q, const_q, divexact_q, mul_q
 from topzeta.poly import UniPoly
 from topzeta.ratfunc import RationalFunctionS, poles_of, rf_sum_of_terms
 
@@ -184,11 +184,11 @@ def _reference_sum(terms):
         missing = dict(common)
         for f in fs:
             missing[f] -= 1
-        piece = UniPoly.const(c)
+        piece = const_q(c)
         for f, m in missing.items():
             for _ in range(m):
-                piece = piece * UniPoly([f[0], f[1]])
-        num = num + piece
+                piece = mul_q(piece, UniPoly([f[0], f[1]]))
+        num = add_q(num, piece)
     return _reference_build(num, common)
 
 
@@ -236,7 +236,7 @@ def test_build_matches_reference(coeffs, roots, den):
     num = UniPoly(coeffs)
     for nu, N in roots:
         g = math.gcd(nu, N)
-        num = num * UniPoly([nu // g, N // g])
+        num = mul_q(num, UniPoly([nu // g, N // g]))
     den = {(nu // math.gcd(nu, N), N // math.gcd(nu, N)): m
            for (nu, N), m in den.items()}
     rf = RationalFunctionS.build(num, den)
