@@ -36,7 +36,6 @@ from .poly import (
     INFINITE_MULT,
     BiPoly,
     UniPoly,
-    _hpowers,
     _shift_rows,
     _zdivexact,
     _zgcd,
@@ -192,14 +191,6 @@ class Chart:
         for ident, axis in self.axes.items():
             yield Occurrence(leaf_index, self, ident, axis, self.pms[ident])
 
-    def point_identity(self, pt: tuple[Fraction, Fraction]) -> frozenset:
-        """Chart-independent identity of a point: the (divisor, birth
-        coordinate) pairs over the analyzable divisors through it."""
-        return frozenset(
-            (d, self.pms[d].to_birth(pt[1] if var == "x" else pt[0]))
-            for d, (var, c) in self.axes.items()
-            if (pt[0] if var == "x" else pt[1]) == c)
-
     def divisors_through(self, pt: tuple[Fraction, Fraction]) -> list[str]:
         """Divisors through pt: those in axis form by their coordinate,
         the others by their equation's row at y = pt[1], at x = pt[0]."""
@@ -227,6 +218,10 @@ class Occurrence(NamedTuple):
     fully owned divisor takes gcds and roots; a point-owned one reads the
     coefficients of t^0 and t^1 in p(t, beta), and all of p(t, beta) only
     when p(0, beta) = 0, to rule out a restriction that vanishes.
+
+    A fully owned occurrence's point map has scale 1: a new divisor starts
+    at scale 1, a translation only shifts it, and only a divisor on a line
+    y = c, which stays point-owned, is rescaled (`_child`).
     """
 
     leaf_index: int
@@ -499,19 +494,21 @@ def _translated(chart: Chart, dy: Fraction) -> Chart:
     )
 
 
-def _child(chart: Chart, side: str, new_ident: str) -> Chart:
-    """One standard chart of the blow-up at the origin of `chart`."""
-    step = STEP_A if side == "A" else STEP_B
-    sub = (lambda p: p.subst_chart_a()) if side == "A" else \
-          (lambda p: p.subst_chart_b())
-    strip = (lambda p: p.divide_x_power(p.x_order())) if side == "A" else \
-            (lambda p: p.divide_y_power(p.y_order()))
+def _child(chart: Chart, side: str, new_ident: str, exc_m: dict[str, int],
+           car_m: dict[str, int], res_m: int) -> Chart:
+    """One standard chart of the blow-up at the origin of `chart`.  Each
+    transform divides out, in the same pass, the power of the new divisor
+    it carries: the multiplicity at the origin of the divisor equation
+    (`exc_m`) or carrier (`car_m`), or the least over the residual
+    (`res_m`)."""
+    step, sub = ((STEP_A, BiPoly.subst_chart_a) if side == "A" else
+                 (STEP_B, BiPoly.subst_chart_b))
 
     exc: dict[str, BiPoly] = {}
     pms: dict[str, PointMap] = {}
     for d, eq in chart.exc.items():
         # raw stripped pullback: keeps generator factorizations exact
-        new_eq = strip(sub(eq))
+        new_eq = sub(eq, exc_m[d])
         if new_eq.is_constant():
             continue  # divisor not visible in this chart
         exc[d] = new_eq
@@ -534,16 +531,11 @@ def _child(chart: Chart, side: str, new_ident: str) -> Chart:
 
     carriers = {}
     for k, v in chart.carriers.items():
-        sv = strip(sub(v))
+        sv = sub(v, car_m[k])
         if not sv.is_constant():
             carriers[k] = sv
 
-    subs = [sub(r) for r in chart.residual]
-    orders = [p.x_order() if side == "A" else p.y_order()
-              for p in subs if not p.is_zero()]
-    k = min(orders) if orders else 0
-    residual = [p.divide_x_power(k) if side == "A" else p.divide_y_power(k)
-                for p in subs]
+    residual = [sub(r, res_m) for r in chart.residual]
     return Chart(path=chart.path + (step,), exc=exc, pms=pms,
                  carriers=carriers, residual=residual)
 
@@ -579,10 +571,11 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
                 f"divisor {d} through center is not in axis form")
 
     nu = 2 + sum(state.divisors[d].nu - 1 for d in through)
-    exc_part = sum(state.divisors[d].N * eq.mult_at_origin()
-                   for d, eq in chart.exc.items() if not eq.is_zero())
-    car_part = sum(c.exponent * chart.carriers[c.ident].mult_at_origin()
-                   for c in state.carriers if c.ident in chart.carriers)
+    exc_m = {d: eq.mult_at_origin() for d, eq in chart.exc.items()}
+    car_m = {k: v.mult_at_origin() for k, v in chart.carriers.items()}
+    exc_part = sum(state.divisors[d].N * m for d, m in exc_m.items())
+    car_part = sum(c.exponent * car_m[c.ident]
+                   for c in state.carriers if c.ident in car_m)
     res_part = min(r.mult_at_origin() for r in chart.residual)
     if res_part == INFINITE_MULT:
         raise InternalInvariantError("all residual generators are zero")
@@ -595,8 +588,8 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
         ident=ident, kind="exceptional", N=N, nu=nu)
     state.divisor_order.append(ident)
 
-    child_a = _child(chart, "A", ident)
-    child_b = _child(chart, "B", ident)
+    child_a = _child(chart, "A", ident, exc_m, car_m, res_part)
+    child_b = _child(chart, "B", ident, exc_m, car_m, res_part)
     state.leaves[pr.leaf_index:pr.leaf_index + 1] = [child_a, child_b]
 
     for d in through:
@@ -651,16 +644,17 @@ _X, _Y = BiPoly.x(), BiPoly.y()
 # --- zero sets on a divisor, in birth coordinates ----------------------------
 
 def zeros_in_birth(pm: PointMap, row: list[int]) -> ZeroData:
-    """Zero data of a restriction row p(t), nonzero, in b = scale*t + offset
-    (side "A") or 1/b ("B"): the row of p((b - offset) / scale), a Taylor
-    shift and a rescale, each up to a nonzero factor, reversed for "B"."""
-    inv = 1 / pm.scale
+    """Zero data of a restriction row p(t), nonzero, on a fully owned
+    divisor, in b = t + offset (side "A") or 1/b ("B"): the row of
+    p(b - offset), a Taylor shift up to a nonzero factor, reversed for "B".
+    Refuses a point map of scale other than 1 (see `Occurrence`)."""
+    if pm.scale != 1:
+        raise InternalInvariantError(
+            f"fully owned divisor with point map scale {pm.scale}")
     if pm.offset:
         nums, _ = _shift_rows({(j, 0): n for j, n in enumerate(row) if n}, 1,
-                              -pm.offset * inv, 0)
+                              -pm.offset, 0)
         row = [nums.get((j, 0), 0) for j in range(len(row))]
-    if inv != 1:
-        row = [n * w for n, w in zip(row, _hpowers(inv, len(row) - 1))]
     if pm.side == "A":
         return squarefree_part(row), False
     return squarefree_part(row[::-1]), _zero_at_0(row)

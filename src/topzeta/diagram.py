@@ -40,8 +40,10 @@ class IntersectionDiagram:
     """A diagram never changes after it is built, so the constructor
     derives once the tables that every query reads: the canonical edge
     pairs (``edge_pairs``, in id order), each vertex's neighbours in id
-    order, and the vertices grouped by candidate ``-nu/N`` (``by_candidate``,
-    candidates ascending, vertices in id order)."""
+    order, each vertex's ratio ``nu/N`` (``ratio``), and the vertices
+    grouped by candidate ``-nu/N`` (``by_candidate``, candidates ascending,
+    vertices in id order).  The alpha table of an exceptional vertex is
+    kept on its first read (``alphas``)."""
 
     def __init__(self, vertices: list[Vertex], edges: set[frozenset],
                  origin_case: Optional[list[str]] = None,  # branch vertex ids
@@ -69,10 +71,12 @@ class IntersectionDiagram:
         for a, b in self.edge_pairs:
             self._neighbors[a].append(b)
             self._neighbors[b].append(a)
+        self._ratio = {v.ident: Fraction(v.nu, v.N) for v in self.vertices}
         groups: dict[Fraction, list[Vertex]] = {}
         for v in self.vertices:
-            groups.setdefault(Fraction(-v.nu, v.N), []).append(v)
+            groups.setdefault(-self._ratio[v.ident], []).append(v)
         self.by_candidate = dict(sorted(groups.items()))
+        self._alphas: dict[str, tuple[tuple[str, Fraction], ...]] = {}
 
     # -- queries --
 
@@ -92,8 +96,7 @@ class IntersectionDiagram:
         return len(self._neighbors.get(ident, ()))
 
     def ratio(self, ident: str) -> Fraction:
-        v = self._by_id[ident]
-        return Fraction(v.nu, v.N)
+        return self._ratio[ident]
 
 
 # --- construction from a completed state -------------------------------------
@@ -155,13 +158,16 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
 def alphas(diagram: IntersectionDiagram,
            ident: str) -> list[tuple[str, Fraction]]:
     """alpha_i = nu_i - (nu/N) N_i per neighbor of an exceptional vertex,
-    sorted by neighbor identity."""
-    v = diagram.vertex(ident)
-    if v.kind != "exceptional":
-        raise MalformedDiagram(f"{ident} is not an exceptional vertex")
-    r = diagram.ratio(ident)
-    ws = [diagram.vertex(n) for n in diagram._neighbors[ident]]
-    return [(w.ident, w.nu - r * w.N) for w in ws]
+    sorted by neighbor identity; a fresh list of the diagram's table."""
+    table = diagram._alphas.get(ident)
+    if table is None:
+        if diagram.vertex(ident).kind != "exceptional":
+            raise MalformedDiagram(f"{ident} is not an exceptional vertex")
+        r = diagram.ratio(ident)
+        ws = [diagram.vertex(n) for n in diagram._neighbors[ident]]
+        table = diagram._alphas[ident] = tuple(
+            (w.ident, w.nu - r * w.N) for w in ws)
+    return list(table)
 
 
 class Report(NamedTuple):

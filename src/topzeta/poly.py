@@ -436,15 +436,17 @@ class BiPoly:
 
     # -- substitutions used by the blow-up kernel --
 
-    def subst_chart_a(self) -> "BiPoly":
-        """Pullback under (x, y) -> (x, x*y): monomial map (a,b) -> (a+b, b)."""
-        return _new(BiPoly, {(a + b, b): n for (a, b), n in self.nums.items()},
-                    self.den)
+    def subst_chart_a(self, k: int = 0) -> "BiPoly":
+        """Pullback under (x, y) -> (x, x*y), divided by x^k, k at most
+        mult_at_origin: monomial map (a,b) -> (a+b-k, b)."""
+        return _new(BiPoly, {(a + b - k, b): n
+                             for (a, b), n in self.nums.items()}, self.den)
 
-    def subst_chart_b(self) -> "BiPoly":
-        """Pullback under (x, y) -> (x*y, y): monomial map (a,b) -> (a, a+b)."""
-        return _new(BiPoly, {(a, a + b): n for (a, b), n in self.nums.items()},
-                    self.den)
+    def subst_chart_b(self, k: int = 0) -> "BiPoly":
+        """Pullback under (x, y) -> (x*y, y), divided by y^k, k at most
+        mult_at_origin: monomial map (a,b) -> (a, a+b-k)."""
+        return _new(BiPoly, {(a, a + b - k): n
+                             for (a, b), n in self.nums.items()}, self.den)
 
     def translate(self, dx, dy) -> "BiPoly":
         """p(x + dx, y + dy), for ints or Fractions dx and dy."""

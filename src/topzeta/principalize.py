@@ -67,29 +67,33 @@ def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
 
 
 def _chart_hits(chart: Chart, leaf_index: int) -> tuple:
-    """(coords, reason, point identity, divisors through) of every bad
-    point the chart owns, sorted by coordinates then reason.
+    """(coords, reasons, divisors through) of every bad point the chart
+    owns, sorted by coordinates, reasons sorted.
 
     Scanned once and stored on the chart, which never changes; a scan that
     raises stores nothing.
     """
     if chart.bad_hits is None:
-        hits = sorted({(occ.param_point(t), reason)
-                       for occ in chart.occurrences(leaf_index)
-                       for t, reason in _bad_values_on_occurrence(occ)})
+        found: dict[tuple[Fraction, Fraction], tuple[str, ...]] = {}
+        for coords, reason in sorted({
+                (occ.param_point(t), reason)
+                for occ in chart.occurrences(leaf_index)
+                for t, reason in _bad_values_on_occurrence(occ)}):
+            found[coords] = found.get(coords, ()) + (reason,)
         chart.bad_hits = tuple(
-            (coords, reason, chart.point_identity(coords),
-             tuple(chart.divisors_through(coords)))
-            for coords, reason in hits)
+            (coords, reasons, tuple(chart.divisors_through(coords)))
+            for coords, reasons in found.items())
     return chart.bad_hits
 
 
 def find_bad_points(state: ChartState) -> list[PointRecord]:
     """All points over the origin violating the normal-crossings-monomial
-    condition, ordered by chart path then coordinate, deduplicated.
+    condition, ordered by chart path then coordinate.  The owned loci
+    partition the surface (`Occurrence`), so each point comes from one
+    chart only.
 
     Each leaf chart is scanned once (`_chart_hits`); a call after a blow-up
-    scans only its two new charts and merges the stored hits of the rest.
+    scans only its two new charts and reads the stored hits of the rest.
     Raises CenterNotRational when a bad point is algebraic of degree > 1.
     """
     if not state.log:
@@ -101,24 +105,9 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
             reasons.append("curve-part-not-normal-crossings")
         return [PointRecord(0, (Fraction(0), Fraction(0)), (),
                             tuple(reasons))] if reasons else []
-
-    records: list[PointRecord] = []
-    identities: list[frozenset] = []
-    for leaf_index, chart in enumerate(state.leaves):
-        for coords, reason, ident, divisors in _chart_hits(chart, leaf_index):
-            for i, known in enumerate(identities):
-                if known & ident:
-                    if not ident <= known:
-                        identities[i] = known | ident
-                    if reason not in records[i].reasons:
-                        records[i] = records[i]._replace(
-                            reasons=records[i].reasons + (reason,))
-                    break
-            else:
-                identities.append(ident)
-                records.append(
-                    PointRecord(leaf_index, coords, divisors, (reason,)))
-    return records
+    return [PointRecord(leaf_index, coords, divisors, reasons)
+            for leaf_index, chart in enumerate(state.leaves)
+            for coords, reasons, divisors in _chart_hits(chart, leaf_index)]
 
 
 class PrincipalizationResult:
@@ -137,7 +126,8 @@ def principalize(gens: Iterable[BiPoly],
     """Blow up the first bad point until none remain.
 
     Every performed blow-up had a bad center; the reasons are recorded in
-    the log as the minimality witness.
+    the log as the minimality witness, and each event names the chart that
+    owns its center, where `verify_minimality` checks it.
     """
     state = initial_state(list(gens))
     steps = 0
@@ -161,26 +151,28 @@ class MinimalityReport(NamedTuple):
 
 
 def verify_minimality(result: PrincipalizationResult) -> MinimalityReport:
-    """Replay the log and confirm each center was bad when it was chosen."""
+    """Replay the log and confirm each center was bad when it was chosen.
+
+    The root center is checked by `find_bad_points`' origin case, and every
+    later one only against the stored hits of the chart the log names
+    (`_chart_hits`): `blow_up` accepts a center only on that chart's
+    {x = 0} locus, which the chart owns, so no other chart can report it.
+    """
     state = initial_state(list(result.gens))
     failures: list[str] = []
     for event in result.log:
-        bad = find_bad_points(state)
         leaf_index = next(
             (i for i, ch in enumerate(state.leaves)
              if ch.path == event.chart_path), None)
         if leaf_index is None:
             failures.append(f"step {event.step}: chart not found in replay")
             break
-        chart = state.leaves[leaf_index]
-        ident = chart.point_identity(event.center)
-        is_bad = any(
-            (not ident and b.leaf_index == leaf_index
-             and b.coords == event.center)
-            or (ident and ident & state.leaves[b.leaf_index].point_identity(
-                b.coords))
-            for b in bad
-        )
+        if state.log:
+            is_bad = any(coords == event.center for coords, *_ in
+                         _chart_hits(state.leaves[leaf_index], leaf_index))
+        else:
+            is_bad = any(b.coords == event.center
+                         for b in find_bad_points(state))
         if not is_bad:
             failures.append(
                 f"step {event.step}: center {event.center} in chart "

@@ -464,22 +464,26 @@ def _reference_point_identity(chart, coords):
 
 
 def test_ownership_walk_matches_reference(corpus_results, replay_states):
-    """Occurrences, their corners and point identities, the corner registry
-    and the carrier zero data equal the per-divisor reference walk at every
-    step of every corpus run."""
+    """Occurrences and their corners, the corner registry and the carrier
+    zero data equal the per-divisor reference walk at every step of every
+    corpus run; and the owned points (t = 0 and the corners) of different
+    charts, or of one chart at different coordinates, share no
+    (divisor, birth coordinate) pair: the owned loci partition."""
     for name, result in corpus_results:
         for state in replay_states(result):
             occs = list(state.occurrences())
             assert [(o.leaf_index, o.ident, o.axis, o.pm) for o in occs] \
                 == _reference_occurrences(state), name
+            owner = {}
             for o in occs:
                 assert o.chart is state.leaves[o.leaf_index]
                 assert o.corners == _reference_corner_values(
                     o.chart, state.divisor_order, o.ident, o.axis), name
                 for t in [Fraction(0)] + [t for t, _ in o.corners]:
                     pt = o.param_point(t)
-                    assert o.chart.point_identity(pt) == \
-                        _reference_point_identity(o.chart, pt), name
+                    for pair in _reference_point_identity(o.chart, pt):
+                        assert owner.setdefault(pair, (o.leaf_index, pt)) \
+                            == (o.leaf_index, pt), (name, pair)
             assert state.corner_registry() == \
                 _reference_corner_registry(state), name
             assert _monic_data(carrier_intersections(state)) == \

@@ -141,6 +141,32 @@ def test_json_roundtrip(golden):
     assert export_json(again) == text
 
 
+@pytest.mark.parametrize("gens", [
+    GOLDEN, [parse_poly("y^2 - x^2"), parse_poly("x^5")],
+    [parse_poly("(y^2 - x^3)*x"), parse_poly("(y^2 - x^3)*y")],
+], ids=["golden", "two-lines-deep", "shared-cusp"])
+def test_loaded_diagram_keeps_its_tables(gens):
+    """The ratio and alpha tables of a diagram read from JSON: each alpha
+    read equals the last and the recomputed table, a returned list is the
+    caller's to change, and every ratio is nu/N."""
+    d = load_json(export_json(principalize(gens).diagram))
+    for v in d.vertices:
+        assert d.ratio(v.ident) == Fraction(v.nu, v.N)
+    for v in d.exceptional():
+        want = [(w, d.vertex(w).nu - d.ratio(v.ident) * d.vertex(w).N)
+                for w in d.neighbors(v.ident)]
+        first = alphas(d, v.ident)
+        assert first == want
+        first.append(("X", Fraction(9)))
+        assert alphas(d, v.ident) == want
+        first.clear()
+        assert alphas(d, v.ident) == alphas(d, v.ident) == want
+        assert alphas(d, v.ident) is not alphas(d, v.ident)
+    for v in d.strict_branches():
+        with pytest.raises(MalformedDiagram):
+            alphas(d, v.ident)
+
+
 def test_json_origin_case():
     result = principalize([parse_poly("x^2")])
     text = export_json(result.diagram)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from topzeta.blowup import curve_part, initial_state
 from topzeta.errors import (
     DegreeCapExceeded,
+    InternalInvariantError,
     NonRationalLiteralError,
     ParseError,
     UnknownVariableError,
@@ -387,6 +388,23 @@ def test_chart_maps_keep_normal_form(p):
               p.subst_chart_a().divide_x_power(p.subst_chart_a().x_order()),
               p.subst_chart_b().divide_y_power(p.subst_chart_b().y_order())):
         _assert_normal(q)
+
+
+@given(st.one_of(bipolys(), bipolys(terms=12, degree=8)))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_chart_maps_divide_out_the_multiplicity(p):
+    """subst_chart_a(k) is the pullback divided by x^k in one pass, and
+    subst_chart_b(k) the pullback divided by y^k, for k = 0 and for the
+    multiplicity at the origin, which is the power the pullback carries."""
+    for k in {0, p.mult_at_origin()} - {INFINITE_MULT}:
+        qa, qb = p.subst_chart_a(k), p.subst_chart_b(k)
+        assert qa == p.subst_chart_a().divide_x_power(k)
+        assert qb == p.subst_chart_b().divide_y_power(k)
+        _assert_normal(qa)
+        _assert_normal(qb)
+    if not p.is_zero():
+        m = p.mult_at_origin()
+        assert p.subst_chart_a(m).x_order() == p.subst_chart_b(m).y_order() == 0
 
 
 def test_kernel_on_zero_polynomial():
@@ -999,14 +1017,20 @@ def test_compose_affine_matches_reference(p, scale, offset):
        coefficients, st.sampled_from("AB"))
 @settings(max_examples=150, deadline=None)
 def test_zeros_in_birth_matches_compose_affine(p, scale, offset, side):
-    """The birth-coordinate rows (an integer Taylor shift and rescale)
-    against compose_affine in Fraction, up to a nonzero factor."""
+    """The birth-coordinate rows (an integer Taylor shift) against
+    compose_affine in Fraction, up to a nonzero factor; a fully owned
+    divisor's point map has scale 1, and any other scale is refused."""
     if p.degree() < 1:
         return
-    for s, o in ((scale, offset), (scale, 0), (1, offset), (1, 0)):
-        row, inf = zeros_in_birth(PointMap(side, Fraction(s), Fraction(o)),
+    if scale != 1:
+        for o in (offset, 0):
+            with pytest.raises(InternalInvariantError, match="scale"):
+                zeros_in_birth(PointMap(side, Fraction(scale), Fraction(o)),
+                               list(p.nums))
+    for o in (offset, 0):
+        row, inf = zeros_in_birth(PointMap(side, Fraction(1), Fraction(o)),
                                   list(p.nums))
-        tau = compose_affine(p, 1 / Fraction(s), -Fraction(o) / s)
+        tau = compose_affine(p, Fraction(1), -Fraction(o))
         if side == "A":
             assert (row_q(row), inf) == (squarefree_q(tau), False)
         else:

@@ -1,11 +1,13 @@
 """Principalization driver: bad points, termination, minimality."""
 
+import importlib
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from reference_q import chart_restrict, derivative_q, gcd_q, squarefree_q
+from test_blowup import _reference_point_identity
 from topzeta.blowup import (
     Chart,
     PointMap,
@@ -26,6 +28,7 @@ from topzeta.poly import (
     uni_to_str,
 )
 from topzeta.principalize import (
+    MinimalityReport,
     PrincipalizationResult,
     _bad_values_on_occurrence,
     find_bad_points,
@@ -136,6 +139,87 @@ def test_minimality_flags_extra_step():
     assert any("step 3" in f for f in rep.failures)
 
 
+# --- the identity-matching replay, kept as the oracle of the chart replay ---
+
+def _reference_verify_minimality(result):
+    """Replay the log, rescanning every leaf at every step, and match the
+    center against each bad point by point identity."""
+    state = initial_state(list(result.gens))
+    failures = []
+    for event in result.log:
+        bad = find_bad_points(state)
+        leaf_index = next(
+            (i for i, ch in enumerate(state.leaves)
+             if ch.path == event.chart_path), None)
+        if leaf_index is None:
+            failures.append(f"step {event.step}: chart not found in replay")
+            break
+        chart = state.leaves[leaf_index]
+        ident = _reference_point_identity(chart, event.center)
+        is_bad = any(
+            (not ident and b.leaf_index == leaf_index
+             and b.coords == event.center)
+            or (ident and ident & _reference_point_identity(
+                state.leaves[b.leaf_index], b.coords))
+            for b in bad
+        )
+        if not is_bad:
+            failures.append(
+                f"step {event.step}: center {event.center} in chart "
+                f"{event.chart_path} was not a bad point")
+        blow_up(state, PointRecord(leaf_index, event.center, (), ()))
+    return MinimalityReport(passed=not failures, failures=failures)
+
+
+def _outcome(verify, result):
+    try:
+        return verify(result)
+    except Exception as exc:  # the same refusal counts as agreement
+        return type(exc), str(exc)
+
+
+def _moved_logs(result, count=6):
+    """The log with one of its first `count` centers moved by +1 in y."""
+    for i, ev in enumerate(result.log[:count]):
+        log = list(result.log)
+        log[i] = ev._replace(center=(ev.center[0], ev.center[1] + 1))
+        yield PrincipalizationResult(result.state, result.diagram, log,
+                                     result.step_count)
+
+
+def test_chart_replay_matches_identity_replay(corpus_results):
+    """The replay that checks each center only in its logged chart gives
+    the same report, or the same refusal, as the identity-matching one: on
+    every corpus log and on each log with one early center moved."""
+    kinds = Counter()
+    for name, result in corpus_results:
+        for res in (result, *_moved_logs(result)):
+            want = _outcome(_reference_verify_minimality, res)
+            assert _outcome(verify_minimality, res) == want, name
+            kinds[want.passed if isinstance(want, MinimalityReport)
+                  else want[0]] += 1
+    # passing, failing and refused replays all occur
+    assert kinds[True] and kinds[False] and len(kinds) > 2, kinds
+
+
+def test_chart_replay_scans_only_the_logged_charts(monkeypatch):
+    """After the root, the replay scans one chart per step and never calls
+    find_bad_points."""
+    principalize_mod = importlib.import_module("topzeta.principalize")
+    result = principalize(build(12, 1))
+    scanned = []
+    real = principalize_mod._chart_hits
+    monkeypatch.setattr(principalize_mod, "_chart_hits",
+                        lambda ch, i: scanned.append(ch.path) or real(ch, i))
+    calls = []
+    real_find = principalize_mod.find_bad_points
+    monkeypatch.setattr(principalize_mod, "find_bad_points",
+                        lambda st: calls.append(1) or real_find(st))
+    assert verify_minimality(result).passed
+    assert len(calls) == 1
+    assert scanned == [ev.chart_path for ev in result.log[1:]]
+
+
 def test_confluence_reverse_order(corpus_results):
     """Processing bad points in reverse order yields the same diagram."""
     from topzeta.blowup import initial_state as init
@@ -213,7 +297,7 @@ def _reference_find_bad_points(state):
         hits = sorted(per_leaf[leaf_index],
                       key=lambda h: (h[0][0], h[0][1], h[1]))
         for coords, reason, occ in hits:
-            ident = occ.chart.point_identity(coords)
+            ident = _reference_point_identity(occ.chart, coords)
             merged = False
             for i, known in enumerate(identities):
                 if known & ident:
