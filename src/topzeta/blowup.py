@@ -10,7 +10,9 @@ the chart origin).  Per chart we keep
   * strict equations of the curve carriers (the squarefree factors of the
     common divisor of the generators),
   * the residual generators: the finitely supported part after dividing all
-    divisorial factors out.
+    divisorial factors out, each kept as a strict part times powers of the
+    chart's divisor equations, so that only the strict parts are translated
+    and substituted.
 
 Points on an exceptional curve are identified across charts through affine
 point maps into the curve's birth coordinate, giving a projective-line
@@ -19,6 +21,7 @@ coordinate in Q plus a point at infinity.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
@@ -37,11 +40,11 @@ from .poly import (
     BiPoly,
     UniPoly,
     _shift_rows,
+    _strip,
     _zdivexact,
     _zgcd,
     _zhorner,
     _zmul,
-    combination,
     gcd_bi,
     rational_roots,
     row_gcd,
@@ -58,6 +61,7 @@ PPoint = Optional[Fraction]
 ZeroData = tuple[list[int], bool]
 
 _ZERO = Fraction(0)
+_X, _Y, _ONE = BiPoly.x(), BiPoly.y(), BiPoly.const(1)
 
 
 # --- chart path steps -------------------------------------------------------
@@ -85,26 +89,27 @@ class PointMap(NamedTuple):
     coordinate.
 
     For a divisor visible as {x = alpha} the parameter is the y-value (and
-    symmetrically).  side "A" means scale*t + offset IS the birth coordinate;
+    symmetrically).  side "A" means t + offset IS the birth coordinate;
     side "B" means the birth coordinate is its reciprocal (0 -> infinity).
+    A divisor on a line y = c != 0 is read only at t = 0, the one point it
+    owns (`Occurrence`), so it keeps its map where a chart rescales t.
     """
 
     side: str
-    scale: Fraction
     offset: Fraction
 
     def to_birth(self, t: Fraction) -> PPoint:
-        v = t if self.scale == 1 and not self.offset else \
-            self.scale * t + self.offset
+        v = t + self.offset if self.offset else t
         if self.side == "A":
             return v
         return None if v == 0 else Fraction(1) / v
 
-    def rescale(self, factor: Fraction) -> "PointMap":
-        return PointMap(self.side, self.scale * factor, self.offset)
-
     def shift(self, delta: Fraction) -> "PointMap":
-        return PointMap(self.side, self.scale, self.offset + self.scale * delta)
+        return PointMap(self.side, self.offset + delta)
+
+
+#: The point map of a new divisor, per chart side.
+_NEW_PM = {side: PointMap(side, _ZERO) for side in "AB"}
 
 
 # --- records ----------------------------------------------------------------
@@ -148,6 +153,12 @@ class PointRecord(NamedTuple):
 class Chart:
     """One affine chart of the tree.
 
+    Residual generator i is kept as `residual_parts[i] = (s, k)`: a strict
+    part s and exponents k over the divisor equations `exc`, with
+    r_i = s * prod(exc[d]^k[d]) exactly.  The divisor equations are
+    transformed anyway, so a blow-up transforms only the strict parts.
+    `residual` is the expanded view, built on every read.
+
     A chart never changes after it is built: `blow_up` replaces a leaf by
     fresh charts rather than editing it.  The memos `axes` and `bad_hits`
     rely on this and are never invalidated.
@@ -156,15 +167,26 @@ class Chart:
     def __init__(self, path: tuple, exc: dict[str, BiPoly] | None = None,
                  pms: dict[str, PointMap] | None = None,
                  carriers: dict[str, BiPoly] | None = None,
-                 residual: list[BiPoly] | None = None):
+                 residual_parts: list[tuple[BiPoly, dict[str, int]]]
+                 | None = None):
         self.path = path
         self.exc = {} if exc is None else exc
         self.pms = {} if pms is None else pms
         self.carriers = {} if carriers is None else carriers
-        self.residual = [] if residual is None else residual
+        self.residual_parts = [] if residual_parts is None else residual_parts
         #: The chart's bad-point hits, stored by
         #: `principalize.find_bad_points` on its first successful scan.
         self.bad_hits: Optional[tuple] = None
+
+    @property
+    def residual(self) -> list[BiPoly]:
+        """The residual generators, expanded."""
+        out = []
+        for s, k in self.residual_parts:
+            for d, e in k.items():
+                s = s * self.exc[d] ** e
+            out.append(s)
+        return out
 
     def axis_of(self, ident: str) -> Optional[tuple[str, Fraction]]:
         """("x", alpha) when the divisor is the line x = alpha, similarly
@@ -217,11 +239,9 @@ class Occurrence(NamedTuple):
     Ownership decides the work, on integer rows (`restriction`): only a
     fully owned divisor takes gcds and roots; a point-owned one reads the
     coefficients of t^0 and t^1 in p(t, beta), and all of p(t, beta) only
-    when p(0, beta) = 0, to rule out a restriction that vanishes.
-
-    A fully owned occurrence's point map has scale 1: a new divisor starts
-    at scale 1, a translation only shifts it, and only a divisor on a line
-    y = c, which stays point-owned, is rescaled (`_child`).
+    when p(0, beta) = 0, to rule out a restriction that vanishes.  A
+    residual generator's row is the product of its factors' rows
+    (`residual_rows`): restriction is a ring homomorphism.
     """
 
     leaf_index: int
@@ -247,23 +267,77 @@ class Occurrence(NamedTuple):
         var, c = self.axis
         return (c, t) if var == "x" else (t, c)
 
-    def restriction(self, p: BiPoly) -> list[int]:
+    def restriction(self, p: BiPoly, whole: bool = False) -> list[int]:
         """p on the divisor by degree in t, up to a positive factor: p(0, t)
         when fully owned, else the coefficients of t^0 and t^1 in
-        p(t, beta), zeros kept, which answer only at t = 0."""
-        return p.x0_row() if self.mode == "all" else p.y_coeffs(self.axis[1], 1)
+        p(t, beta), zeros kept, which answer only at t = 0 (all of p(t, beta)
+        when `whole`)."""
+        var, beta = self.axis
+        if var == "x":
+            return p.x0_row()
+        return p.y_coeffs(beta, max((a for a, _ in p.nums), default=0)
+                          if whole else 1)
 
     def _vanishes(self, p: BiPoly, row: list[int]) -> bool:
         """Whether p, whose row is zero at t = 0, vanishes on the divisor."""
-        return not row if self.mode == "all" else not any(p.y_coeffs(
-            self.axis[1], max((a for a, _ in p.nums), default=0)))
+        return not any(row if self.mode == "all" else
+                       self.restriction(p, True))
+
+    def _scale(self, p: BiPoly, whole: bool) -> int:
+        """The positive integer `restriction(p, whole)` is p's restriction
+        times (see `x0_row` and `y_coeffs`)."""
+        var, beta = self.axis
+        v = beta.denominator
+        if var == "x" or v == 1:
+            return p.den
+        upto = max((a for a, _ in p.nums), default=0) if whole else 1
+        return p.den * v ** max((b for a, b in p.nums if a <= upto),
+                                default=0)
+
+    def residual_rows(self, whole: bool = False) -> list[list[int]]:
+        """`restriction(r, whole)` of every residual generator r, in order:
+        the product of the rows of its strict part and divisor powers, each
+        divisor equation's row read once.  So a row is r's restriction
+        times the product of its factors' `_scale`s (`residual_scales`)."""
+        full, exc = self.axis[0] == "x", self.chart.exc
+        factors: dict[str, list[int]] = {}
+        out = []
+        for s, k in self.chart.residual_parts:
+            if full and self.ident in k:
+                out.append([])  # a power of x on x = 0
+                continue
+            row = self.restriction(s, whole)
+            for d, e in k.items():
+                if d not in factors:
+                    factors[d] = self.restriction(exc[d], whole)
+                if full or whole:
+                    for _ in range(e):
+                        row = _zmul(row, factors[d])
+                else:  # (a0 + a1 t) (b0 + b1 t)^e mod t^2
+                    (a0, a1), (b0, b1) = row, factors[d]
+                    p0 = b0 ** e
+                    row = [a0 * p0, a1 * p0 + e * a0 * b0 ** (e - 1) * b1]
+            out.append(row)
+        return out
+
+    def residual_scales(self, whole: bool = False) -> list[int]:
+        """The positive integer each row of `residual_rows(whole)` is its
+        generator's restriction times, so that rows combine exactly."""
+        scale, exc = self._scale, self.chart.exc
+        return [scale(s, whole) * math.prod(scale(exc[d], whole) ** e
+                                            for d, e in k.items())
+                for s, k in self.chart.residual_parts]
 
     def residual_restrictions(self) -> list[list[int]]:
         """Restriction of every residual generator, in order; refuses a
-        residual ideal that vanishes along the divisor."""
-        rows = [self.restriction(r) for r in self.chart.residual]
+        residual ideal that vanishes along the divisor (a product vanishes
+        on a line when one of its factors does)."""
+        rows, exc = self.residual_rows(), self.chart.exc
         if all(map(_zero_at_0, rows)) and all(
-                map(self._vanishes, self.chart.residual, rows)):
+                not row if self.mode == "all" else any(
+                    not any(self.restriction(f, True))
+                    for f in (*map(exc.get, k), s))
+                for (s, k), row in zip(self.chart.residual_parts, rows)):
             raise InternalInvariantError(
                 f"residual ideal vanishes along divisor {self.ident}")
         return rows
@@ -386,7 +460,7 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
     root = Chart(
         path=(),
         carriers={c.ident: c.root_eq for c in carriers},
-        residual=residual,
+        residual_parts=[(r, {}) for r in residual],
     )
     state = ChartState(gens, carriers, root)
     for c in carriers:
@@ -486,48 +560,49 @@ def _translated(chart: Chart, dy: Fraction) -> Chart:
     pms = {d: chart.pms[d].shift(dy) if var == "x" else chart.pms[d]
            for d, (var, _) in chart.axes.items()}
     return Chart(
-        path=chart.path + (step_translate(Fraction(0), dy),),
+        path=chart.path + (step_translate(_ZERO, dy),),
         exc={d: shift(eq) for d, eq in chart.exc.items()},
         pms=pms,
         carriers={k: shift(v) for k, v in chart.carriers.items()},
-        residual=[shift(r) for r in chart.residual],
+        residual_parts=[(shift(s), k) for s, k in chart.residual_parts],
     )
 
 
 def _child(chart: Chart, side: str, new_ident: str, exc_m: dict[str, int],
-           car_m: dict[str, int], res_m: int) -> Chart:
+           car_m: dict[str, int], strict_m: list[int],
+           powers: list[dict[str, int]]) -> Chart:
     """One standard chart of the blow-up at the origin of `chart`.  Each
     transform divides out, in the same pass, the power of the new divisor
     it carries: the multiplicity at the origin of the divisor equation
-    (`exc_m`) or carrier (`car_m`), or the least over the residual
-    (`res_m`)."""
+    (`exc_m`), carrier (`car_m`) or strict part (`strict_m`).  Residual
+    generator i takes the divisor powers `powers[i]`, the new divisor's
+    among them, and folds in the constant a divisor equation becomes where
+    the divisor is not visible."""
     step, sub = ((STEP_A, BiPoly.subst_chart_a) if side == "A" else
                  (STEP_B, BiPoly.subst_chart_b))
 
     exc: dict[str, BiPoly] = {}
     pms: dict[str, PointMap] = {}
+    hidden: dict[str, BiPoly] = {}
     for d, eq in chart.exc.items():
         # raw stripped pullback: keeps generator factorizations exact
         new_eq = sub(eq, exc_m[d])
         if new_eq.is_constant():
-            continue  # divisor not visible in this chart
+            hidden[d] = new_eq  # divisor not visible in this chart
+            continue
         exc[d] = new_eq
         if d not in chart.axes:
             continue
         var, c = chart.axes[d]
-        pm = chart.pms[d]
-        if side == "A":
-            if var == "y" and c == 0:
-                pms[d] = pm                 # param x = a unchanged
-        else:
-            if var == "x" and c == 0:
-                pms[d] = pm                 # param y = b unchanged
-            elif var == "y" and c != 0:
-                pms[d] = pm.rescale(c)      # param x = c * a
+        if side == "A":  # param x = a unchanged
+            keep = var == "y" and not c
+        else:  # param y = b unchanged, or x = c * a, read only at a = 0
+            keep = var == "x" and not c or var == "y" and c
+        if keep:
+            pms[d] = chart.pms[d]
 
-    new_eq = BiPoly.x() if side == "A" else BiPoly.y()
-    exc[new_ident] = new_eq
-    pms[new_ident] = PointMap(side, Fraction(1), _ZERO)
+    exc[new_ident] = _X if side == "A" else _Y
+    pms[new_ident] = _NEW_PM[side]
 
     carriers = {}
     for k, v in chart.carriers.items():
@@ -535,9 +610,17 @@ def _child(chart: Chart, side: str, new_ident: str, exc_m: dict[str, int],
         if not sv.is_constant():
             carriers[k] = sv
 
-    residual = [sub(r, res_m) for r in chart.residual]
+    parts = []
+    for (s, _), m, k in zip(chart.residual_parts, strict_m, powers):
+        s = sub(s, m)
+        if not k.keys() <= exc.keys():
+            for d in k.keys() & hidden.keys():
+                if hidden[d] != _ONE:
+                    s = s * hidden[d] ** k[d]
+            k = {d: e for d, e in k.items() if d in exc}
+        parts.append((s, k))
     return Chart(path=chart.path + (step,), exc=exc, pms=pms,
-                 carriers=carriers, residual=residual)
+                 carriers=carriers, residual_parts=parts)
 
 
 def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
@@ -551,7 +634,9 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
         raise CenterNotOverOrigin(f"no leaf chart {pr.leaf_index}")
     chart = state.leaves[pr.leaf_index]
     orig_path = chart.path
-    cx, cy = Fraction(pr.coords[0]), Fraction(pr.coords[1])
+    cx, cy = pr.coords
+    if type(cx) is not Fraction or type(cy) is not Fraction:
+        cx, cy = Fraction(cx), Fraction(cy)
 
     through = chart.divisors_through((cx, cy))
     if state.log and not through:
@@ -559,14 +644,14 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
             f"center {pr.coords} lies on no exceptional divisor")
     if not state.log and (cx, cy) != (0, 0):
         raise CenterNotOverOrigin("the root center must be the origin")
-    if cx != 0:
+    if cx:
         raise CenterNotOverOrigin(
             "centers must be given in their owning chart, on its x-axis locus")
 
-    if cy != 0:
+    if cy:
         chart = _translated(chart, cy)
     for d in through:
-        if chart.axis_of(d) is None:
+        if d not in chart.axes and chart.axis_of(d) is None:
             raise InternalInvariantError(
                 f"divisor {d} through center is not in axis form")
 
@@ -576,7 +661,10 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
     exc_part = sum(state.divisors[d].N * m for d, m in exc_m.items())
     car_part = sum(c.exponent * car_m[c.ident]
                    for c in state.carriers if c.ident in car_m)
-    res_part = min(r.mult_at_origin() for r in chart.residual)
+    strict_m = [s.mult_at_origin() for s, _ in chart.residual_parts]
+    res_m = [m + sum(e * exc_m[d] for d, e in k.items()) if k else m
+             for m, (_, k) in zip(strict_m, chart.residual_parts)]
+    res_part = min(res_m)
     if res_part == INFINITE_MULT:
         raise InternalInvariantError("all residual generators are zero")
     N = int(exc_part + car_part + res_part)
@@ -588,8 +676,10 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
         ident=ident, kind="exceptional", N=N, nu=nu)
     state.divisor_order.append(ident)
 
-    child_a = _child(chart, "A", ident, exc_m, car_m, res_part)
-    child_b = _child(chart, "B", ident, exc_m, car_m, res_part)
+    powers = [{**k, ident: m - res_part} if m > res_part else k
+              for m, (_, k) in zip(res_m, chart.residual_parts)]
+    child_a = _child(chart, "A", ident, exc_m, car_m, strict_m, powers)
+    child_b = _child(chart, "B", ident, exc_m, car_m, strict_m, powers)
     state.leaves[pr.leaf_index:pr.leaf_index + 1] = [child_a, child_b]
 
     for d in through:
@@ -638,19 +728,12 @@ def divisor_order_of(state: ChartState, g: BiPoly, ident: str) -> int:
     raise KeyError("component not visible in any chart")
 
 
-_X, _Y = BiPoly.x(), BiPoly.y()
-
-
 # --- zero sets on a divisor, in birth coordinates ----------------------------
 
 def zeros_in_birth(pm: PointMap, row: list[int]) -> ZeroData:
     """Zero data of a restriction row p(t), nonzero, on a fully owned
     divisor, in b = t + offset (side "A") or 1/b ("B"): the row of
-    p(b - offset), a Taylor shift up to a nonzero factor, reversed for "B".
-    Refuses a point map of scale other than 1 (see `Occurrence`)."""
-    if pm.scale != 1:
-        raise InternalInvariantError(
-            f"fully owned divisor with point map scale {pm.scale}")
+    p(b - offset), a Taylor shift up to a nonzero factor, reversed for "B"."""
     if pm.offset:
         nums, _ = _shift_rows({(j, 0): n for j, n in enumerate(row) if n}, 1,
                               -pm.offset, 0)
@@ -698,11 +781,12 @@ def restrict_residual_to(
     state: ChartState, ident: str, coeffs: list[Fraction],
 ) -> list[tuple[Occurrence, list[int]]]:
     """Restriction of sum(coeffs_i * residual_i) to an exceptional divisor,
-    one per occurrence of it, as `Occurrence.restriction` reads it: [] when
-    the combination vanishes along the divisor."""
+    one per occurrence of it, as `Occurrence.restriction` reads it up to a
+    positive factor: [] when the combination vanishes along the divisor."""
     if not state.complete:
         raise ResidualNotUnit("principalization is not complete")
-    if all(Fraction(c) == 0 for c in coeffs):
+    lams = [Fraction(c) for c in coeffs]
+    if not any(lams):
         raise DegenerateLambda("all combination coefficients are zero")
     pieces = []
     for idx, chart in enumerate(state.leaves):
@@ -710,10 +794,27 @@ def restrict_residual_to(
         if axis is None:
             continue
         occ = Occurrence(idx, chart, ident, axis, chart.pms[ident])
-        p = combination(coeffs, chart.residual)
-        row = occ.restriction(p)
-        pieces.append((occ, [] if _zero_at_0(row) and occ._vanishes(p, row)
-                       else row))
+        row = _combined(lams, occ.residual_rows(), occ.residual_scales())
+        if occ.mode == "all":
+            row = _strip(row)
+        elif not row[0] and not any(_combined(
+                lams, occ.residual_rows(True), occ.residual_scales(True))):
+            row = []
+        pieces.append((occ, row))
     if not pieces:
         raise KeyError(f"divisor {ident} not visible in any leaf chart")
     return pieces
+
+
+def _combined(lams: list[Fraction], rows: list[list[int]],
+              scales: list[int]) -> list[int]:
+    """sum(lams_i * rows_i / scales_i), times one positive integer, zeros
+    kept."""
+    common = math.lcm(*(c.denominator * scale
+                        for c, scale in zip(lams, scales)))
+    out = [0] * max(map(len, rows))
+    for c, row, scale in zip(lams, rows, scales):
+        if k := c.numerator * (common // (c.denominator * scale)):
+            for j, n in enumerate(row):
+                out[j] += k * n
+    return out

@@ -19,7 +19,7 @@ from functools import cache, partial
 
 from . import errors
 from .criterion import classify, cross_check
-from .diagram import export_dot, export_json, load_json, validate_all
+from .diagram import diagram_payload, export_dot, load_json, validate_all
 from .family import admissible, build, expected_chain, realize_pole
 from .generic import certify_generic
 from .poly import BiPoly, frac_str, parse_poly, poly_to_str
@@ -98,7 +98,7 @@ def _principalization_view(result, _report):
         lines.append(f"  {v.ident} ({v.N},{v.nu}) [{v.kind}]")
     edges = sorted(sorted(e) for e in result.diagram.edges)
     lines.append("edges: " + ("; ".join("--".join(e) for e in edges) or "none"))
-    payload = {"log": log, "diagram": json.loads(export_json(result.diagram))}
+    payload = {"log": log, "diagram": diagram_payload(result.diagram)}
     return payload, lines
 
 

@@ -319,7 +319,12 @@ def validate_all(diagram: IntersectionDiagram) -> list[Report]:
 # --- serialization ------------------------------------------------------------
 
 def export_json(diagram: IntersectionDiagram) -> str:
-    payload = {
+    return json.dumps(diagram_payload(diagram), indent=2)
+
+
+def diagram_payload(diagram: IntersectionDiagram) -> dict:
+    """The JSON object of `export_json`, as plain lists and dicts."""
+    return {
         "vertices": [
             {"id": v.ident, "kind": v.kind, "N": v.N, "nu": v.nu}
             for v in diagram.vertices
@@ -334,7 +339,6 @@ def export_json(diagram: IntersectionDiagram) -> str:
             }
         ),
     }
-    return json.dumps(payload, indent=2)
 
 
 def _checked_vertex(v: dict) -> Vertex:

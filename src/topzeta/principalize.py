@@ -99,7 +99,7 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
     if not state.log:
         chart = state.leaves[0]
         reasons = []
-        if all((0, 0) not in r.nums for r in chart.residual):
+        if all((0, 0) not in s.nums for s, _ in chart.residual_parts):
             reasons.append("residual-vanishes")
         if sum(v.mult_at_origin() for v in chart.carriers.values()) >= 2:
             reasons.append("curve-part-not-normal-crossings")

@@ -7,6 +7,9 @@ in a separate list with the reason they are excluded.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from topzeta import parse_poly
 from topzeta.family import build
 from topzeta.poly import BiPoly
@@ -102,3 +105,25 @@ CURVE_TEXTS = [
 def curve_entries() -> list[tuple[str, list[BiPoly]]]:
     return [(name, [parse_poly(t) for t in texts])
             for name, texts in CURVE_TEXTS]
+
+
+#: The curve part of the swell ideals (SWELL_BRANCH * (y - c*x^2), x^K):
+#: later centres are nonzero, so charts are translated, and the pullback of
+#: x^K is a high power of divisor equations.
+SWELL_BRANCH = "((y^2 - x^3)^2 - 4*x^5*y - x^7)"
+
+
+def swell_entries(max_k: int, cs=("1", "-1", "2", "3")
+                  ) -> list[tuple[str, list[BiPoly]]]:
+    return [(f"swell-{c}-{k}", [parse_poly(f"{SWELL_BRANCH}*(y - ({c})*x^2)"),
+                                parse_poly(f"x^{k}")])
+            for c in cs for k in range(2, max_k + 1)]
+
+
+def pool_entries() -> list[tuple[str, list[BiPoly]]]:
+    """The benchmark's recorded corpus pool: random two- and
+    three-generator ideals, some of which need an irrational centre."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    pool = json.loads(path.read_text(encoding="utf-8"))["corpus_pool"]
+    return [(f"pool-{i}", [parse_poly(t) for t in texts])
+            for i, texts in enumerate(pool)]

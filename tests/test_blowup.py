@@ -15,7 +15,12 @@ from reference_q import (
     row_q,
     squarefree_q,
 )
+from corpus import pool_entries, swell_entries
 from topzeta.blowup import (
+    STEP_A,
+    STEP_B,
+    Chart,
+    PointMap,
     PointRecord,
     apply_step,
     blow_up,
@@ -23,14 +28,18 @@ from topzeta.blowup import (
     divisor_order_of,
     initial_state,
     restrict_residual_to,
+    step_translate,
 )
 from topzeta.errors import (
     AllZero,
     CenterNotOverOrigin,
+    CenterNotRational,
     ResidualNotUnit,
     SupportMissesOrigin,
 )
 from topzeta.poly import BiPoly, UniPoly, parse_poly
+from topzeta.family import build
+from topzeta.generic import sample_lambda
 from topzeta.principalize import principalize
 
 
@@ -300,14 +309,17 @@ def test_restrict_residual_zero_coeffs_flagged():
         restrict_residual_to(result.state, "E1", [Fraction(0), Fraction(0)])
 
 
-def _reference_restrict_residual_to(state, ident, coeffs):
+def _reference_restrict_residual_to(state, ident, coeffs, residuals=None):
     """The pieces as built before: every occurrence of every leaf visited,
-    the combination formed in Q[x, y] and then restricted in Fraction."""
+    the combination formed in Q[x, y] and then restricted in Fraction.
+    The expanded residuals are read from `residuals` by chart path when
+    given, else from `Chart.residual`."""
     pieces = []
     for occ in state.occurrences():
         if occ.ident != ident:
             continue
-        combo = combination_q(coeffs, occ.chart.residual)
+        combo = combination_q(coeffs, occ.chart.residual if residuals is None
+                              else residuals[occ.chart.path])
         pieces.append((occ, chart_restrict(combo, occ.axis)))
     return pieces
 
@@ -364,6 +376,153 @@ def test_restrict_residual_matches_reference(corpus_results):
     assert checked > 500 and len(kinds) == 6, kinds
 
 
+# --- factored residuals against the expanded transform -------------------------
+
+def _reference_residuals(result):
+    """Expanded residual generators of every chart of a run, by path, as
+    the transform kept them before they were factored: each blow-up
+    translates the residual to its centre, then substitutes and divides
+    out x^m (chart A) or y^m (chart B), m the least multiplicity at the
+    centre."""
+    residuals = {(): initial_state(list(result.gens)).leaves[0].residual}
+    for ev in result.log:
+        rs, path = residuals[ev.chart_path], ev.chart_path
+        if ev.center[1]:
+            step = step_translate(Fraction(0), ev.center[1])
+            rs, path = [apply_step(r, step) for r in rs], path + (step,)
+        m = min(r.mult_at_origin() for r in rs)
+        residuals[path + (STEP_A,)] = [r.subst_chart_a(m) for r in rs]
+        residuals[path + (STEP_B,)] = [r.subst_chart_b(m) for r in rs]
+    return residuals
+
+
+def _oracle_runs(corpus_results):
+    """The corpus, the benchmark's pool (irrational refusals left out),
+    build(a, b) for a <= 12, and swell for K <= 8, also with centres at
+    fractions, where restriction rows of one chart carry different
+    scales."""
+    runs = list(corpus_results)
+    for name, gens in pool_entries():
+        try:
+            runs.append((name, principalize(gens)))
+        except CenterNotRational:
+            pass
+    runs += [(f"chain-{a}-{b}", principalize(build(a, b)))
+             for a in range(1, 13) for b in range(a)]
+    runs += [(name, principalize(gens)) for name, gens in
+             swell_entries(8) + swell_entries(6, ("1/2", "-2/3"))]
+    return runs
+
+
+def test_factored_residuals_match_expanded_transform(corpus_results):
+    """Every leaf chart's expanded residual equals the expanded transform
+    exactly (numerators and denominator), and the restrictions built from
+    the factor rows match the reference restriction of the oracle's
+    residuals, for combinations with zero, negative and fractional
+    coefficients."""
+    runs = _oracle_runs(corpus_results)
+    assert len(runs) > 400
+    powers = curved = 0
+    kinds = set()
+    for name, result in runs:
+        state, oracle = result.state, _reference_residuals(result)
+        for chart in state.leaves:
+            assert [(p.nums, p.den) for p in chart.residual] == \
+                [(p.nums, p.den) for p in oracle[chart.path]], name
+            for _, k in chart.residual_parts:
+                powers += bool(k)
+                curved += any(d not in chart.axes for d in k)
+        count = len(state.gens)
+        lams = [[Fraction(1)] * count] + ([
+            sample_lambda(count, 0, 3),
+            [Fraction(0)] + [Fraction(-2, 3)] * (count - 1),
+            [Fraction(3, 4)] + [Fraction(-5, 6)] * (count - 1)]
+            if count > 1 else [])
+        for ident in state.divisor_order:
+            for lam in lams:
+                _assert_pieces_match(
+                    restrict_residual_to(state, ident, lam),
+                    _reference_restrict_residual_to(state, ident, lam,
+                                                    oracle),
+                    (name, ident, lam), kinds)
+    # divisor powers, some of equations that are not coordinate lines
+    assert powers > 500 and curved >= 10 and len(kinds) == 6, \
+        (powers, curved, kinds)
+
+
+def _assert_exact_rows(occ, residuals, context):
+    """Each residual row is exactly its scale times the restriction of the
+    expanded generator: all of it on a fully owned divisor, its
+    coefficients of 1 and t on a point-owned one, all of p(t, beta) when
+    whole.  Returns how many point rows had both coefficients nonzero."""
+    slopes = 0
+    for whole in (False, True):
+        for r, row, scale in zip(residuals, occ.residual_rows(whole),
+                                 occ.residual_scales(whole)):
+            want = list(chart_restrict(r, occ.axis).coeffs)
+            got = [Fraction(n, scale) for n in row]
+            if occ.mode == "point" and not whole:
+                want = (want + [0, 0])[:2]
+                slopes += bool(got[0] and got[1])
+            else:
+                while got and not got[-1]:
+                    got.pop()
+            assert got == want, (context, occ.ident, whole)
+    return slopes
+
+
+def test_residual_rows_are_exact_multiples(replay_states):
+    """The exact rows at every step of swell runs, also with centres at
+    fractions, and of chains."""
+    runs = swell_entries(7) + swell_entries(5, ("1/2", "-2/3")) + [
+        (f"chain-{a}-{b}", build(a, b)) for a in range(1, 9) for b in range(a)]
+    for name, gens in runs:
+        result = principalize(gens)
+        oracle = _reference_residuals(result)
+        for state in replay_states(result):
+            for occ in state.occurrences():
+                _assert_exact_rows(occ, oracle[occ.chart.path], name)
+
+
+def test_residual_rows_on_a_crafted_chart():
+    """Rational strict parts times powers of a curved divisor equation, a
+    point-owned line y = -2/3 and the fully owned axis x = 0."""
+    exc = {"E1": P("y + 2/3"), "E2": P("x*y - 3/5"), "E3": P("x"),
+           "E4": P("y")}
+    parts = [(P("1/2 + 1/3*x - y^2"), {"E2": 3, "E4": 2}),
+             (P("3/7*x*y - 2*y + 5/4"), {"E2": 2, "E1": 1}),
+             (P("x^2 + 4/9*y^3 - 1"), {}),
+             (P("2*y - 1"), {"E3": 2, "E2": 1})]
+    chart = Chart((), exc=exc, pms={d: PointMap("A", Fraction(0))
+                                    for d in ("E1", "E3", "E4")},
+                  residual_parts=parts)
+    occs = list(chart.occurrences(0))
+    assert {(o.ident, o.mode) for o in occs} == {
+        ("E1", "point"), ("E3", "all"), ("E4", "point")}
+    assert sum(_assert_exact_rows(o, chart.residual, "crafted")
+               for o in occs) >= 1
+
+
+def test_swell_transforms_stay_small(monkeypatch):
+    """Swell at K = 16 translates and substitutes only strict parts and
+    divisor equations: no transformed polynomial has more than 200 terms
+    (the expanded residuals reach 9,489)."""
+    sizes = []
+    for name in ("translate", "subst_chart_a", "subst_chart_b"):
+        def record(p, *args, _orig=getattr(BiPoly, name)):
+            sizes.append(len(p.nums))
+            return _orig(p, *args)
+        monkeypatch.setattr(BiPoly, name, record)
+    (_, gens), = [e for e in swell_entries(16) if e[0] == "swell-1-16"]
+    result = principalize(gens)
+    monkeypatch.undo()
+    assert len(result.log) > 20 and len(sizes) > 500
+    assert max(sizes) <= 200, max(sizes)
+    # the lineage of x^16 is kept as divisor powers
+    assert max(sum(k.values()) for chart in result.state.leaves
+               for _, k in chart.residual_parts) >= 16
+
+
 # --- the ownership walk against a per-divisor reference --------------------------
 
 def _reference_occurrences(state):
@@ -412,7 +571,7 @@ def _reference_corner_registry(state):
 def _reference_zero_data(pm, sigma):
     """Monic squarefree polynomial in the birth coordinate and infinity
     flag of a restriction's zeros, through the Fraction compose_affine."""
-    tau = compose_affine(sigma, 1 / pm.scale, -pm.offset / pm.scale)
+    tau = compose_affine(sigma, Fraction(1), -pm.offset)
     if pm.side == "A":
         return squarefree_q(tau), False
     return squarefree_q(reversed_q(tau)), tau.coeffs[0] == 0
@@ -499,15 +658,15 @@ MOVED = ["(y - 2*x)*((y - x)^2 - x^3)*(y^3 - x^2)*x",
 
 def test_zero_data_on_moved_point_maps_matches_reference(replay_states):
     """Carrier zero data and generic-member restrictions where the birth
-    coordinate is a shifted or rescaled chart parameter."""
+    coordinate is a shifted chart parameter."""
     result = principalize([P(t) for t in MOVED])
     moved = 0
     for state in replay_states(result):
         assert _monic_data(carrier_intersections(state)) == \
             _reference_carrier_data(state)
         moved += sum(len(row) > 1 for occ in state.occurrences()
-                     if occ.mode == "all" and (occ.pm.scale, occ.pm.offset)
-                     != (1, 0) for _, row in occ.carrier_restrictions())
+                     if occ.mode == "all" and occ.pm.offset
+                     for _, row in occ.carrier_restrictions())
     assert moved >= 4
     state = result.state
     for ident in state.divisor_order:

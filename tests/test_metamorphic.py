@@ -11,15 +11,20 @@ irrational centre:
 
 The ideals are drawn like the benchmark's corpus pool: two or three
 generators of one to three terms, monomials of total degree 1 to 6, and
-coefficients in {1, -1, 2, -2, 3}.
+coefficients in {1, -1, 2, -2, 3}.  The swell ideals (K <= 5) and the
+chains build(a, b) (a <= 8), whose charts are translated or long, take the
+first three changes.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import swell_entries
 from topzeta.errors import CenterNotRational
+from topzeta.family import build
 from topzeta.poly import BiPoly
 from topzeta.principalize import principalize
 from topzeta.zeta import pole_report
@@ -75,6 +80,22 @@ def test_zeta_is_invariant_under_generator_and_coordinate_changes(gens):
     want = zeta_or_refusal(gens)
     for name, other in changes(gens):
         assert zeta_or_refusal(other) == want, (name, [str(g) for g in gens])
+
+
+FAMILIES = {
+    "swell": swell_entries(5),
+    "chain": [(f"chain-{a}-{b}", build(a, b))
+              for a in range(1, 9) for b in range(a)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_zeta_is_invariant_on_swell_and_chains(family):
+    for label, gens in FAMILIES[family]:
+        want = zeta_or_refusal(gens)
+        for name, other in changes(gens):
+            if name in ("reversed", "x<->y", "f2+x*f1"):
+                assert zeta_or_refusal(other) == want, (name, label)
 
 
 def test_shear_and_swap_on_a_known_polynomial():

@@ -537,9 +537,9 @@ def _crafted_occurrence(axis_eq, residual, carriers, others=()):
     E3, ... are {others[i] = 0}."""
     exc = {f"E{i + 1}": P(eq) for i, eq in enumerate((axis_eq, *others))}
     chart = Chart((), exc=exc,
-                  pms={d: PointMap("A", Fraction(1), Fraction(0)) for d in exc},
+                  pms={d: PointMap("A", Fraction(0)) for d in exc},
                   carriers={f"C{i + 1}": P(c) for i, c in enumerate(carriers)},
-                  residual=[P(r) for r in residual])
+                  residual_parts=[(P(r), {}) for r in residual])
     return next(occ for occ in chart.occurrences(0) if occ.ident == "E1")
 
 

@@ -31,7 +31,7 @@ GOLDEN = [parse_poly("x^4*y"), parse_poly("x^7 + x*y^4")]
 
 #: (record, its fields given by keyword, the defaults of the rest)
 RECORDS = [
-    (PointMap, dict(side="A", scale=F(2), offset=F(1, 3)), {}),
+    (PointMap, dict(side="A", offset=F(1, 3)), {}),
     (DivisorRecord, dict(ident="E1", kind="exceptional", N=5, nu=2), {}),
     (BlowUpEvent, dict(step=0, chart_path=(), center=(F(0), F(0)),
                        divisors_through=(), new_divisor="E1", N=1, nu=2,
@@ -49,8 +49,8 @@ RECORDS = [
     (MinimalityReport, dict(passed=True, failures=[]), {}),
     (Pole, dict(location=F(-1), order=1, leading_coefficient=F(2)), {}),
     (Chart, dict(path=()),
-     {"exc": {}, "pms": {}, "carriers": {}, "residual": [],
-      "bad_hits": None}),
+     {"exc": {}, "pms": {}, "carriers": {}, "residual_parts": [],
+      "residual": [], "bad_hits": None}),
     (IntersectionDiagram, dict(vertices=[], edges=set()),
      {"origin_case": None, "minimal": False}),
     (DivisorCheck, dict(ident="E1", N_from_generic=2, N_min=2),
@@ -75,9 +75,10 @@ def test_record_builds_by_keyword(cls, given, defaults):
 def test_named_tuple_records_take_replace():
     pr = PointRecord(leaf_index=0, coords=(F(0), F(0)), divisors=("E1",))
     assert pr._replace(reasons=("x",)) == (0, (F(0), F(0)), ("E1",), ("x",))
-    pm = PointMap("B", F(1), F(0))
-    assert pm.rescale(F(2)) == PointMap(side="B", scale=F(2), offset=F(0))
+    pm = PointMap("B", F(0))
+    assert pm._replace(offset=F(2)) == PointMap(side="B", offset=F(2))
     assert pm.shift(F(1)).to_birth(F(0)) == F(1)
+    assert pm.shift(F(2)).to_birth(F(1, 2)) == F(2, 5)
     assert not Report(name="r", passed=False)
     assert Report(name="r", passed=True)
 
