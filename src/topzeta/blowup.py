@@ -485,8 +485,8 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
     Otherwise the bases are refined into a gcd-free base, each element
     with its exponent in every generator (factor refinement: Bach, Driscoll
     and Shallit, J. Algorithms 15, 1993).  Yun's split runs on h or on the
-    base elements only, and each quotient is a product of the remaining
-    powers.
+    base elements other than x and y, which are their own splits, and each
+    quotient is a product of the remaining powers.
     """
     n = len(gens)
     xs, ys, sums = [0] * n, [0] * n, [0] * n
@@ -514,9 +514,9 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
     elif common:
         base += _refine(list(exps.items()))
     parts: dict[int, BiPoly] = {}
-    for p, es in base:
+    for k, (p, es) in enumerate(base):
         if m := min(es):
-            for q, j in squarefree_decomposition(p):
+            for q, j in ((p, 1),) if k < 2 else squarefree_decomposition(p):
                 parts[j * m] = parts[j * m] * q if j * m in parts else q
     split = [(parts[e], e) for e in sorted(parts)]
     if not common:

@@ -110,6 +110,23 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
             for coords, reasons, divisors in _chart_hits(chart, leaf_index)]
 
 
+def _first_bad_point(state: ChartState, start: int) -> PointRecord | None:
+    """`find_bad_points(state)[0]` right after blowing up a centre on leaf
+    `start`: the leaves before it had no bad point and are unchanged.
+
+    The two new charts are scanned first, as `find_bad_points` would, so a
+    refusal from either is raised in the same order.
+    """
+    leaves = state.leaves
+    _chart_hits(leaves[start], start)
+    _chart_hits(leaves[start + 1], start + 1)
+    for leaf_index in range(start, len(leaves)):
+        if hits := _chart_hits(leaves[leaf_index], leaf_index):
+            coords, reasons, divisors = hits[0]
+            return PointRecord(leaf_index, coords, divisors, reasons)
+    return None
+
+
 class PrincipalizationResult:
     def __init__(self, state: ChartState, diagram: IntersectionDiagram,
                  log: list[BlowUpEvent], step_count: int):
@@ -131,15 +148,14 @@ def principalize(gens: Iterable[BiPoly],
     """
     state = initial_state(list(gens))
     steps = 0
-    while True:
-        bad = find_bad_points(state)
-        if not bad:
-            break
+    bad = next(iter(find_bad_points(state)), None)
+    while bad is not None:
         if steps >= max_steps:
             raise StepBudgetExceeded(
                 f"no principalization within {max_steps} blow-ups")
-        blow_up(state, bad[0])
+        blow_up(state, bad)
         steps += 1
+        bad = _first_bad_point(state, bad.leaf_index)
     state.complete = True
     diagram = diagram_from_state(state)
     return PrincipalizationResult(state, diagram, list(state.log), steps)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .poly import UniPoly, frac_str
@@ -24,21 +25,6 @@ def _primitive(nu: int, N: int) -> tuple[int, Factor]:
         raise ValueError(f"bad linear factor ({nu} + {N}s)")
     g = math.gcd(nu, N)
     return g, (nu // g, N // g)
-
-
-def _div_factor(p: list[int], f: Factor) -> list[int] | None:
-    """p / (c + d*s) by synthetic division in Z[s], or None when the factor
-    does not divide p (exact for primitive factors by Gauss's lemma)."""
-    c, d = f
-    q = [0] * (len(p) - 1)
-    r = p[-1]
-    for k in range(len(p) - 1, 0, -1):
-        qk, rem = divmod(r, d)
-        if rem:
-            return None
-        q[k - 1] = qk
-        r = p[k - 1] - c * qk
-    return q if r == 0 else None
 
 
 def _factor_root(f: Factor) -> Fraction:
@@ -65,27 +51,6 @@ class RationalFunctionS:
     def __init__(self, num: UniPoly, den: Sequence[tuple[Factor, int]]):
         self.num = num
         self.den: tuple[tuple[Factor, int], ...] = tuple(den)
-
-    @classmethod
-    def build(cls, num: UniPoly,
-              den: dict[Factor, int] | None = None) -> "RationalFunctionS":
-        """Reduce and canonicalize: cancel factors against numerator roots,
-        drop zero multiplicities, sort factors."""
-        den = {f: m for f, m in (den or {}).items() if m > 0}
-        if num.is_zero():
-            return cls(num, ())
-        # num = content * prim with prim primitive in Z[s]; by Gauss's lemma
-        # a primitive factor divides prim in Q[s] iff it does so in Z[s]
-        g = math.gcd(*num.nums)
-        prim = [c // g for c in num.nums]
-        for f in list(den):
-            while den[f] and (q := _div_factor(prim, f)) is not None:
-                prim = q
-                den[f] -= 1
-            if not den[f]:
-                del den[f]
-        items = sorted(den.items(), key=_den_sort_key)
-        return cls(UniPoly.from_ints([g * c for c in prim], num.den), items)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -118,6 +83,14 @@ class RationalFunctionS:
         }
 
 
+def _fraction_sum(pieces: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of the fractions n/d (d > 0), in lowest terms."""
+    den = math.lcm(*(d for _, d in pieces))
+    num = sum(n * (den // d) for n, d in pieces)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def rf_sum_of_terms(
     terms: Iterable[tuple[int | Fraction, Sequence[tuple[int, int]]]]
 ) -> RationalFunctionS:
@@ -125,49 +98,59 @@ def rf_sum_of_terms(
 
     Each term carries at most two linear factors (the two-dimensional
     situation); a factor with N = 0 is a plain constant and folds into the
-    coefficient.
+    coefficient.  Summed by partial fractions: each term adds to the
+    principal part a_f/f + b_f/f^2 of its factors, with
+    c/(f*g) = (c*f1/det)/f - (c*g1/det)/g, det = g0*f1 - g1*f0, since
+    distinct primitive factors share no root.  A factor is in the reduced
+    denominator to the order of its principal part, and only those factors
+    are multiplied out: linear in the terms plus the reduced degree squared.
     """
-    parsed: list[tuple[Fraction, list[Factor]]] = []
+    # (factor, order) -> fractions n/d (d > 0); the constant is (None, 0)
+    pieces: dict[tuple, list[tuple[int, int]]] = {}
     for coeff, factors in terms:
         if len(factors) > 2:
             raise ValueError("terms carry at most two linear factors")
-        c = Fraction(coeff)
+        n, d = (coeff, 1) if type(coeff) is int else \
+            Fraction(coeff).as_integer_ratio()
         fs: list[Factor] = []
         for nu, N in factors:
             if nu < 1:
                 raise ValueError("factor constant part must be >= 1")
             if N == 0:
-                c /= nu
+                d *= nu
                 continue
             g, f = _primitive(nu, N)
-            c /= g
+            d *= g
             fs.append(f)
-        parsed.append((c, fs))
+        if len(fs) < 2 or fs[0] == fs[1]:
+            pieces.setdefault((fs[0] if fs else None, len(fs)), []).append(
+                (n, d))
+        else:
+            (f0, f1), (g0, g1) = fs
+            det = g0 * f1 - g1 * f0
+            n, d = (n, d * det) if det > 0 else (-n, -d * det)
+            pieces.setdefault((fs[0], 1), []).append((n * f1, d))
+            pieces.setdefault((fs[1], 1), []).append((-n * g1, d))
 
-    common: dict[Factor, int] = {}
-    for _, fs in parsed:
-        for f in fs:
-            common[f] = max(common.get(f, 0), fs.count(f))
+    coef = {key: _fraction_sum(ps) for key, ps in pieces.items()}
+    L = math.lcm(*(d for _, d in coef.values()))
+    coef = {key: n * (L // d) for key, (n, d) in coef.items()}
+    order = {f: 2 if coef.get((f, 2)) else 1
+             for (f, _), n in coef.items() if n and f}
+    kept = sorted(order.items(), key=_den_sort_key)
 
-    # integer common denominator D; each term contributes c * L * D / d_i,
-    # with L the lcm of the coefficient denominators
-    D = [1]
-    for (c0, c1), m in common.items():
+    # num/den over L, adding one principal part at a time by Horner:
+    # num/den + a/f + b/f^2 = ((num*f + a*den)*f + b*den) / (den*f^2)
+    num, den = [coef.get((None, 0), 0)], [1]
+    for f, m in kept:
+        c0, c1 = f
+        for k in range(1, m + 1):
+            w = coef.get((f, k), 0)
+            num = [c0 * u + c1 * v + w * e for u, v, e in
+                   zip_longest(num + [0], [0] + num, den, fillvalue=0)]
         for _ in range(m):
-            D = [c0 * a + c1 * b for a, b in zip(D + [0], [0] + D)]
-    L = math.lcm(*(c.denominator for c, _ in parsed))
-    acc = [0] * len(D)
-    for c, fs in parsed:
-        if c == 0:
-            continue
-        q = D
-        for f in fs:
-            q = _div_factor(q, f)
-        k = c.numerator * (L // c.denominator)
-        for i, a in enumerate(q):
-            acc[i] += k * a
-    num = UniPoly.from_ints(acc, L)
-    return RationalFunctionS.build(num, common)
+            den = [c0 * u + c1 * v for u, v in zip(den + [0], [0] + den)]
+    return RationalFunctionS(UniPoly.from_ints(num, L), kept)
 
 
 def poles_of(rf: RationalFunctionS) -> list[Pole]:

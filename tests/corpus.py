@@ -8,6 +8,7 @@ in a separate list with the reason they are excluded.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from topzeta import parse_poly
@@ -120,10 +121,28 @@ def swell_entries(max_k: int, cs=("1", "-1", "2", "3")
             for c in cs for k in range(2, max_k + 1)]
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _recorded_pool() -> list[list[str]]:
+    path = PERFBENCH / "expected.json"
+    return json.loads(path.read_text(encoding="utf-8"))["corpus_pool"]
+
+
 def pool_entries() -> list[tuple[str, list[BiPoly]]]:
     """The benchmark's recorded corpus pool: random two- and
     three-generator ideals, some of which need an irrational centre."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
-    pool = json.loads(path.read_text(encoding="utf-8"))["corpus_pool"]
+    pool = _recorded_pool()
     return [(f"pool-{i}", [parse_poly(t) for t in texts])
             for i, texts in enumerate(pool)]
+
+
+def perfbench_ideals() -> dict[str, list[tuple[str, ...]]]:
+    """Generator texts of every ideal each benchmark workload can draw, by
+    workload name, in the order the workload lists them."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    import workloads
+    pool = [tuple(g) for g in _recorded_pool()]
+    return {name: [ideal.gens for stratum in w.strata for ideal in stratum]
+            for name, w in workloads.workloads(pool).items()}

@@ -661,3 +661,36 @@ def test_factored_degree_cap_matches_expanded(capsys):
         for cmd in (("zeta", "--json"), ("verify",)):
             assert run(capsys, *cmd, "--", text, "y") == (
                 2, "", "error: total degree 65 exceeds cap 64\n")
+
+
+
+_IRRATIONAL = ("unsupported: required center is not rational; locator "
+               "{} (residual zero locus on E1)\n")
+_BUDGET = ("--max-blowups", "3")
+#: The benchmark's expected refusals, with their exit codes and stderr.
+REFUSAL_TEXTS = [
+    (("x^3", "y^2 - 2*x^2"), 3, _IRRATIONAL.format("y^2 - 2")),
+    (("y^2 + x^2", "x^5"), 3, _IRRATIONAL.format("y^2 + 1")),
+    (("2x", "y"), 2, "error: trailing input (at position 1)\n"),
+    (("x^2 +", "y"), 2, "error: unexpected end of input (at position 5)\n"),
+    (("x^2 + 0.5*y", "y"), 2,
+     "error: decimal literals are not rational (at position 7)\n"),
+    (("x*z", "y"), 2, "error: unknown variable 'z' (at position 2)\n"),
+    (("1 + x", "y"), 2,
+     "error: generator x + 1 does not vanish at the origin\n"),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ("zeta", "--json", "--check"), ("classify", "--json"), ("verify",)])
+@pytest.mark.parametrize("flags, gens, code, err", [
+    *((flags, gens, code, err) for gens, code, err in REFUSAL_TEXTS
+      for flags in ((), _BUDGET)),
+    (_BUDGET, ("y", "x^8 + y^9"), 3,
+     "unsupported: no principalization within 3 blow-ups\n"),
+    (_BUDGET, ("x^4*y", "x^7 + x*y^4"), 0, ""),
+])
+def test_refusals_keep_codes_and_texts(capsys, command, flags, gens, code,
+                                       err):
+    got = run(capsys, *command, *flags, "--", *gens)
+    assert (got[0], got[2]) == (code, err)

@@ -16,6 +16,7 @@ from topzeta.errors import (
     ParseError,
     UnknownVariableError,
 )
+from corpus import corpus, perfbench_ideals, pool_entries
 from reference_q import (
     compose_affine,
     const_q,
@@ -770,6 +771,41 @@ def test_curve_part_cases(texts):
     expanded = [P(poly_to_str(g)) for g in gens]
     assert curve_part(gens) == _reference_curve_part(expanded)
     assert curve_part(expanded) == _reference_curve_part(expanded)
+
+
+def _recorded_ideals():
+    """The 111-ideal corpus, the benchmark's corpus pool and every ideal of
+    the benchmark's workloads that parses."""
+    ideals = [gens for _, gens in corpus() + pool_entries()]
+    for texts in (t for w in perfbench_ideals().values() for t in w):
+        try:
+            ideals.append([P(t) for t in texts])
+        except (ParseError, DegreeCapExceeded):
+            pass
+    return ideals
+
+
+def test_curve_part_matches_reference_on_recorded_ideals():
+    """x and y skip Yun's split, which returns each of them unchanged; the
+    curve part of every recorded ideal is the expanded gcd chain's."""
+    x, y = BiPoly.x(), BiPoly.y()
+    assert squarefree_decomposition(x) == [(x, 1)]
+    assert squarefree_decomposition(y) == [(y, 1)]
+    ideals = _recorded_ideals()
+    assert len(ideals) > 111 + 240
+    for gens in ideals:
+        gens = [g for g in gens if not g.is_zero()]
+        expanded = [P(poly_to_str(g)) for g in gens]
+        assert curve_part(gens) == _reference_curve_part(expanded), gens
+
+
+def test_curve_part_splits_no_coordinate(monkeypatch):
+    """A monomial ideal's curve part is x^a y^b: no Yun's split runs."""
+    calls = []
+    monkeypatch.setattr(blowup, "squarefree_decomposition",
+                        lambda p: calls.append(p) or [])
+    split, _ = curve_part([P("x^3*y"), P("x^2*y^5"), P("x^4*y^3")])
+    assert split == [(P("y"), 1), (P("x"), 2)] and calls == []
 
 
 def test_curve_part_expanded_costs_one_gcd_chain(monkeypatch):

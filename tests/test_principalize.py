@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import corpus, perfbench_ideals, pool_entries
 from reference_q import chart_restrict, derivative_q, gcd_q, squarefree_q
 from test_blowup import _reference_point_identity
 from topzeta.blowup import (
@@ -663,3 +664,89 @@ def test_point_owned_scans_take_no_gcd(monkeypatch, replay_states, gens):
                 else 1
     # the guard is not vacuous: point scans ran, full scans took gcds
     assert scanned["point"] >= 5 and scanned["all"] >= 5
+
+
+# --- the next centre without relisting every leaf ------------------------------
+
+def _listing_outcome(gens, max_steps):
+    """The centres of the loop that blows up `find_bad_points(state)[0]`
+    until none remain, or its refusal."""
+    state = initial_state(list(gens))
+    centres = []
+    try:
+        while bad := find_bad_points(state):
+            if len(centres) >= max_steps:
+                raise StepBudgetExceeded(
+                    f"no principalization within {max_steps} blow-ups")
+            centres.append(bad[0])
+            blow_up(state, bad[0])
+    except (CenterNotRational, StepBudgetExceeded) as exc:
+        return centres, (type(exc), str(exc))
+    return centres, None
+
+
+def _picking_entries():
+    entries = corpus() + pool_entries()
+    entries += [(f"build-{a}-{b}", build(a, b))
+                for a, b in ((40, 0), (34, 3), (28, 2), (23, 0), (19, 3))]
+    entries += [(f"swell-{i}", [P(t) for t in texts])
+                for i, texts in enumerate(perfbench_ideals()["swell"])]
+    return entries
+
+
+def test_principalize_picks_the_first_listed_bad_point(monkeypatch):
+    """At every step the centre is `find_bad_points(state)[0]`, and the
+    run ends as the listing loop does, refusals and budgets included."""
+    principalize_mod = importlib.import_module("topzeta.principalize")
+    picked = []
+
+    def checked(state, pr):
+        assert pr == find_bad_points(state)[0]
+        picked.append(pr)
+        return blow_up(state, pr)
+
+    monkeypatch.setattr(principalize_mod, "blow_up", checked)
+    ends = Counter()
+    for name, gens in _picking_entries():
+        for max_steps in (3, 512):
+            picked.clear()
+            try:
+                principalize(gens, max_steps=max_steps)
+                end = None
+            except (CenterNotRational, StepBudgetExceeded) as exc:
+                end = (type(exc), str(exc))
+            assert (picked, end) == _listing_outcome(gens, max_steps), name
+            ends[end and end[0]] += 1
+    assert ends[None] and ends[CenterNotRational] and ends[StepBudgetExceeded]
+
+
+@pytest.mark.parametrize("a", [20, 40, 80])
+def test_principalize_reads_few_charts_per_blow_up(monkeypatch, a):
+    """A chain of length a reads a bounded number of charts per blow-up;
+    relisting every leaf after each blow-up reads about a^2 / 2."""
+    principalize_mod = importlib.import_module("topzeta.principalize")
+    real = principalize_mod._chart_hits
+    calls = []
+    monkeypatch.setattr(principalize_mod, "_chart_hits",
+                        lambda ch, i: calls.append(i) or real(ch, i))
+    result = principalize(build(a, 0))
+    assert result.step_count == a
+    assert len(calls) <= 4 * a
+
+
+def test_principalize_scans_both_new_charts_first(monkeypatch):
+    """A refusal from the second new chart ends the run, under any budget,
+    though the first new chart has a bad point: the listing scans both."""
+    principalize_mod = importlib.import_module("topzeta.principalize")
+    real = principalize_mod._chart_hits
+
+    def refusing(chart, leaf_index):
+        if chart.path == (("B",),):
+            raise CenterNotRational("crafted")
+        return real(chart, leaf_index)
+
+    monkeypatch.setattr(principalize_mod, "_chart_hits", refusing)
+    for max_steps in (1, 512):
+        with pytest.raises(CenterNotRational, match="crafted"):
+            principalize(GOLDEN, max_steps=max_steps)
+        assert _listing_outcome(GOLDEN, max_steps)[1][0] is CenterNotRational

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import perfbench_ideals
 from reference_q import add_q, const_q, divexact_q, mul_q
+from topzeta import parse_poly, principalize
 from topzeta.poly import UniPoly
-from topzeta.ratfunc import RationalFunctionS, poles_of, rf_sum_of_terms
+from topzeta.ratfunc import (
+    RationalFunctionS,
+    _den_sort_key,
+    _primitive,
+    poles_of,
+    rf_sum_of_terms,
+)
+from topzeta.zeta import zeta_terms
 
 
 def test_sum_golden():
@@ -114,7 +123,7 @@ def test_poles_simple_readoff():
 
 
 def test_pole_order_two():
-    rf = RationalFunctionS.build(UniPoly([1]), {(1, 1): 2})
+    rf = _build(UniPoly([1]), {(1, 1): 2})
     (p,) = poles_of(rf)
     assert (p.location, p.order) == (Fraction(-1), 2)
     assert p.leading_coefficient == Fraction(1)
@@ -140,10 +149,97 @@ def test_canonical_order_and_str():
 
 
 def test_term_validation():
-    with pytest.raises(ValueError):
-        rf_sum_of_terms([(1, [(1, 1), (1, 1), (1, 1)])])
-    with pytest.raises(ValueError):
-        rf_sum_of_terms([(1, [(0, 0)])])
+    """The same refusals, with the same texts, as the common-denominator
+    oracle below."""
+    for terms, message in [
+        ([(1, [(1, 1), (1, 1), (1, 1)])],
+         "terms carry at most two linear factors"),
+        ([(1, [(0, 0)])], "factor constant part must be >= 1"),
+        ([(1, [(0, 3)])], "factor constant part must be >= 1"),
+        ([(1, [(2, 1), (1, -1)])], "bad linear factor (1 + -1s)"),
+    ]:
+        for total in (rf_sum_of_terms, _common_denominator_sum):
+            with pytest.raises(ValueError) as exc:
+                total(terms)
+            assert str(exc.value) == message
+
+
+# --- oracle: one integer common denominator, reduced by synthetic division ---
+
+def _div_factor(p, f):
+    """p / (c + d*s) by synthetic division in Z[s], or None when the factor
+    does not divide p (exact for primitive factors by Gauss's lemma)."""
+    c, d = f
+    q = [0] * (len(p) - 1)
+    r = p[-1]
+    for k in range(len(p) - 1, 0, -1):
+        qk, rem = divmod(r, d)
+        if rem:
+            return None
+        q[k - 1] = qk
+        r = p[k - 1] - c * qk
+    return q if r == 0 else None
+
+
+def _build(num, den=None):
+    """Reduce and canonicalize num / prod f^m: cancel factors against
+    numerator roots, drop zero multiplicities, sort factors."""
+    den = {f: m for f, m in (den or {}).items() if m > 0}
+    if num.is_zero():
+        return RationalFunctionS(num, ())
+    # num = content * prim with prim primitive in Z[s]; by Gauss's lemma
+    # a primitive factor divides prim in Q[s] iff it does so in Z[s]
+    g = math.gcd(*num.nums)
+    prim = [c // g for c in num.nums]
+    for f in list(den):
+        while den[f] and (q := _div_factor(prim, f)) is not None:
+            prim = q
+            den[f] -= 1
+        if not den[f]:
+            del den[f]
+    items = sorted(den.items(), key=_den_sort_key)
+    return RationalFunctionS(UniPoly.from_ints([g * c for c in prim],
+                                               num.den), items)
+
+
+def _common_denominator_sum(terms):
+    """Every term over one integer common denominator D, each term's share
+    c * L * D / d_i by synthetic division, then `_build`."""
+    parsed = []
+    for coeff, factors in terms:
+        if len(factors) > 2:
+            raise ValueError("terms carry at most two linear factors")
+        c, fs = Fraction(coeff), []
+        for nu, N in factors:
+            if nu < 1:
+                raise ValueError("factor constant part must be >= 1")
+            if N == 0:
+                c /= nu
+                continue
+            g, f = _primitive(nu, N)
+            c /= g
+            fs.append(f)
+        parsed.append((c, fs))
+    common = {}
+    for _, fs in parsed:
+        for f in fs:
+            common[f] = max(common.get(f, 0), fs.count(f))
+    D = [1]
+    for (c0, c1), m in common.items():
+        for _ in range(m):
+            D = [c0 * a + c1 * b for a, b in zip(D + [0], [0] + D)]
+    L = math.lcm(*(c.denominator for c, _ in parsed))
+    acc = [0] * len(D)
+    for c, fs in parsed:
+        if c == 0:
+            continue
+        q = D
+        for f in fs:
+            q = _div_factor(q, f)
+        k = c.numerator * (L // c.denominator)
+        for i, a in enumerate(q):
+            acc[i] += k * a
+    return _build(UniPoly.from_ints(acc, L), common)
 
 
 # --- reference oracle: Fraction-coefficient products, root-test reduction ---
@@ -239,7 +335,7 @@ def test_build_matches_reference(coeffs, roots, den):
         num = mul_q(num, UniPoly([nu // g, N // g]))
     den = {(nu // math.gcd(nu, N), N // math.gcd(nu, N)): m
            for (nu, N), m in den.items()}
-    rf = RationalFunctionS.build(num, den)
+    rf = _build(num, den)
     ref_num, ref_den = _reference_build(num, den)
     assert rf.num == ref_num and rf.den == ref_den
 
@@ -247,3 +343,55 @@ def test_build_matches_reference(coeffs, roots, den):
 def test_sum_cancels_to_zero():
     rf = rf_sum_of_terms([(1, [(1, 2), (3, 4)]), (-4, [(2, 4), (6, 8)])])
     assert rf.is_zero() and rf.den == ()
+
+
+# --- partial fractions against the common-denominator oracle ----------------
+
+@st.composite
+def _order_two_term_lists(draw):
+    """Terms whose two factors are often one factor, typed as different
+    multiples of it, beside its order-one terms."""
+    f = draw(st.tuples(st.integers(1, 7), st.integers(1, 6)))
+    mult = st.integers(1, 3).map(lambda g: (g * f[0], g * f[1]))
+    other = st.tuples(st.integers(1, 7), st.integers(0, 6))
+    factors = st.one_of(st.tuples(mult, mult), st.tuples(mult),
+                        st.tuples(mult, other), st.tuples())
+    return draw(st.lists(st.tuples(_coeff, factors.map(list)), max_size=8))
+
+
+def _assert_same_sum(terms):
+    rf, want = rf_sum_of_terms(terms), _common_denominator_sum(terms)
+    assert (rf.num, rf.den) == (want.num, want.den)
+    assert str(rf) == str(want) and rf.to_json_dict() == want.to_json_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_term_lists(), _order_two_term_lists()))
+def test_sum_matches_common_denominator_oracle(terms):
+    _assert_same_sum(terms)
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    [(0, [(1, 1)])],
+    [(5, [])],
+    [(3, [(2, 0)]), (-1, [(6, 0), (1, 0)])],
+    [(1, [(1, 2), (1, 2)]), (-4, [(2, 4), (2, 4)])],
+    [(1, [(1, 2), (3, 4)]), (-4, [(2, 4), (6, 8)])],
+    [(1, [(1, 1), (2, 3)]), (1, [(1, 1)])],
+], ids=["empty", "zero-term", "constant", "constants-cancel",
+        "order-two-cancels", "pair-cancels", "partial-cancel"])
+def test_sum_matches_oracle_on_edge_cases(terms):
+    _assert_same_sum(terms)
+
+
+def test_sum_matches_oracle_on_diagrams(corpus_results):
+    """Every corpus diagram, and every chain and swell ideal of the
+    benchmark."""
+    diagrams = [result.diagram for _, result in corpus_results]
+    for name in ("chain", "swell"):
+        diagrams += [principalize([parse_poly(t) for t in texts]).diagram
+                     for texts in perfbench_ideals()[name]]
+    assert len(diagrams) == 111 + 16 + 12
+    for diagram in diagrams:
+        _assert_same_sum(zeta_terms(diagram))
