@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .diagram import IntersectionDiagram, alphas
+from .diagram import IntersectionDiagram, alpha_nums
 from .errors import NonMinimalDiagram, NotACandidate
 from .poly import frac_str
 from .zeta import ZetaReport
@@ -40,19 +40,21 @@ def classify(diagram: IntersectionDiagram, s0: Fraction,
     if not (diagram.minimal or assume_minimal):
         raise NonMinimalDiagram(
             "pole classification requires a minimal principalization")
-    s0 = Fraction(s0)
-    if s0 not in diagram.by_candidate:
+    if not isinstance(s0, Fraction):
+        s0 = Fraction(s0)
+    group = diagram.by_candidate.get(s0)
+    if group is None:
         raise NotACandidate(f"{frac_str(s0)} is not a candidate pole")
     hits: list[ConditionHit] = []
-    for v in diagram.by_candidate[s0]:
+    for v in group:
         if v.kind == "strict-branch":
             hits.append(ConditionHit(1, v.ident))
             continue
-        table = alphas(diagram, v.ident)
+        table = alpha_nums(diagram, v.ident)
         m = len(table)
         if m == 0:
             hits.append(ConditionHit(2, v.ident))
-        elif m == 1 and table[0][1] != -1:
+        elif m == 1 and table[0][1] != -v.N:
             hits.append(ConditionHit(3, v.ident))
         elif m == 2 and table[0][1] + table[1][1] != 0:
             hits.append(ConditionHit(4, v.ident))

@@ -8,6 +8,8 @@ the zeta function needs the branches through the origin there.
 Validators check the known constraints on the numerical data of a minimal
 principalization: bounds on alpha = nu_i - (nu/N) N_i, the sign pattern of
 the alphas, the ordered-tree property of the ratios nu/N, and nu <= N + 1.
+They compare integers only: an alpha as its numerator N nu_i - nu N_i over
+N >= 1 (`alpha_nums`), and two ratios by cross-multiplication (`_below`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class IntersectionDiagram:
     order, each vertex's ratio ``nu/N`` (``ratio``), and the vertices
     grouped by candidate ``-nu/N`` (``by_candidate``, candidates ascending,
     vertices in id order).  The alpha table of an exceptional vertex is
-    kept on its first read (``alphas``)."""
+    kept on its first read (``alpha_nums``)."""
 
     def __init__(self, vertices: list[Vertex], edges: set[frozenset],
                  origin_case: Optional[list[str]] = None,  # branch vertex ids
@@ -76,7 +78,7 @@ class IntersectionDiagram:
         for v in self.vertices:
             groups.setdefault(-self._ratio[v.ident], []).append(v)
         self.by_candidate = dict(sorted(groups.items()))
-        self._alphas: dict[str, tuple[tuple[str, Fraction], ...]] = {}
+        self._alpha_nums: dict[str, tuple[tuple[str, int], ...]] = {}
 
     # -- queries --
 
@@ -128,7 +130,7 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
                 for d in state.divisor_order]
     edges = set(state.adjacency)
 
-    corners = state.corner_registry()
+    corners = None  # read only where a branch meets a divisor
     hits = carrier_intersections(state)
     serial = 0
     for c in state.carriers:
@@ -138,6 +140,8 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
             if not count:
                 continue
             row, inf = data
+            if corners is None:
+                corners = state.corner_registry()
             if any(inf if lam is None else
                    _zhorner(row, lam.numerator, lam.denominator) == 0
                    for lam in corners[d]):
@@ -155,19 +159,33 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
 
 # --- alpha table -------------------------------------------------------------
 
+def alpha_nums(diagram: IntersectionDiagram,
+               ident: str) -> tuple[tuple[str, int], ...]:
+    """The alphas of an exceptional vertex as integer numerators over its N:
+    a_i = N nu_i - nu N_i, so alpha_i = a_i / N, per neighbor sorted by
+    neighbor identity; the diagram's own table."""
+    table = diagram._alpha_nums.get(ident)
+    if table is None:
+        v = diagram.vertex(ident)
+        if v.kind != "exceptional":
+            raise MalformedDiagram(f"{ident} is not an exceptional vertex")
+        table = diagram._alpha_nums[ident] = tuple(
+            (w.ident, v.N * w.nu - v.nu * w.N)
+            for w in map(diagram.vertex, diagram._neighbors[ident]))
+    return table
+
+
 def alphas(diagram: IntersectionDiagram,
            ident: str) -> list[tuple[str, Fraction]]:
     """alpha_i = nu_i - (nu/N) N_i per neighbor of an exceptional vertex,
-    sorted by neighbor identity; a fresh list of the diagram's table."""
-    table = diagram._alphas.get(ident)
-    if table is None:
-        if diagram.vertex(ident).kind != "exceptional":
-            raise MalformedDiagram(f"{ident} is not an exceptional vertex")
-        r = diagram.ratio(ident)
-        ws = [diagram.vertex(n) for n in diagram._neighbors[ident]]
-        table = diagram._alphas[ident] = tuple(
-            (w.ident, w.nu - r * w.N) for w in ws)
-    return list(table)
+    sorted by neighbor identity: `alpha_nums` as fractions."""
+    N = diagram.vertex(ident).N
+    return [(n, Fraction(a, N)) for n, a in alpha_nums(diagram, ident)]
+
+
+def _below(v: Vertex, w: Vertex) -> bool:
+    """Whether nu/N of v is less than that of w (both N >= 1)."""
+    return v.nu * w.N < w.nu * v.N
 
 
 class Report(NamedTuple):
@@ -190,13 +208,13 @@ def validate_alpha_bounds(diagram: IntersectionDiagram) -> Report:
     alpha_i = -1 only with a single neighbor."""
     failures = []
     for v in diagram.exceptional():
-        table = alphas(diagram, v.ident)
+        table, N = alpha_nums(diagram, v.ident), v.N
         m = len(table)
         for n, a in table:
-            if not (-1 <= a < 1):
-                failures.append(
-                    f"{v.ident}: alpha toward {n} is {frac_str(a)}")
-            if a == -1 and m != 1:
+            if not (-N <= a < N):
+                failures.append(f"{v.ident}: alpha toward {n} is "
+                                f"{frac_str(Fraction(a, N))}")
+            if a == -N and m != 1:
                 failures.append(
                     f"{v.ident}: alpha = -1 with {m} neighbors")
     return _report("alpha-bounds", failures)
@@ -208,7 +226,7 @@ def validate_alpha_signs(diagram: IntersectionDiagram) -> Report:
     below the larger neighbor ratio whenever it sits above the smaller."""
     failures = []
     for v in diagram.exceptional():
-        table = alphas(diagram, v.ident)
+        table = alpha_nums(diagram, v.ident)
         m = len(table)
         neg = [n for n, a in table if a < 0]
         if len(neg) > 1:
@@ -219,12 +237,11 @@ def validate_alpha_signs(diagram: IntersectionDiagram) -> Report:
                 failures.append(
                     f"{v.ident}: several nonpositive alphas {nonpos}")
         if m == 2:
-            r = diagram.ratio(v.ident)
-            (n1, _), (n2, _) = table
-            for a, b in ((n1, n2), (n2, n1)):
-                if diagram.ratio(a) < r and not r < diagram.ratio(b):
-                    failures.append(
-                        f"{v.ident}: ratio not between neighbors {a}, {b}")
+            w1, w2 = (diagram.vertex(n) for n, _ in table)
+            for a, b in ((w1, w2), (w2, w1)):
+                if _below(a, v) and not _below(v, b):
+                    failures.append(f"{v.ident}: ratio not between "
+                                    f"neighbors {a.ident}, {b.ident}")
     return _report("two-neighbor-ordering", failures)
 
 
@@ -248,8 +265,8 @@ def validate_ordered_tree(diagram: IntersectionDiagram) -> Report:
     failures = []
     if not diagram.vertices:
         return _report("ordered-tree", failures)
-    rmin = min(diagram.ratio(v.ident) for v in diagram.vertices)
-    core = [v.ident for v in diagram.vertices if diagram.ratio(v.ident) == rmin]
+    # the last candidate group has the least ratio, vertices in id order
+    core = [v.ident for v in next(reversed(diagram.by_candidate.values()))]
     if not _connected(diagram, core):
         failures.append(f"minimal-ratio part disconnected: {sorted(core)}")
     # strict increase outward (breadth-first from the core)
@@ -261,7 +278,7 @@ def validate_ordered_tree(diagram: IntersectionDiagram) -> Report:
             for n in diagram._neighbors[cur]:
                 if n in seen:
                     continue
-                if not diagram.ratio(n) > diagram.ratio(cur):
+                if not _below(diagram.vertex(cur), diagram.vertex(n)):
                     failures.append(
                         f"ratio does not increase from {cur} to {n}")
                 seen.add(n)

@@ -12,6 +12,8 @@ m diagram neighbors and ratio nu/N:
 
     sum(alpha_i) + n (1 - nu/N) = m + n - 2
     sum(alpha_i) = m - 2 + nu n / N
+
+Both are checked on integers, times N, from the numerators `alpha_nums`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .blowup import (
     union_zero_data,
     zero_count,
 )
-from .diagram import alphas
+from .diagram import alpha_nums
 from .errors import DegenerateLambda, InternalInvariantError, RetriesExhausted
 from .poly import _zhorner, combination, row_gcd
 from .principalize import PrincipalizationResult
@@ -184,20 +186,19 @@ def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
     diagram = result.diagram
     for v in diagram.exceptional():
         n = _count_n(result.state, lam, v.ident, points)
-        table = alphas(diagram, v.ident)
-        m = len(table)
-        total = sum((a for _, a in table), Fraction(0))
-        r = diagram.ratio(v.ident)
-        lhs = total + n * (1 - r)
-        rhs = Fraction(m + n - 2)
-        if lhs != rhs or total != m - 2 + r * n:
+        table = alpha_nums(diagram, v.ident)
+        m, N, nu = len(table), v.N, v.nu
+        total = sum(a for _, a in table)  # N sum(alpha)
+        rhs = N * (m - 2) + nu * n
+        if total + n * (N - nu) != N * (m + n - 2) or total != rhs:
             raise InternalInvariantError(
                 f"numerical-data relation fails at {v.ident}: "
-                f"sum(alpha) = {total}, m = {m}, n = {n}, ratio = {r}")
+                f"sum(alpha) = {Fraction(total, N)}, m = {m}, n = {n}, "
+                f"ratio = {diagram.ratio(v.ident)}")
         check = checks[v.ident]
         check.n = n
-        check.relation_lhs = total
-        check.relation_rhs = Fraction(m - 2) + r * n
+        check.relation_lhs = Fraction(total, N)
+        check.relation_rhs = Fraction(rhs, N)
     return GenericCheckReport(lam=list(lam), retries=0, per_divisor=checks)
 
 

@@ -71,8 +71,14 @@ def _chart_hits(chart: Chart, leaf_index: int) -> tuple:
     owns, sorted by coordinates, reasons sorted.
 
     Scanned once and stored on the chart, which never changes; a scan that
-    raises stores nothing.
+    raises stores nothing.  A chart with no carrier and a nonzero constant
+    residual generator has none: that generator's row makes every residual
+    gcd 1, and every other reason reads a carrier.
     """
+    if chart.bad_hits is None and not chart.carriers and any(
+            not k and s.nums and s.is_constant()
+            for s, k in chart.residual_parts):
+        chart.bad_hits = ()
     if chart.bad_hits is None:
         found: dict[tuple[Fraction, Fraction], tuple[str, ...]] = {}
         for coords, reason in sorted({

@@ -1,6 +1,7 @@
 """The diagram's tables (neighbour lists, candidate groups, edge pairs) and
 the validators, zeta terms and residues that read them, against the
-per-call scans they replaced.
+per-call scans they replaced; and the integer alpha tables, validators and
+pole criterion against the Fraction code they replaced.
 
 Each ``_reference_*`` function is the earlier code, kept verbatim as the
 oracle except that it calls the other references instead of the tables.
@@ -13,21 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topzeta.criterion import ConditionHit, Verdict, classify
 from topzeta.diagram import (
     IntersectionDiagram,
     Vertex,
     _id_key,
     _report,
+    alpha_nums,
     alphas,
     diagram_from_state,
     export_dot,
     export_json,
+    load_json,
+    validate_alpha_bounds,
+    validate_alpha_signs,
     validate_ordered_tree,
     validate_tree_shape,
 )
 from topzeta.errors import (
     InternalInvariantError,
     MalformedDiagram,
+    NotACandidate,
     OrderTwoCandidate,
 )
 from topzeta.family import build
@@ -220,6 +227,67 @@ def _reference_validate_tree_shape(diagram):
     return _report("tree-shape", failures)
 
 
+def _reference_validate_alpha_bounds(diagram):
+    failures = []
+    for v in diagram.exceptional():
+        table = _reference_alphas(diagram, v.ident)
+        m = len(table)
+        for n, a in table:
+            if not (-1 <= a < 1):
+                failures.append(
+                    f"{v.ident}: alpha toward {n} is {frac_str(a)}")
+            if a == -1 and m != 1:
+                failures.append(
+                    f"{v.ident}: alpha = -1 with {m} neighbors")
+    return _report("alpha-bounds", failures)
+
+
+def _reference_validate_alpha_signs(diagram):
+    failures = []
+    for v in diagram.exceptional():
+        table = _reference_alphas(diagram, v.ident)
+        m = len(table)
+        neg = [n for n, a in table if a < 0]
+        if len(neg) > 1:
+            failures.append(f"{v.ident}: several negative alphas {neg}")
+        if m >= 3:
+            nonpos = [n for n, a in table if a <= 0]
+            if len(nonpos) > 1:
+                failures.append(
+                    f"{v.ident}: several nonpositive alphas {nonpos}")
+        if m == 2:
+            r = diagram.ratio(v.ident)
+            (n1, _), (n2, _) = table
+            for a, b in ((n1, n2), (n2, n1)):
+                if diagram.ratio(a) < r and not r < diagram.ratio(b):
+                    failures.append(
+                        f"{v.ident}: ratio not between neighbors {a}, {b}")
+    return _report("two-neighbor-ordering", failures)
+
+
+def _reference_classify(diagram, s0):
+    s0 = Fraction(s0)
+    components = _reference_components(diagram, s0)
+    if not components:
+        raise NotACandidate(f"{frac_str(s0)} is not a candidate pole")
+    hits = []
+    for v in components:
+        if v.kind == "strict-branch":
+            hits.append(ConditionHit(1, v.ident))
+            continue
+        table = _reference_alphas(diagram, v.ident)
+        m = len(table)
+        if m == 0:
+            hits.append(ConditionHit(2, v.ident))
+        elif m == 1 and table[0][1] != -1:
+            hits.append(ConditionHit(3, v.ident))
+        elif m == 2 and table[0][1] + table[1][1] != 0:
+            hits.append(ConditionHit(4, v.ident))
+        elif m >= 3:
+            hits.append(ConditionHit(5, v.ident))
+    return Verdict(s0=s0, is_pole=bool(hits), hits=hits)
+
+
 # --- comparison ----------------------------------------------------------
 
 MEET = "strict branches meet: "
@@ -228,8 +296,25 @@ MEET = "strict branches meet: "
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (MalformedDiagram, OrderTwoCandidate, ValueError) as exc:
+    except (MalformedDiagram, NotACandidate, OrderTwoCandidate,
+            ValueError) as exc:
         return type(exc).__name__
+
+
+def _assert_integer_checks_match(d: IntersectionDiagram) -> None:
+    """The integer alpha tables, alpha validators and criterion give the
+    Fraction references' tables, reports, failure texts and verdicts."""
+    for v in d.exceptional():
+        assert [(n, Fraction(a, v.N)) for n, a in alpha_nums(d, v.ident)] \
+            == _reference_alphas(d, v.ident)
+    assert validate_alpha_bounds(d) == _reference_validate_alpha_bounds(d)
+    assert validate_alpha_signs(d) == _reference_validate_alpha_signs(d)
+    for s0 in [*d.by_candidate, Fraction(1, 2)]:
+        verdict = _outcome(classify, d, s0, True)
+        assert verdict == _outcome(_reference_classify, d, s0), s0
+        if s0.denominator == 1:  # an int is read as its Fraction
+            assert classify(d, int(s0), True) == verdict
+            assert type(classify(d, int(s0), True).s0) is Fraction
 
 
 def _assert_tables_match(d: IntersectionDiagram) -> None:
@@ -250,6 +335,7 @@ def _assert_tables_match(d: IntersectionDiagram) -> None:
         assert zeta_terms(d) == _reference_zeta_terms(d)
     for v in d.exceptional():
         assert alphas(d, v.ident) == _reference_alphas(d, v.ident)
+    _assert_integer_checks_match(d)
     for v in d.vertices:
         if v.kind == "strict-branch" and d.degree(v.ident) > 1:
             continue  # the reference failed to unpack; see CHANGES.md
@@ -334,6 +420,52 @@ def drawn_diagrams(draw):
 @settings(max_examples=200, deadline=None)
 def test_tables_match_references_on_drawn_diagrams(d):
     _assert_tables_match(d)
+
+
+@given(drawn_diagrams())
+@settings(max_examples=200, deadline=None)
+def test_integer_checks_match_references_on_loaded_diagrams(drawn):
+    """Through the JSON reader, as `zp verify --diagram-json` takes them."""
+    d = load_json(export_json(drawn))
+    assert not d.minimal
+    _assert_integer_checks_match(d)
+
+
+def _integer_check_features(d):
+    """The failure kinds and criterion branches a diagram reaches."""
+    for f in validate_alpha_bounds(d).failures + \
+            validate_alpha_signs(d).failures:
+        yield next((k for k in (
+            "alpha toward", "alpha = -1 with", "several negative",
+            "several nonpositive", "ratio not between") if k in f), f)
+    for s0 in d.by_candidate:
+        for hit in classify(d, s0).hits:
+            yield f"condition {hit.condition}"
+        for v in d.by_candidate[s0]:
+            if v.kind == "exceptional" and len(d.neighbors(v.ident)) in (1, 2):
+                nums = alpha_nums(d, v.ident)
+                if sum(a for _, a in nums) == -v.N * (2 - len(nums)):
+                    yield f"no pole with {len(nums)} neighbors"
+
+
+def test_drawn_diagrams_cover_the_integer_checks():
+    """The strategy reaches every failure line of the alpha validators,
+    every condition, and the equalities that make one or two neighbors no
+    pole (alpha = -1, alpha_1 + alpha_2 = 0)."""
+    found = set()
+
+    @given(drawn_diagrams())
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    def collect(d):
+        found.update(_integer_check_features(d))
+
+    collect()
+    assert found == {
+        "alpha toward", "alpha = -1 with", "several negative",
+        "several nonpositive", "ratio not between",
+        *(f"condition {i}" for i in range(1, 6)),
+        "no pole with 1 neighbors", "no pole with 2 neighbors"}, found
 
 
 def test_drawn_diagrams_cover_the_validator_failures():

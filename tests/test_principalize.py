@@ -20,6 +20,7 @@ from topzeta.errors import (
     CenterNotRational,
     InternalInvariantError,
     StepBudgetExceeded,
+    TopZetaError,
 )
 from topzeta.family import build
 from topzeta.poly import (
@@ -32,6 +33,7 @@ from topzeta.principalize import (
     MinimalityReport,
     PrincipalizationResult,
     _bad_values_on_occurrence,
+    _chart_hits,
     find_bad_points,
     principalize,
     verify_minimality,
@@ -594,26 +596,33 @@ def test_principalize_builds_no_restriction(monkeypatch, gens, steps,
     """The scan and the diagram read integer rows and build no UniPoly.
     A point-owned restriction is read whole only to rule out that it
     vanishes identically, when its t^0 coefficient is zero; swell has two
-    such reads, on integers too."""
+    such reads, on integers too.  Every point-owned occurrence of the chain
+    lies on a chart with a unit residual, which is not scanned, so the
+    chain reads rows of fully owned divisors only."""
     from topzeta.poly import BiPoly
 
     def refuse(*args):
         raise AssertionError("UniPoly built")
 
-    reads = []
-    y_coeffs = BiPoly.y_coeffs
+    reads, x0_reads = [], []
+    y_coeffs, x0_row = BiPoly.y_coeffs, BiPoly.x0_row
 
     def counted(p, beta, upto):
         reads.append(upto)
         return y_coeffs(p, beta, upto)
 
+    def counted_x0(p):
+        x0_reads.append(p)
+        return x0_row(p)
+
     monkeypatch.setattr(UniPoly, "__init__", refuse)
     monkeypatch.setattr(UniPoly, "from_ints", classmethod(refuse))
     monkeypatch.setattr(BiPoly, "y_coeffs", counted)
+    monkeypatch.setattr(BiPoly, "x0_row", counted_x0)
     result = principalize(gens)
     assert result.step_count == steps
     assert sum(upto > 1 for upto in reads) == whole_reads
-    assert reads
+    assert x0_reads
 
 
 def test_scan_corner_at_nonzero_parameter():
@@ -750,3 +759,93 @@ def test_principalize_scans_both_new_charts_first(monkeypatch):
         with pytest.raises(CenterNotRational, match="crafted"):
             principalize(GOLDEN, max_steps=max_steps)
         assert _listing_outcome(GOLDEN, max_steps)[1][0] is CenterNotRational
+
+
+# --- the unit-residual rule, against the full scan -----------------------------
+
+def _reference_chart_hits(chart, leaf_index):
+    """The hits of a full scan of the chart, as `_chart_hits` stored them
+    before a chart with a unit residual went unscanned; stores nothing."""
+    found = {}
+    for coords, reason in sorted({
+            (occ.param_point(t), reason)
+            for occ in chart.occurrences(leaf_index)
+            for t, reason in _bad_values_on_occurrence(occ)}):
+        found[coords] = found.get(coords, ()) + (reason,)
+    return tuple((coords, reasons, tuple(chart.divisors_through(coords)))
+                 for coords, reasons in found.items())
+
+
+def _chart_outcome(scan, chart, leaf_index):
+    try:
+        return scan(chart, leaf_index)
+    except (CenterNotRational, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _has_unit_residual(chart):
+    return not chart.carriers and any(
+        not k and not s.is_zero() and s.is_constant()
+        for s, k in chart.residual_parts)
+
+
+def _scan_entries():
+    """The corpus, the benchmark's pool and every ideal a benchmark
+    workload can draw that parses."""
+    entries = corpus() + pool_entries()
+    for workload, ideals in perfbench_ideals().items():
+        for i, texts in enumerate(ideals):
+            try:
+                entries.append((f"{workload}-{i}", [P(t) for t in texts]))
+            except TopZetaError:
+                continue  # refused by the parser, never scanned
+    return entries
+
+
+def test_unit_residual_rule_matches_full_scan(monkeypatch):
+    """Every chart a run scans gets the full scan's hits, or its refusal;
+    the charts with a unit residual and no carrier, which the rule passes
+    over, have none."""
+    principalize_mod = importlib.import_module("topzeta.principalize")
+    real = principalize_mod._chart_hits
+    scanned = []
+
+    def recording(chart, leaf_index):
+        if chart.bad_hits is None:
+            scanned.append((chart, leaf_index,
+                            _chart_outcome(real, chart, leaf_index)))
+        return real(chart, leaf_index)
+
+    monkeypatch.setattr(principalize_mod, "_chart_hits", recording)
+    counts = Counter()
+    for name, gens in _scan_entries():
+        scanned.clear()
+        try:
+            principalize(gens)
+        except TopZetaError as exc:
+            counts[type(exc).__name__] += 1
+        for chart, leaf_index, outcome in scanned:
+            assert outcome == _chart_outcome(
+                _reference_chart_hits, chart, leaf_index), \
+                (name, chart.path)
+            unit = _has_unit_residual(chart)
+            counts["unit" if unit else "scanned"] += 1
+            if unit:
+                assert outcome == (), (name, chart.path)
+    assert counts["unit"] > 500 and counts["scanned"] > 1000, counts
+    assert counts["CenterNotRational"], counts
+
+
+def test_unit_residual_with_a_carrier_is_scanned():
+    """A unit residual rules out only residual zeros: a carrier tangent to
+    the divisor still gives a bad point, and a constant times a divisor
+    power is no unit."""
+    occ = _crafted_occurrence("x", ["1"], ["y^2 - x"])
+    assert _chart_hits(occ.chart, 0) == _reference_chart_hits(occ.chart, 0) \
+        == (((Fraction(0), Fraction(0)), ("branch-tangent:C1",), ("E1",)),)
+    bare = _crafted_occurrence("x", ["1", "y"], []).chart
+    assert _chart_hits(bare, 0) == _reference_chart_hits(bare, 0) == ()
+    powered = Chart((), exc={"E1": P("x")}, pms={"E1": PointMap("A", Fraction(0))},
+                    residual_parts=[(P("1"), {"E1": 1}), (P("y"), {})])
+    assert _chart_hits(powered, 0) == _reference_chart_hits(powered, 0) == (
+        ((Fraction(0), Fraction(0)), ("residual-vanishes",), ("E1",)),)
