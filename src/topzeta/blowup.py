@@ -160,8 +160,10 @@ class Chart:
     `residual` is the expanded view, built on every read.
 
     A chart never changes after it is built: `blow_up` replaces a leaf by
-    fresh charts rather than editing it.  The memos `axes` and `bad_hits`
-    rely on this and are never invalidated.
+    fresh charts rather than editing it.  Its three memos rely on this and
+    are never invalidated: `axes`, `bad_hits` and `blown_up`.  The last
+    links a blown-up chart to its two children, so the state's `root`
+    keeps the whole chart tree of a run alive, not only its leaves.
     """
 
     def __init__(self, path: tuple, exc: dict[str, BiPoly] | None = None,
@@ -177,6 +179,8 @@ class Chart:
         #: The chart's bad-point hits, stored by
         #: `principalize.find_bad_points` on its first successful scan.
         self.bad_hits: Optional[tuple] = None
+        #: `_split` of the chart's first blow-up, stored by `blow_up`.
+        self.blown_up: Optional[tuple] = None
 
     @property
     def residual(self) -> list[BiPoly]:
@@ -400,8 +404,11 @@ class ChartState:
         self.carriers = carriers
         self.divisors: dict[str, DivisorRecord] = {}
         self.divisor_order: list[str] = []
-        self.strict_records: list[DivisorRecord] = []
+        self.strict_records = [
+            DivisorRecord(c.ident, "strict-branch", c.exponent, 1)
+            for c in carriers if c.through_origin]
         self.adjacency: set[frozenset] = set()
+        self.root = root
         self.leaves: list[Chart] = [root]
         self.log: list[BlowUpEvent] = []
         self.complete = False
@@ -444,7 +451,8 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
     """Root state: extract the common curve part h and set up carriers.
 
     Each squarefree factor of h becomes a carrier; factors through the origin
-    yield strict-branch records with N equal to their exponent in h.
+    yield strict-branch records with N equal to their exponent in h
+    (`ChartState`).
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -462,13 +470,7 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
         carriers={c.ident: c.root_eq for c in carriers},
         residual_parts=[(r, {}) for r in residual],
     )
-    state = ChartState(gens, carriers, root)
-    for c in carriers:
-        if c.through_origin:
-            state.strict_records.append(DivisorRecord(
-                ident=c.ident, kind="strict-branch",
-                N=c.exponent, nu=1))
-    return state
+    return ChartState(gens, carriers, root)
 
 
 def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
@@ -623,17 +625,47 @@ def _child(chart: Chart, side: str, new_ident: str, exc_m: dict[str, int],
                  carriers=carriers, residual_parts=parts)
 
 
+def _split(chart: Chart, cy: Fraction, through: list[str],
+           ident: str) -> tuple:
+    """The chart-local half of a blow-up at (0, cy) that makes divisor
+    `ident`: `((cy, ident), exc_m, car_m, res_part, child A, child B)`.  A
+    pure function of the chart, the centre and the name, so the chart's
+    stored one (`Chart.blown_up`) is returned when its key matches."""
+    key = (cy, ident)
+    if chart.blown_up is not None and chart.blown_up[0] == key:
+        return chart.blown_up
+    if cy:
+        chart = _translated(chart, cy)
+    for d in through:
+        if d not in chart.axes and chart.axis_of(d) is None:
+            raise InternalInvariantError(
+                f"divisor {d} through center is not in axis form")
+    exc_m = {d: eq.mult_at_origin() for d, eq in chart.exc.items()}
+    car_m = {k: v.mult_at_origin() for k, v in chart.carriers.items()}
+    strict_m = [s.mult_at_origin() for s, _ in chart.residual_parts]
+    res_m = [m + sum(e * exc_m[d] for d, e in k.items()) if k else m
+             for m, (_, k) in zip(strict_m, chart.residual_parts)]
+    res_part = min(res_m)
+    if res_part == INFINITE_MULT:
+        raise InternalInvariantError("all residual generators are zero")
+    powers = [{**k, ident: m - res_part} if m > res_part else k
+              for m, (_, k) in zip(res_m, chart.residual_parts)]
+    return (key, exc_m, car_m, res_part) + tuple(
+        _child(chart, side, ident, exc_m, car_m, strict_m, powers)
+        for side in "AB")
+
+
 def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
     """Blow up one center; mutates and returns the state.
 
     The new divisor gets N = minimal multiplicity of the full local
     generators at the center and nu = 2 + sum of (nu - 1) over exceptional
-    divisors through the center.
+    divisors through the center.  The chart-local half (`_split`) is kept
+    on the chart; what reads the state is computed on each call.
     """
     if not (0 <= pr.leaf_index < len(state.leaves)):
         raise CenterNotOverOrigin(f"no leaf chart {pr.leaf_index}")
     chart = state.leaves[pr.leaf_index]
-    orig_path = chart.path
     cx, cy = pr.coords
     if type(cx) is not Fraction or type(cy) is not Fraction:
         cx, cy = Fraction(cx), Fraction(cy)
@@ -648,38 +680,22 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
         raise CenterNotOverOrigin(
             "centers must be given in their owning chart, on its x-axis locus")
 
-    if cy:
-        chart = _translated(chart, cy)
-    for d in through:
-        if d not in chart.axes and chart.axis_of(d) is None:
-            raise InternalInvariantError(
-                f"divisor {d} through center is not in axis form")
-
+    ident = f"E{len(state.divisor_order) + 1}"
+    split = _split(chart, cy, through, ident)
+    _, exc_m, car_m, res_part, child_a, child_b = split
     nu = 2 + sum(state.divisors[d].nu - 1 for d in through)
-    exc_m = {d: eq.mult_at_origin() for d, eq in chart.exc.items()}
-    car_m = {k: v.mult_at_origin() for k, v in chart.carriers.items()}
     exc_part = sum(state.divisors[d].N * m for d, m in exc_m.items())
     car_part = sum(c.exponent * car_m[c.ident]
                    for c in state.carriers if c.ident in car_m)
-    strict_m = [s.mult_at_origin() for s, _ in chart.residual_parts]
-    res_m = [m + sum(e * exc_m[d] for d, e in k.items()) if k else m
-             for m, (_, k) in zip(strict_m, chart.residual_parts)]
-    res_part = min(res_m)
-    if res_part == INFINITE_MULT:
-        raise InternalInvariantError("all residual generators are zero")
     N = int(exc_part + car_part + res_part)
     if N < 1:
         raise CenterNotOverOrigin("ideal is trivial at the requested center")
+    if chart.blown_up is None:
+        chart.blown_up = split
 
-    ident = f"E{len(state.divisor_order) + 1}"
     state.divisors[ident] = DivisorRecord(
         ident=ident, kind="exceptional", N=N, nu=nu)
     state.divisor_order.append(ident)
-
-    powers = [{**k, ident: m - res_part} if m > res_part else k
-              for m, (_, k) in zip(res_m, chart.residual_parts)]
-    child_a = _child(chart, "A", ident, exc_m, car_m, strict_m, powers)
-    child_b = _child(chart, "B", ident, exc_m, car_m, strict_m, powers)
     state.leaves[pr.leaf_index:pr.leaf_index + 1] = [child_a, child_b]
 
     for d in through:
@@ -688,7 +704,7 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
         state.adjacency.discard(frozenset(through))
 
     state.log.append(BlowUpEvent(
-        step=len(state.log), chart_path=orig_path,
+        step=len(state.log), chart_path=chart.path,
         center=(cx, cy), divisors_through=tuple(through),
         new_divisor=ident, N=N, nu=nu, reasons=pr.reasons,
     ))

@@ -13,7 +13,9 @@ m diagram neighbors and ratio nu/N:
     sum(alpha_i) + n (1 - nu/N) = m + n - 2
     sum(alpha_i) = m - 2 + nu n / N
 
-Both are checked on integers, times N, from the numerators `alpha_nums`.
+They are one identity: moving n (1 - nu/N) to the right of the first gives
+the second.  So one comparison checks both, the second, on integers times N
+from the numerators `alpha_nums`.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
         m, N, nu = len(table), v.N, v.nu
         total = sum(a for _, a in table)  # N sum(alpha)
         rhs = N * (m - 2) + nu * n
-        if total + n * (N - nu) != N * (m + n - 2) or total != rhs:
+        if total != rhs:
             raise InternalInvariantError(
                 f"numerical-data relation fails at {v.ident}: "
                 f"sum(alpha) = {Fraction(total, N)}, m = {m}, n = {n}, "

@@ -179,8 +179,14 @@ def verify_minimality(result: PrincipalizationResult) -> MinimalityReport:
     later one only against the stored hits of the chart the log names
     (`_chart_hits`): `blow_up` accepts a center only on that chart's
     {x = 0} locus, which the chart owns, so no other chart can report it.
+
+    The replay starts from the run's own root chart, and each `blow_up`
+    reuses the children that chart stored (`Chart.blown_up`), with their
+    stored hits.  So a genuine log replays with no transform and no scan;
+    from a center the log moved on, the charts are new and computed.
     """
-    state = initial_state(list(result.gens))
+    src = result.state
+    state = ChartState(src.gens, src.carriers, src.root)
     failures: list[str] = []
     for event in result.log:
         leaf_index = next(

@@ -7,7 +7,8 @@ import pytest
 
 from topzeta.blowup import divisor_order_of
 from topzeta.diagram import alphas
-from topzeta.errors import DegenerateLambda
+from topzeta.errors import DegenerateLambda, InternalInvariantError
+from topzeta import generic
 from topzeta.family import build
 from topzeta.generic import (
     certify_generic,
@@ -81,6 +82,25 @@ def test_relations_golden(golden):
         (1, Fraction(-3, 7), Fraction(-3, 7))
     e1 = report.per_divisor["E1"]
     assert (e1.n, e1.relation_lhs) == (3, Fraction(6, 5))
+
+
+def test_relations_refuse_a_wrong_alpha_sum(golden, monkeypatch):
+    """The one comparison that checks both identities reports a table whose
+    sum is off, with the divisor's data."""
+    real = generic.alpha_nums
+
+    def off_by_one(diagram, ident):
+        table = real(diagram, ident)
+        if ident != "E3":
+            return table
+        (d, a), *rest = table
+        return [(d, a + 1), *rest]
+
+    monkeypatch.setattr(generic, "alpha_nums", off_by_one)
+    with pytest.raises(InternalInvariantError) as exc:
+        verify_relations(golden, [Fraction(1), Fraction(1)])
+    assert str(exc.value) == ("numerical-data relation fails at E3: "
+                              "sum(alpha) = -2/7, m = 1, n = 1, ratio = 4/7")
 
 
 def test_relations_family_chain():

@@ -6,11 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import corpus, perfbench_ideals, pool_entries
+from corpus import (
+    SWELL_BRANCH,
+    corpus,
+    perfbench_ideals,
+    pool_entries,
+    swell_entries,
+)
 from reference_q import chart_restrict, derivative_q, gcd_q, squarefree_q
 from test_blowup import _reference_point_identity
 from topzeta.blowup import (
     Chart,
+    ChartState,
     PointMap,
     PointRecord,
     blow_up,
@@ -190,12 +197,22 @@ def _moved_logs(result, count=6):
                                      result.step_count)
 
 
+def _benchmark_results(*workloads):
+    """Principalizations of every ideal the named benchmark workloads can
+    draw."""
+    ideals = perfbench_ideals()
+    return [(f"{w}-{i}", principalize([P(t) for t in texts]))
+            for w in workloads for i, texts in enumerate(ideals[w])]
+
+
 def test_chart_replay_matches_identity_replay(corpus_results):
     """The replay that checks each center only in its logged chart gives
     the same report, or the same refusal, as the identity-matching one: on
-    every corpus log and on each log with one early center moved."""
+    every corpus, chain and swell log and on each log with one early center
+    moved."""
     kinds = Counter()
-    for name, result in corpus_results:
+    for name, result in (corpus_results
+                         + _benchmark_results("chain", "swell")):
         for res in (result, *_moved_logs(result)):
             want = _outcome(_reference_verify_minimality, res)
             assert _outcome(verify_minimality, res) == want, name
@@ -221,6 +238,106 @@ def test_chart_replay_scans_only_the_logged_charts(monkeypatch):
     assert verify_minimality(result).passed
     assert len(calls) == 1
     assert scanned == [ev.chart_path for ev in result.log[1:]]
+
+
+def _count_replay_work(monkeypatch):
+    """Counts of the calls that transform or scan a chart, or build a
+    root state."""
+    blowup_mod = importlib.import_module("topzeta.blowup")
+    principalize_mod = importlib.import_module("topzeta.principalize")
+    counts = Counter()
+
+    def counting(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    for mod, name in ((blowup_mod, "_child"), (blowup_mod, "_translated"),
+                      (principalize_mod, "initial_state"),
+                      (principalize_mod, "_bad_values_on_occurrence")):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    return counts
+
+
+def test_genuine_replay_transforms_and_scans_nothing(monkeypatch,
+                                                     corpus_results):
+    """A genuine log replays from the run's own charts: no root state, no
+    chart transform and no scan, on the corpus, the chains build(a, b) for
+    a <= 12 and the swell ideals for K <= 6."""
+    results = corpus_results + [
+        (f"build-{a}-{b}", principalize(build(a, b)))
+        for a in range(1, 13) for b in range(a)] + [
+        (name, principalize(gens)) for name, gens in swell_entries(6)]
+    counts = _count_replay_work(monkeypatch)
+    for name, result in results:
+        assert verify_minimality(result).passed, name
+        assert not counts, (name, counts)
+
+
+def _chart_tree(chart):
+    """Every chart reachable from `chart` through stored blow-ups."""
+    yield chart
+    if chart.blown_up is not None:
+        for child in chart.blown_up[4:]:
+            yield from _chart_tree(child)
+
+
+def test_moved_replay_leaves_the_memos_unchanged(monkeypatch):
+    """Replaying logs with a moved center computes new charts but leaves
+    every stored blow-up of the run as it was, so a genuine replay after
+    them still transforms nothing."""
+    for gens in ([P("y^2 - x^2"), P("x^5")], swell_entries(6)[4][1],
+                 build(9, 2)):
+        result = principalize(gens)
+        memos = [(ch, ch.blown_up) for ch in _chart_tree(result.state.root)]
+        assert sum(m is not None for _, m in memos) == result.step_count
+        reports = [_outcome(verify_minimality, res)
+                   for res in _moved_logs(result)]
+        assert any(isinstance(r, MinimalityReport) and not r.passed
+                   for r in reports)
+        assert all(ch.blown_up is memo for ch, memo in memos)
+        counts = _count_replay_work(monkeypatch)
+        assert verify_minimality(result).passed
+        assert not counts, counts
+        monkeypatch.undo()
+
+
+def test_blow_up_recomputes_a_memo_for_another_divisor(monkeypatch):
+    """A chart's stored blow-up is reused only for the same divisor name:
+    under another name the children are transformed again, carry that name,
+    and the stored blow-up stays as it was."""
+    first = initial_state(GOLDEN)
+    root = first.root
+    blow_up(first, PointRecord(0, (Fraction(0), Fraction(0)), ()))
+    memo = root.blown_up
+    assert memo[0] == (0, "E1") and first.leaves == list(memo[4:])
+
+    counts = _count_replay_work(monkeypatch)
+    again = ChartState(first.gens, first.carriers, root)
+    blow_up(again, PointRecord(0, (Fraction(0), Fraction(0)), ()))
+    assert not counts and again.leaves == first.leaves
+
+    other = ChartState(first.gens, first.carriers, root)
+    other.divisor_order.append("E0")  # the next divisor is E2
+    blow_up(other, PointRecord(0, (Fraction(0), Fraction(0)), ()))
+    assert counts["_child"] == 2
+    assert root.blown_up is memo
+    assert other.divisors["E2"] == first.divisors["E1"]._replace(ident="E2")
+    for mine, theirs in zip(other.leaves, first.leaves):
+        assert mine is not theirs
+        assert list(mine.exc) == ["E2"] and list(theirs.exc) == ["E1"]
+        assert mine.exc["E2"] == theirs.exc["E1"]
+        assert mine.residual == theirs.residual
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_heavy_swell_principalizes_and_replays(k):
+    """The swell ideal (branch*(y - x^2), x^K) far past the benchmark's
+    K <= 11: a minimal principalization, certified by its replay."""
+    result = principalize([P(f"{SWELL_BRANCH}*(y - x^2)"), P(f"x^{k}")])
+    assert result.step_count > k
+    assert verify_minimality(result) == MinimalityReport(True, [])
 
 
 def test_confluence_reverse_order(corpus_results):
