@@ -39,6 +39,8 @@ from .poly import (
     INFINITE_MULT,
     BiPoly,
     UniPoly,
+    _new,
+    _Product,
     _shift_rows,
     _strip,
     _zdivexact,
@@ -452,13 +454,16 @@ def initial_state(gens: list[BiPoly]) -> ChartState:
 
     Each squarefree factor of h becomes a carrier; factors through the origin
     yield strict-branch records with N equal to their exponent in h
-    (`ChartState`).
+    (`ChartState`).  A generator typed as a product of powers is tested for
+    zero and for vanishing at the origin on its factors, unexpanded.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise AllZero("all generators are zero")
     for g in gens:
-        if (0, 0) in g.nums:
+        # a product vanishes at the origin when one of its factors does
+        if (all((0, 0) in b.nums for b, _ in g.factors)
+                if isinstance(g, _Product) else (0, 0) in g.nums):
             raise SupportMissesOrigin(
                 f"generator {g} does not vanish at the origin")
 
@@ -478,7 +483,9 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
     """For nonzero gens with gcd h: squarefree_decomposition(h), and the
     quotients g / h with h monic in grlex.
 
-    Reads each generator as its product of powers (`factors`, or itself).
+    Reads each generator as its product of powers (`factors`, or itself),
+    and the lead of a typed product off its factors: it expands only when
+    the generators share no factor, as its own residual, which is plain.
     x and y split off by their orders.  A common factor divides a base of
     every generator, so one gcd chain over the other bases, made monic,
     rules it out first, and then each quotient is g over x^a y^b.  When
@@ -521,9 +528,10 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
             for q, j in ((p, 1),) if k < 2 else squarefree_decomposition(p):
                 parts[j * m] = parts[j * m] * q if j * m in parts else q
     split = [(parts[e], e) for e in sorted(parts)]
-    if not common:
-        return split, (list(gens) if not (mx or my) else
-                       [g.divide_x_power(mx).divide_y_power(my) for g in gens])
+    if not common:  # g over x^mx y^my, plain: here a _Product expands
+        return split, [g if not (mx or my or isinstance(g, _Product)) else
+                       _new(BiPoly, {(a - mx, b - my): v for (a, b), v in
+                                     g.nums.items()}, g.den) for g in gens]
     residual = []
     for i, g in enumerate(gens):
         r = BiPoly.monomial(xs[i] - mx, ys[i] - my, g.lead_grlex()[1])

@@ -255,7 +255,9 @@ class BiPoly:
     the denominator `den` >= 1, with gcd(den, *nums.values()) == 1; the
     zero polynomial has no numerators.  `terms` is a read-only Fraction
     view, {(a, b): coefficient}.  `factors`, set only by `parse_poly`, is
-    the product of powers the polynomial was typed as.
+    the product of powers the polynomial was typed as; such a product with
+    a base of several terms is a `_Product`, which computes `nums` and
+    `den` only when one is first read.
     """
 
     __slots__ = ("nums", "den", "factors")
@@ -346,6 +348,8 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not self.nums or not other.nums:
             return BiPoly.zero()
+        if len(self.nums) == 1:
+            self, other = other, self
         if len(other.nums) == 1:
             ((a, b), c), = other.nums.items()
             return BiPoly.from_ints({(u + a, v + b): n * c for (u, v), n in
@@ -486,6 +490,62 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({poly_to_str(self)})"
+
+
+class _Product(BiPoly):
+    """A nonzero polynomial typed as `const` times the product of base^e
+    over `factors` = ((base, e), ...), nonconstant bases, one of several
+    terms at least.  `nums` and `den` are computed on their first read
+    (`_expand`) and kept; the zero test and the grlex lead are read off
+    the factors.  The read hook lives on this subclass alone, so attribute
+    reads on every other BiPoly stay plain slot reads."""
+
+    __slots__ = ("const",)
+
+    def __getattr__(self, name: str):
+        # reached only while the nums and den slots are unset
+        if name not in ("nums", "den"):
+            raise AttributeError(name)
+        p = _expand(self.const, self.factors)
+        self.nums, self.den = p.nums, p.den
+        return getattr(p, name)
+
+    def is_zero(self) -> bool:
+        return False
+
+    def lead_grlex(self) -> tuple[tuple[int, int], Fraction]:
+        # grlex is a monomial order: leading terms multiply
+        a = b = 0
+        num, den = self.const.numerator, self.const.denominator
+        for p, e in self.factors:
+            (u, v) = k = max(p.nums, key=_grlex_key)
+            a, b = a + u * e, b + v * e
+            num, den = num * p.nums[k] ** e, den * p.den ** e
+        return (a, b), Fraction(num, den)
+
+
+def _expand(c: int | Fraction, bases: Iterable[tuple[BiPoly, int]]
+            ) -> BiPoly:
+    """c times the product of base^e over bases, as a plain BiPoly: the
+    constant and the one-term bases first, as one monomial."""
+    a = b = 0
+    rest = []
+    for p, e in bases:
+        if len(p.nums) == 1:
+            ((u, v), n), = p.nums.items()
+            a, b = a + u * e, b + v * e
+            if n != 1 or p.den != 1:
+                c = c * Fraction(n, p.den) ** e
+        else:
+            rest.append(p ** e if e > 1 else p)
+    if c == 1 and not (a or b) and rest:
+        acc = rest.pop()
+    else:
+        acc = _new(BiPoly, {(a, b): c.numerator}, c.denominator) if c else \
+            BiPoly.zero()
+    for p in rest:
+        acc = acc * p
+    return acc
 
 
 def combination(coeffs: Sequence, polys: Iterable[BiPoly]) -> BiPoly:
@@ -811,41 +871,45 @@ class _Parser:
         self.advance(0)
         return n
 
-    # Each parse_* returns (poly, bases, total degree, bits): a nonzero poly
-    # is a constant times the product of base^e over bases, nonconstant
-    # bases, and bits bounds its coefficients (`_bits`).
+    # Each parse_* returns (c, bases, total degree, bits): the value c times
+    # the product of base^e over bases, c an int or Fraction, bases plain
+    # nonconstant polynomials and none when c is 0; bits bounds the
+    # coefficients (`_bits`).  A product stays typed; a sum expands its
+    # terms and is one base.
 
-    def parse_expr(self) -> tuple[BiPoly, list, int, int]:
+    def parse_expr(self) -> tuple[int | Fraction, list, int, int]:
         if (negate := self.peek() == "-") or self.peek() == "+":
             self.advance()
-        acc, bases, degree, bits = self.parse_term()
+        c, bases, degree, bits = self.parse_term()
         if negate:
-            acc = -acc
+            c = -c
+        if self.peek() not in ("+", "-"):
+            return c, bases, degree, bits
+        acc = _expand(c, bases)
         while (ch := self.peek()) in ("+", "-"):
             self.advance()
-            term = self.parse_term()[0]
-            acc = acc + term if ch == "+" else acc - term
-            bases = None
-        if bases is None:  # a sum is one base
-            bases = [] if acc.is_constant() else [(acc, 1)]
-            degree, bits = acc.total_degree(), _bits(acc)
-            _check_caps(degree, bits)
-        return acc, bases, degree, bits
+            c, bases = self.parse_term()[:2]
+            acc = acc + _expand(c if ch == "+" else -c, bases)
+        degree, bits = acc.total_degree(), _bits(acc)
+        _check_caps(degree, bits)
+        if acc.is_constant():
+            return Fraction(acc.nums.get((0, 0), 0), acc.den), [], degree, bits
+        return 1, [(acc, 1)], degree, bits
 
-    def parse_term(self) -> tuple[BiPoly, list, int, int]:
-        acc, bases, degree, bits = self.parse_factor()
+    def parse_term(self) -> tuple[int | Fraction, list, int, int]:
+        c, bases, degree, bits = self.parse_factor()
         while self.peek() == "*":
             self.advance()
-            factor, more, d, b = self.parse_factor()
+            k, more, d, b = self.parse_factor()
             # exact before expanding, as for powers (0 has degree 0)
             _check_caps(degree + d, bits + b)
-            acc = acc * factor
-            bases = bases + more
-            degree, bits = (degree + d, bits + b) if acc.nums else (0, 0)
-        return acc, bases, degree, bits
+            c *= k
+            bases, degree, bits = ((bases + more, degree + d, bits + b) if c
+                                   else ([], 0, 0))
+        return c, bases, degree, bits
 
-    def parse_factor(self) -> tuple[BiPoly, list, int, int]:
-        base, bases, degree, bits = self.parse_atom()
+    def parse_factor(self) -> tuple[int | Fraction, list, int, int]:
+        c, bases, degree, bits = self.parse_atom()
         if self.peek() == "^":
             self.advance()
             if self.peek() == "-":
@@ -855,11 +919,11 @@ class _Parser:
                 raise DegreeCapExceeded(f"exponent {k} exceeds cap {_EXPONENT_CAP}")
             # exact before expanding: Q[x, y] has no zero divisors
             _check_caps(degree * k, bits * k)
-            return (base ** k, [(b, e * k) for b, e in bases if k], degree * k,
+            return (c ** k, [(b, e * k) for b, e in bases if k], degree * k,
                     bits * k)
-        return base, bases, degree, bits
+        return c, bases, degree, bits
 
-    def parse_atom(self) -> tuple[BiPoly, list, int, int]:
+    def parse_atom(self) -> tuple[int | Fraction, list, int, int]:
         ch = self.peek()
         if ch == "(":
             if self.depth == _DEPTH_CAP:
@@ -877,8 +941,8 @@ class _Parser:
             while self.peek() == "-":
                 self.advance()
                 odd = not odd
-            p, bases, degree, bits = self.parse_atom()
-            return (-p if odd else p), bases, degree, bits
+            c, bases, degree, bits = self.parse_atom()
+            return (-c if odd else c), bases, degree, bits
         if ch.isdigit():
             num = self.take_int()
             if self.peek() == "/":
@@ -887,11 +951,9 @@ class _Parser:
                 if not self.peek().isdigit():
                     self.pos = mark
                     self.error("'/' outside a rational literal")
-                den = self.take_int(denominator=True)
-                c = BiPoly.const(Fraction(num, den))
-            else:
-                c = BiPoly.const(num)
-            return c, [], 0, _bits(c)
+                c = Fraction(num, self.take_int(denominator=True))
+                return c, [], 0, _bits(BiPoly.const(c))
+            return num, [], 0, _bits(BiPoly.const(num))
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -902,7 +964,7 @@ class _Parser:
             if name in self.names:
                 self.advance(0)
                 v = BiPoly.x() if name == self.names[0] else BiPoly.y()
-                return v, [(v, 1)], 1, 0
+                return 1, [(v, 1)], 1, 0
             self.pos = start
             self.error(f"unknown variable {name!r}", UnknownVariableError)
         if ch == "":
@@ -918,20 +980,29 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
 
     A product of powers keeps its bases as `factors`: the result is a
     constant times the product of base^e over factors = ((base, e), ...).
-    Units are dropped, parenthesized products and nested powers flattened,
-    and a sum stays one base.  A result that is zero, one base or a sum
-    gets no `factors`: it is its own only factor.  A degree, exponent,
-    literal or coefficient size past its cap is refused before expanding,
-    and so is nesting past 100 parentheses.
+    Constants are folded, parenthesized products and nested powers
+    flattened, and a sum is expanded and stays one base.  Unless every
+    base is one term, the product is returned unexpanded, as a `_Product`
+    with the constant as `const`, whose numerators are computed when `nums`
+    or `den` is first read.  A result that is zero, one base or a sum gets
+    no `factors`: it is its own only factor.  A degree, exponent, literal or
+    coefficient size past its cap is refused before anything expands, and
+    so is nesting past 100 parentheses.
     """
     p = _Parser(text, names)
-    result, bases, degree, _ = p.parse_expr()
+    c, bases, degree, _ = p.parse_expr()
     if p.pos != len(text):
         p.error("trailing input")
     _check_caps(degree, 0)
-    if result.nums and (len(bases) > 1 or bases and bases[0][1] > 1):
-        result.factors = tuple(bases)
-    return result
+    if len(bases) > 1 or bases and bases[0][1] > 1:
+        if all(len(b.nums) == 1 for b, _ in bases):  # nothing to defer
+            q = _expand(c, bases)
+        else:
+            q = object.__new__(_Product)
+            q.const = c
+        q.factors = tuple(bases)
+        return q
+    return _expand(c, bases)
 
 
 def _bits(p: BiPoly) -> int:

@@ -663,6 +663,48 @@ def test_factored_degree_cap_matches_expanded(capsys):
                 2, "", "error: total degree 65 exceeds cap 64\n")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("zeta", "--json", "--", "x*(1 + x + y)^24"), 0),
+    (("zeta", "--json", "--", "(x^3 + y^2 + x*y)^8"), 0),
+    (("zeta", "--", "(1 + x + y)^20*(1 + x)^45", "y"), 2),
+])
+def test_curve_part_path_expands_nothing(capsys, monkeypatch, argv, code):
+    """A generator typed as a product of powers is read through its
+    factors: no dense product, no packed power and no power of a base
+    that is a unit at the origin is computed (call counts, not time)."""
+    from topzeta import poly
+    calls, unit_powers = [], []
+    for name in ("_product", "_unpack"):
+        original = getattr(poly, name)
+        monkeypatch.setattr(poly, name, lambda *a, f=original, n=name: (
+            calls.append(n), f(*a))[1])
+    power = poly.BiPoly.__pow__
+    monkeypatch.setattr(poly.BiPoly, "__pow__", lambda p, k: (
+        (0, 0) in p.nums and unit_powers.append((str(p), k)), power(p, k))[1])
+    assert run(capsys, *argv)[0] == code
+    assert (calls, unit_powers) == ([], [])
+    # the patches are live: reading the numerators expands
+    poly.parse_poly("x*(1 + x + y)^24").nums
+    assert calls and unit_powers
+
+
+def test_zeta_of_a_unit_power_at_the_degree_cap(capsys):
+    """x*(1 + x + y)^63 has total degree 64, the cap."""
+    assert run(capsys, "zeta", "--json", "--", "x*(1 + x + y)^63") == (
+        0, json.dumps({"zeta": {"num": ["1"], "den": [[1, 1, 1]]},
+                       "candidates": ["-1"],
+                       "poles": [{"s": "-1", "order": 1, "leading": "1"}]},
+                      indent=2) + "\n", "")
+
+
+def test_bipoly_attribute_reads_take_no_hook():
+    """Only the parser's typed products expand on read; a `__getattr__` or
+    `__getattribute__` on BiPoly itself would slow every `nums` read."""
+    from topzeta.poly import BiPoly
+    assert not hasattr(BiPoly, "__getattr__")
+    assert BiPoly.__getattribute__ is object.__getattribute__
+
+
 
 _IRRATIONAL = ("unsupported: required center is not rational; locator "
                "{} (residual zero locus on E1)\n")

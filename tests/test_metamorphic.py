@@ -11,6 +11,9 @@ five-condition criterion, or the same refusal of an irrational centre:
   * the rational shear y -> y + x/2;
   * the scaling x -> 2x.
 
+A generator typed as a product of powers and the same generator typed out
+as a sum also give byte-identical reports and the same exit codes.
+
 The ideals are drawn like the benchmark's corpus pool: two or three
 generators of one to three terms, monomials of total degree 1 to 6, and
 coefficients in {1, -1, 2, -2, 3}.  The swell ideals (K <= 5) and the
@@ -18,17 +21,20 @@ chains build(a, b) (a <= 8), whose charts are translated or long, take
 every change too.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import swell_entries
+from corpus import perfbench_ideals, swell_entries
+from topzeta.cli import main
 from topzeta.criterion import poles_by_criterion
-from topzeta.errors import CenterNotRational
+from topzeta.errors import CenterNotRational, TopZetaError
 from topzeta.family import build
-from topzeta.poly import BiPoly
+from topzeta.poly import BiPoly, parse_poly, poly_to_str
 from topzeta.principalize import principalize
 from topzeta.zeta import pole_report
 
@@ -119,3 +125,54 @@ def test_shear_and_swap_on_a_known_polynomial():
     assert _substitute(p, x + x, y) == (BiPoly.const(12) * x * x - y) * half
     assert _swap(p) == (BiPoly.const(3) * y * y - x) * half
     assert _swap(_swap(p)) == p
+
+
+# --- typed products against their expansions -------------------------------
+
+TYPED_COMMANDS = [("zeta", "--json"), ("poles", "--json"),
+                  ("classify", "--json"), ("principalize", "--json", "--check"),
+                  ("verify",)]
+UNITS = ("(1 + x + y)", "(1 - x + y)", "(1 + x - y)", "(1 - x - y)")
+UNIT_FAMILY = [(f"x^{m}*y^{n}*{unit}^{k}",) for unit in UNITS
+               for m, n, k in ((1, 0, 6), (2, 1, 3), (1, 2, 4), (3, 3, 2),
+                               (0, 2, 5), (1, 1, 1))]
+
+
+def _typed(text: str) -> bool:
+    try:
+        return hasattr(parse_poly(text), "factors")
+    except TopZetaError:
+        return False
+
+
+def _expanded(text: str) -> str:
+    """poly_to_str(parse_poly(text)): a sum, so untyped; a monomial prints
+    as a product, so it gets a + 0."""
+    out = poly_to_str(parse_poly(text))
+    return out + " + 0" if _typed(out) else out
+
+
+def _zp(*argv: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+TYPED_IDEALS = {
+    "unit-family": UNIT_FAMILY,
+    **{name: [g for g in ideals if any(map(_typed, g))]
+       for name, ideals in perfbench_ideals().items()
+       if name in ("corpus", "curvepart")},
+}
+
+
+@pytest.mark.parametrize("source", sorted(TYPED_IDEALS))
+def test_typed_products_report_as_their_expansions(source):
+    assert TYPED_IDEALS[source]
+    for gens in TYPED_IDEALS[source]:
+        expanded = [_expanded(t) if _typed(t) else t for t in gens]
+        assert not any(map(_typed, expanded))
+        for cmd in TYPED_COMMANDS:
+            assert _zp(*cmd, "--", *gens) == _zp(*cmd, "--", *expanded), (
+                cmd, gens)

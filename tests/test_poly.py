@@ -6,7 +6,7 @@ from functools import reduce
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topzeta.blowup import curve_part, initial_state
@@ -14,6 +14,7 @@ from topzeta.errors import (
     DegreeCapExceeded,
     NonRationalLiteralError,
     ParseError,
+    SupportMissesOrigin,
     UnknownVariableError,
 )
 from corpus import corpus, perfbench_ideals, pool_entries
@@ -263,9 +264,135 @@ def test_carried_bit_bound_covers_the_result(parts, op):
     off the polynomial it built: products add, powers multiply."""
     text = op.join(f"({poly_to_str(p)})^{k}" for p, k in parts)
     parser = poly._Parser(text, ("x", "y"))
-    result, _, _, bits = parser.parse_expr()
+    c, bases, _, bits = parser.parse_expr()
+    result = poly._expand(c, bases)
     assert result == P(text)
     assert poly._bits(result) <= bits
+
+
+# A product tree: ("c", q), ("x",), ("y",), ("sum", text) for a sum of two
+# or more terms, ("mul", children), ("pow", child, k) or ("neg", child).
+_SUM_TEXTS = ["1 + x", "1 - x - y", "x + y", "y^2 - x^3", "x*y + 2/3",
+              "1/2 + x^2*y", "-3*x + 5/4*y^2"]
+
+
+def _render(tree, top=True) -> str:
+    kind = tree[0]
+    if kind == "c":
+        return frac_str(tree[1])
+    if kind in ("x", "y"):
+        return kind
+    if kind == "sum":
+        return f"({tree[1]})"
+    if kind == "mul":
+        return "*".join(_render(t, False) for t in tree[1])
+    if kind == "pow":
+        inner = _render(tree[1], False)
+        return (inner if tree[1][0] in ("x", "y") else f"({inner})") + \
+            f"^{tree[2]}"
+    # only a leading minus negates a whole term; in an atom it binds
+    # tighter than ^
+    inner = _render(tree[1], False)
+    return f"-{inner}" if top else f"(-{inner})"
+
+
+def _eager(tree) -> BiPoly:
+    """The tree's value by BiPoly arithmetic, expanding every step."""
+    kind = tree[0]
+    if kind == "c":
+        return BiPoly.const(tree[1])
+    if kind in ("x", "y"):
+        return BiPoly.x() if kind == "x" else BiPoly.y()
+    if kind == "sum":
+        p = P(tree[1])
+        assert not hasattr(p, "factors")
+        return p
+    if kind == "mul":
+        return reduce(BiPoly.__mul__, map(_eager, tree[1]))
+    if kind == "pow":
+        return _eager(tree[1]) ** tree[2]
+    return -_eager(tree[1])
+
+
+def _typed(tree) -> tuple[Fraction, list]:
+    """The product of powers a tree is typed as: constants folded, powers
+    and parenthesized products flattened, nothing for zero."""
+    kind = tree[0]
+    if kind == "c":
+        return Fraction(tree[1]), []
+    if kind in ("x", "y", "sum"):
+        return Fraction(1), [(_eager(tree), 1)]
+    if kind == "mul":
+        c, bases = Fraction(1), []
+        for t in tree[1]:
+            k, more = _typed(t)
+            c, bases = c * k, bases + more
+        return c, bases if c else []
+    if kind == "pow":
+        c, bases = _typed(tree[1])
+        return c ** tree[2], [(b, e * tree[2]) for b, e in bases if tree[2]]
+    c, bases = _typed(tree[1])
+    return -c, bases
+
+
+_leaves = st.one_of(
+    st.just(("x",)), st.just(("y",)),
+    st.fractions(0, 3, max_denominator=3).map(lambda q: ("c", q)),
+    st.sampled_from(_SUM_TEXTS).map(lambda t: ("sum", t)))
+product_trees = st.recursive(_leaves, lambda children: st.one_of(
+    st.lists(children, min_size=2, max_size=3).map(
+        lambda ts: ("mul", tuple(ts))),
+    st.tuples(st.just("pow"), children, st.integers(0, 3)),
+    st.tuples(st.just("neg"), children)), max_leaves=6)
+
+
+@given(product_trees)
+@example(("pow", ("mul", (("c", Fraction(1, 2)), ("y",))), 1))
+@example(("neg", ("pow", ("mul", (("x",), ("y",))), 2)))
+@example(("pow", ("mul", (("c", 2), ("x",), ("sum", "1 + y"))), 3))
+@example(("mul", (("c", 0), ("pow", ("x",), 2), ("sum", "1 + x"))))
+@example(("pow", ("mul", (("x",), ("y",))), 0))
+@settings(max_examples=200, deadline=None)
+def test_parsed_product_matches_its_eager_expansion(tree):
+    """A product of powers stays typed until its numerators are read, and
+    then agrees with the expansion in every view.  The zero test and the
+    grlex lead that `initial_state` reads come from the factors, before
+    anything expands, and so does its check that the generator vanishes at
+    the origin."""
+    text = _render(tree)
+    try:
+        p = P(text)
+    except DegreeCapExceeded:
+        return
+    want = _eager(tree)
+    c, bases = _typed(tree)
+    typed = len(bases) > 1 or bool(bases) and bases[0][1] > 1
+    lazy = typed and any(len(b.nums) > 1 for b, _ in bases)  # else a monomial
+    assert hasattr(p, "factors") == typed
+    assert isinstance(p, poly._Product) == lazy
+    assert p.is_zero() == want.is_zero()
+    if not want.is_zero():
+        assert p.lead_grlex() == want.lead_grlex()
+    if typed:
+        assert [(poly_to_str(b), e) for b, e in p.factors] == \
+            [(poly_to_str(b), e) for b, e in bases]
+    if lazy:
+        assert p.const == c
+        with pytest.raises(AttributeError):  # the numerators are unread
+            BiPoly.nums.__get__(p, type(p))
+    if not want.is_zero():
+        try:
+            state = initial_state([p])
+        except SupportMissesOrigin:
+            assert (0, 0) in want.nums
+        else:
+            assert (0, 0) not in want.nums
+            # the charts transform plain polynomials only
+            assert {type(s) for s, _ in state.root.residual_parts} == {BiPoly}
+    assert p == want and want == p and hash(p) == hash(want)
+    assert (p.nums, p.den) == (want.nums, want.den)
+    assert poly_to_str(p) == poly_to_str(want)
+    assert poly._bits(p) == poly._bits(want)
 
 
 # --- chart kernel against the per-term reference loops -------------------------
@@ -773,6 +900,17 @@ def test_curve_part_cases(texts):
     assert curve_part(expanded) == _reference_curve_part(expanded)
 
 
+@pytest.mark.parametrize("texts", [
+    ["(1 + x)*(y - x^2)", "x^3 + y^5"], ["x^2*y", "x^3 + y^2"],
+    ["(x + y)^2*y", "x^3"], ["x*(1 + x + y)^24"],
+])
+def test_residuals_are_plain_polynomials(texts):
+    """Typed products sharing no factor are their own residuals, passed on
+    expanded as plain BiPolys, the only kind the chart transforms see."""
+    residual = curve_part([P(t) for t in texts])[1]
+    assert {type(r) for r in residual} == {BiPoly}
+
+
 def _recorded_ideals():
     """The 111-ideal corpus, the benchmark's corpus pool and every ideal of
     the benchmark's workloads that parses."""
@@ -832,6 +970,19 @@ def test_bi_mul_matches_reference(p, q):
     r = p * q
     assert r == _reference_bi_mul(p, q)
     _assert_normal(r)
+
+
+def test_monomial_product_takes_the_fast_path_either_way(monkeypatch):
+    """A one-term factor on either side shifts the other's terms: no
+    general product."""
+    calls = []
+    monkeypatch.setattr(poly, "_product", lambda p, q: calls.append(1) or
+                        _product(p, q))
+    m, p = BiPoly.monomial(1, 1, Fraction(-2, 3)), P("(1 - x - y)^14")
+    assert len(p.nums) == 120
+    calls.clear()
+    assert m * p == p * m == _reference_bi_mul(m, p)
+    assert calls == []
 
 
 @given(st.lists(coefficients, max_size=6), st.lists(coefficients, max_size=6))
