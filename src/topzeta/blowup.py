@@ -40,6 +40,7 @@ from .poly import (
     BiPoly,
     UniPoly,
     _new,
+    _expand,
     _Product,
     _shift_rows,
     _strip,
@@ -76,12 +77,27 @@ STEP_A = ("A",)
 STEP_B = ("B",)
 
 
-def apply_step(p: BiPoly, step: tuple) -> BiPoly:
+def apply_step(p: BiPoly, step: tuple, bound: int | None = None) -> BiPoly:
+    """p pulled back along one chart path step, mod x^(bound + 1) when p is
+    kept so: centres lie on x = 0, so no step lowers a term's x-degree (a
+    translation moves y only, chart A maps x^a y^b to x^(a+b) y^b and chart
+    B keeps a)."""
     if step[0] == "T":
         return p.translate(step[1], step[2])
     if step[0] == "A":
-        return p.subst_chart_a()
+        if bound is None:
+            return p.subst_chart_a()
+        nums = {(a + b, b): n for (a, b), n in p.nums.items()
+                if a + b <= bound}
+        return (_new(BiPoly, nums, p.den) if len(nums) == len(p.nums) else
+                BiPoly.from_ints(nums, p.den))
     return p.subst_chart_b()
+
+
+def _below(p: BiPoly, bound: int) -> BiPoly:
+    """p mod x^(bound + 1)."""
+    nums = {e: n for e, n in p.nums.items() if e[0] <= bound}
+    return p if len(nums) == len(p.nums) else BiPoly.from_ints(nums, p.den)
 
 
 # --- point maps -------------------------------------------------------------
@@ -162,10 +178,10 @@ class Chart:
     `residual` is the expanded view, built on every read.
 
     A chart never changes after it is built: `blow_up` replaces a leaf by
-    fresh charts rather than editing it.  Its three memos rely on this and
-    are never invalidated: `axes`, `bad_hits` and `blown_up`.  The last
-    links a blown-up chart to its two children, so the state's `root`
-    keeps the whole chart tree of a run alive, not only its leaves.
+    fresh charts rather than editing it.  Its four memos rely on this and
+    are never invalidated: `axes`, `bad_hits`, `blown_up` and `rows`.
+    `blown_up` links a blown-up chart to its two children, so the state's
+    `root` keeps the whole chart tree of a run alive, not only its leaves.
     """
 
     def __init__(self, path: tuple, exc: dict[str, BiPoly] | None = None,
@@ -183,6 +199,9 @@ class Chart:
         self.bad_hits: Optional[tuple] = None
         #: `_split` of the chart's first blow-up, stored by `blow_up`.
         self.blown_up: Optional[tuple] = None
+        #: `Occurrence.residual_rows()` by divisor, stored on first read:
+        #: by the bad-point scan, and read again by the certificate.
+        self.rows: dict[str, list[list[int]]] = {}
 
     @property
     def residual(self) -> list[BiPoly]:
@@ -304,7 +323,11 @@ class Occurrence(NamedTuple):
         """`restriction(r, whole)` of every residual generator r, in order:
         the product of the rows of its strict part and divisor powers, each
         divisor equation's row read once.  So a row is r's restriction
-        times the product of its factors' `_scale`s (`residual_scales`)."""
+        times the product of its factors' `_scale`s (`residual_scales`).
+        The rows of the t^0 and t^1 read are kept on the chart (`rows`);
+        callers do not modify them."""
+        if not whole and self.ident in self.chart.rows:
+            return self.chart.rows[self.ident]
         full, exc = self.axis[0] == "x", self.chart.exc
         factors: dict[str, list[int]] = {}
         out = []
@@ -324,12 +347,18 @@ class Occurrence(NamedTuple):
                     p0 = b0 ** e
                     row = [a0 * p0, a1 * p0 + e * a0 * b0 ** (e - 1) * b1]
             out.append(row)
+        if not whole:
+            self.chart.rows[self.ident] = out
         return out
 
     def residual_scales(self, whole: bool = False) -> list[int]:
         """The positive integer each row of `residual_rows(whole)` is its
         generator's restriction times, so that rows combine exactly."""
         scale, exc = self._scale, self.chart.exc
+        if self.axis[0] == "x" or self.axis[1].denominator == 1:
+            # then every `_scale` is the denominator
+            return [math.prod(exc[d].den ** e for d, e in k.items()) * s.den
+                    if k else s.den for s, k in self.chart.residual_parts]
         return [scale(s, whole) * math.prod(scale(exc[d], whole) ** e
                                             for d, e in k.items())
                 for s, k in self.chart.residual_parts]
@@ -414,22 +443,19 @@ class ChartState:
         self.leaves: list[Chart] = [root]
         self.log: list[BlowUpEvent] = []
         self.complete = False
-        self._pulled: Optional[tuple[BiPoly, dict]] = None
+        self._kept: dict = {}
 
     # -- bookkeeping helpers --
 
-    def pullback(self, g: BiPoly, path: tuple) -> BiPoly:
-        """g pulled back along a chart path.  The last g's pullbacks are kept
-        in a tree of path prefixes, so a shared prefix costs no step."""
-        if self._pulled is None or self._pulled[0] is not g:
-            self._pulled = (g, {})
-        p, node = g, self._pulled[1]
-        for step in path:
-            hit = node.get(step)
-            if hit is None:
-                hit = node[step] = (apply_step(p, step), {})
-            p, node = hit
-        return p
+    def kept(self, read):
+        """read(self), computed once while the state is complete, so that
+        the diagram and the certificate share their reads of the atlas;
+        `blow_up` drops what was kept."""
+        if not self.complete:
+            return read(self)
+        if read not in self._kept:
+            self._kept[read] = read(self)
+        return self._kept[read]
 
     def occurrences(self) -> Iterator[Occurrence]:
         """Owning divisor appearances, leaves in path order, divisors in
@@ -717,6 +743,7 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
         new_divisor=ident, N=N, nu=nu, reasons=pr.reasons,
     ))
     state.complete = False
+    state._kept.clear()
     return state
 
 
@@ -725,31 +752,110 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
 def divisor_order_of(state: ChartState, g: BiPoly, ident: str) -> int:
     """Exponent of the divisor's local equation in the pullback of g.
 
-    Well defined across charts; computed in the first chart showing the
-    divisor.
+    Along an exceptional divisor, as `divisor_orders` reads it.  Along a
+    carrier, the exponent of its equation in the first leaf showing it,
+    read at the root on the components that leaf sees (`_carrier_eqs`).
     """
     if g.is_zero():
         raise ValueError("zero polynomial has no divisor order")
-    carrier = any(c.ident == ident for c in state.carriers)
-    if not carrier and ident not in state.divisors:
+    if any(c.ident == ident for c in state.carriers):
+        return _root_order(state.kept(_carrier_eqs)[ident], g)
+    if ident not in state.divisors:
         raise KeyError(f"unknown divisor {ident}")
+    return divisor_orders(state, g, None, [ident])[ident]
+
+
+def _carrier_eqs(state: ChartState) -> dict[str, BiPoly]:
+    """Per carrier, the product of its components that the first leaf
+    showing it sees.  A step loses only a line of its chart: chart A the
+    line x = 0, the root's x = 0 until the first chart A step; chart B the
+    line y = 0 after the translation, which that leaf never loses, since
+    the A chart of the same parent shows the carrier and its leftmost leaf
+    comes first.  So the leaf sees all components but x once its path has
+    a chart A step."""
+    out = {}
+    for c in state.carriers:
+        leaf = next(ch for ch in state.leaves if c.ident in ch.carriers)
+        eq = c.root_eq
+        rest = eq.divide_x_power(1) if eq.x_order() else eq
+        out[c.ident] = rest if STEP_A in leaf.path and \
+            not rest.is_constant() else eq
+    return out
+
+
+def divisor_orders(state: ChartState, g: BiPoly, bound: int | None = None,
+                   idents: list[str] | None = None
+                   ) -> dict[str, Optional[int]]:
+    """Order of the nonzero g along every exceptional divisor, or those of
+    `idents` (each walked from the root), None past `bound`: g is pulled
+    back step by step along the leaves of `_walk_plan`, each path prefix
+    once, and read there by `x_order`.  With a bound, each pullback is kept mod x^(bound + 1)
+    (`apply_step`).  A typed product is read as the sum of e * order(base)
+    over its bases (a valuation), so it never expands."""
+    plan = state.kept(_walk_plan)
+    if idents is not None:
+        plan = [(0, path, d) for _, path, d in plan if d in idents]
+    out: dict[str, Optional[int]] = {d: 0 for _, _, d in plan}
+    for b, e in g.factors if isinstance(g, _Product) else ((g, 1),):
+        stack = [b if bound is None else _below(b, bound)]
+        for k, path, d in plan:
+            del stack[k + 1:]
+            for step in path[k:]:
+                stack.append(apply_step(stack[-1], step, bound))
+            if out[d] is not None:
+                q = stack[-1]
+                out[d] = out[d] + e * q.x_order() if q.nums else None
+    return out
+
+
+def _walk_plan(state: ChartState) -> list[tuple[int, tuple, str]]:
+    """(k, path, divisor) for the first leaf, in path order, where each
+    exceptional divisor is the axis x = 0, k the length of the path prefix
+    it shares with the previous one.  A divisor is x = 0 in the A chart of
+    its blow-up, and a blow-up of a chart is centred on its x = 0, which
+    stays x = 0 in the B chart; so every divisor has such a leaf."""
+    plan, path, seen = [], (), set()
     for chart in state.leaves:
-        eq = (chart.carriers if carrier else chart.exc).get(ident)
-        if eq is None:
-            continue
-        p = state.pullback(g, chart.path)
-        if eq == _X:
-            return p.x_order()
-        if eq == _Y:
-            return p.y_order()
-        order = 0
-        while True:
-            try:
-                p = p.divexact(eq)
-            except ValueError:
-                return order
-            order += 1
-    raise KeyError("component not visible in any chart")
+        for d, (var, c) in chart.axes.items():
+            if var == "x" and not c and d not in seen:
+                k = min(len(path), len(chart.path))
+                while path[:k] != chart.path[:k]:
+                    k -= 1
+                plan.append((k, chart.path, d))
+                path = chart.path
+                seen.add(d)
+    if len(plan) < len(state.divisor_order):
+        raise InternalInvariantError("a divisor is x = 0 on no leaf chart")
+    return plan
+
+
+def _root_order(eq: BiPoly, g: BiPoly) -> int:
+    """Largest k with eq^k dividing g, eq squarefree.  A typed product is
+    read on its bases; eq divides it further only if it divides the
+    product of two or more of their cofactors, and only then does g
+    expand."""
+    if isinstance(g, _Product):
+        parts = [_divide_out(b, eq) + (e,) for b, e in g.factors]
+        rest = [(r, 1) for _, r, _ in parts if not r.is_constant()]
+        if len(rest) < 2 or not _divide_out(_expand(1, rest), eq)[0]:
+            return sum(k * e for k, _, e in parts)
+    return _divide_out(g, eq)[0]
+
+
+def _divide_out(p: BiPoly, eq: BiPoly) -> tuple[int, BiPoly]:
+    """(k, p / eq^k) for the largest k with eq^k dividing p, the quotient
+    up to a constant; for a monomial eq, by p's orders in x and y."""
+    if len(eq.nums) == 1:
+        (u, v), = eq.nums
+        k = min(p.x_order() // u if u else INFINITE_MULT,
+                p.y_order() // v if v else INFINITE_MULT)
+        return k, p.divide_x_power(k * u).divide_y_power(k * v)
+    k = 0
+    while True:
+        try:
+            p, k = p.divexact(eq), k + 1
+        except ValueError:
+            return k, p
 
 
 # --- zero sets on a divisor, in birth coordinates ----------------------------
@@ -806,19 +912,20 @@ def restrict_residual_to(
 ) -> list[tuple[Occurrence, list[int]]]:
     """Restriction of sum(coeffs_i * residual_i) to an exceptional divisor,
     one per occurrence of it, as `Occurrence.restriction` reads it up to a
-    positive factor: [] when the combination vanishes along the divisor."""
+    positive factor: [] when the combination vanishes along the divisor.
+    The coefficients are brought to integers, and the occurrences with
+    their rows come grouped by divisor (`_residual_pieces`)."""
     if not state.complete:
         raise ResidualNotUnit("principalization is not complete")
-    lams = [Fraction(c) for c in coeffs]
+    lams = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+            for c in coeffs]
     if not any(lams):
         raise DegenerateLambda("all combination coefficients are zero")
+    common = math.lcm(*(c.denominator for c in lams))
+    lams = [c.numerator * (common // c.denominator) for c in lams]
     pieces = []
-    for idx, chart in enumerate(state.leaves):
-        axis = chart.axes.get(ident)
-        if axis is None:
-            continue
-        occ = Occurrence(idx, chart, ident, axis, chart.pms[ident])
-        row = _combined(lams, occ.residual_rows(), occ.residual_scales())
+    for occ, rows, scales in state.kept(_residual_pieces).get(ident, ()):
+        row = _combined(lams, rows, scales)
         if occ.mode == "all":
             row = _strip(row)
         elif not row[0] and not any(_combined(
@@ -830,15 +937,24 @@ def restrict_residual_to(
     return pieces
 
 
-def _combined(lams: list[Fraction], rows: list[list[int]],
+def _residual_pieces(state: ChartState) -> dict[str, list[tuple]]:
+    """Per divisor, its occurrences with their residual rows, which the
+    bad-point scan kept on the chart, and scales: one pass."""
+    out: dict[str, list[tuple]] = {}
+    for occ in state.occurrences():
+        out.setdefault(occ.ident, []).append(
+            (occ, occ.residual_rows(), occ.residual_scales()))
+    return out
+
+
+def _combined(lams: list[int], rows: list[list[int]],
               scales: list[int]) -> list[int]:
     """sum(lams_i * rows_i / scales_i), times one positive integer, zeros
     kept."""
-    common = math.lcm(*(c.denominator * scale
-                        for c, scale in zip(lams, scales)))
+    common = math.lcm(*scales)
     out = [0] * max(map(len, rows))
     for c, row, scale in zip(lams, rows, scales):
-        if k := c.numerator * (common // (c.denominator * scale)):
+        if k := c * (common // scale):
             for j, n in enumerate(row):
                 out[j] += k * n
     return out

@@ -131,7 +131,7 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
     edges = set(state.adjacency)
 
     corners = None  # read only where a branch meets a divisor
-    hits = carrier_intersections(state)
+    hits = state.kept(carrier_intersections)
     serial = 0
     for c in state.carriers:
         for d in state.divisor_order:
@@ -141,7 +141,7 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
                 continue
             row, inf = data
             if corners is None:
-                corners = state.corner_registry()
+                corners = state.kept(ChartState.corner_registry)
             if any(inf if lam is None else
                    _zhorner(row, lam.numerator, lam.denominator) == 0
                    for lam in corners[d]):

@@ -27,13 +27,15 @@ from .blowup import (
     ChartState,
     carrier_intersections,
     divisor_order_of,
+    divisor_orders,
     restrict_residual_to,
     union_zero_data,
     zero_count,
 )
 from .diagram import alpha_nums
 from .errors import DegenerateLambda, InternalInvariantError, RetriesExhausted
-from .poly import _zhorner, combination, row_gcd
+from .poly import BiPoly, _expand, _Product, _typed, _zhorner, combination, \
+    row_gcd
 from .principalize import PrincipalizationResult
 
 RETRY_BUDGET = 16
@@ -51,12 +53,9 @@ def sample_lambda(count: int, seed: int, attempt: int) -> list[Fraction]:
 
 class DivisorCheck:
     def __init__(self, ident: str, N_from_generic: int, N_min: int,
-                 n: int | None = None,  # None for strict branches
-                 relation_lhs: Fraction | None = None,
-                 relation_rhs: Fraction | None = None):
+                 n: int | None = None):  # n is None for strict branches
         self.ident, self.N_min, self.n = ident, N_min, n
         self.N_from_generic = N_from_generic
-        self.relation_lhs, self.relation_rhs = relation_lhs, relation_rhs
 
     @property
     def min_property_ok(self) -> bool:
@@ -83,36 +82,68 @@ def verify_min_property(result: PrincipalizationResult,
 
 def _min_orders(result: PrincipalizationResult) -> dict[str, int]:
     """N_min of every divisor and strict branch through the origin: the
-    minimum order over the generators, which no sample changes."""
+    minimum order over the generators, which no sample changes.  The walks
+    are bounded by the largest engine N; only when every generator's order
+    is past it are the orders read again with no bound, as carriers are
+    read (`divisor_order_of`)."""
     state = result.state
-    idents = list(state.divisor_order) + [
-        c.ident for c in state.carriers if c.through_origin]
-    # one generator at a time, so each is pulled back once
-    orders = [{ident: divisor_order_of(state, g, ident) for ident in idents}
-              for g in result.gens]
-    return {ident: min(o[ident] for o in orders) for ident in idents}
+    bound = max((state.divisors[d].N for d in state.divisor_order),
+                default=0)
+    walks = [divisor_orders(state, g, bound) for g in result.gens]
+    return {d: min([w[d] for w in walks if w.get(d) is not None] or
+                   [divisor_order_of(state, g, d) for g in result.gens])
+            for d in state.divisor_order + [
+                c.ident for c in state.carriers if c.through_origin]}
+
+
+def _member(lam: list[Fraction], gens: list[BiPoly]) -> BiPoly:
+    """sum(lam_i g_i), up to a positive factor, typed as a product: the
+    bases every generator is typed with, to their least exponents, times
+    the combination of the cofactors, which alone expands."""
+    if not all(isinstance(g, _Product) for g in gens):
+        return combination(lam, gens)
+    typed = []
+    for g in gens:
+        exps: dict[BiPoly, int] = {}
+        for b, e in g.factors:
+            exps[b] = exps.get(b, 0) + e
+        typed.append((g.const, exps))
+    shared = {b: k for b in typed[0][1]
+              if (k := min(x.get(b, 0) for _, x in typed))}
+    if not shared:
+        return combination(lam, gens)
+    rest = combination(lam, [_expand(c, [
+        (b, e - shared.get(b, 0)) for b, e in x.items()
+        if e > shared.get(b, 0)]) for c, x in typed])
+    if rest.is_zero() or rest.is_constant():
+        return rest if rest.is_zero() else _typed(
+            rest.terms[(0, 0)], list(shared.items()))
+    return _typed(1, [*shared.items(), (rest, 1)])
 
 
 def _verify_min_property(result: PrincipalizationResult, lam: list[Fraction],
                          n_min: dict[str, int]) -> dict[str, DivisorCheck]:
-    # a positive multiple of the member has the same orders
-    member = combination(lam, result.gens)
+    """The member's orders, in one walk bounded by the largest N_min; an
+    order past it is a mismatch, read again with no bound."""
+    state = result.state
+    member = _member(lam, result.gens)
     if member.is_zero():
         raise DegenerateLambda("combination is identically zero")
-    return {ident: DivisorCheck(
-                ident=ident,
-                N_from_generic=divisor_order_of(result.state, member, ident),
-                N_min=want)
-            for ident, want in n_min.items()}
+    orders = divisor_orders(state, member, max(
+        (n_min[d] for d in state.divisor_order), default=0))
+    return {d: DivisorCheck(ident=d, N_min=want, N_from_generic=(
+                divisor_order_of(state, member, d) if orders.get(d) is None
+                else orders[d])) for d, want in n_min.items()}
 
 
-def _diagram_points(state: ChartState) -> tuple[dict, dict]:
-    """Corners and branch-point zero data of every exceptional curve, each
-    read from the atlas once."""
+def _branch_points(state: ChartState) -> dict[str, list]:
+    """Branch-point zero data on every exceptional curve, from the carrier
+    intersections the diagram read of the completed state
+    (`ChartState.kept`)."""
     branches: dict[str, list] = {d: [] for d in state.divisor_order}
-    for (_, d), data in carrier_intersections(state).items():
+    for (_, d), data in state.kept(carrier_intersections).items():
         branches[d].append(data)
-    return state.corner_registry(), branches
+    return branches
 
 
 def count_n(result: PrincipalizationResult, lam: list[Fraction],
@@ -124,42 +155,43 @@ def count_n(result: PrincipalizationResult, lam: list[Fraction],
     no crossing sits at an existing diagram point; violations raise
     DegenerateLambda so the caller can resample.
     """
-    return _count_n(result.state, lam, ident, _diagram_points(result.state))
+    return _count_n(result.state, lam, ident, _branch_points(result.state))
 
 
 def _count_n(state: ChartState, lam: list[Fraction], ident: str,
-             points: tuple[dict, dict]) -> int:
-    data = None
-    for occ, row in restrict_residual_to(state, ident, lam):
+             branches: dict[str, list]) -> int:
+    data, rows = None, restrict_residual_to(state, ident, lam)
+    for occ, row in rows:
         if not row:
             raise DegenerateLambda(
                 f"combination vanishes along {ident}")
-        # a repeated zero is a common zero of the row and its derivative
-        if occ.owned_zeros(row_gcd(
+        # a repeated zero is a common zero of the row and its derivative:
+        # a row of degree one has none, and the t^0 and t^1 row of a
+        # point-owned divisor has one at t = 0 exactly when both vanish
+        if not any(row) or len(row) > 2 and occ.owned_zeros(row_gcd(
                 [row, [i * v for i, v in enumerate(row)][1:]])) is not None:
             raise DegenerateLambda(
                 f"restriction to {ident} is not squarefree")
         zeros = occ.owned_zeros(row)
         if zeros is not None:
             data = union_zero_data(data, zeros)
-    crossings, inf = data if data is not None else (None, False)
-
-    corner_registry, branches = points
-    corners = corner_registry[ident]
-    excluded_inf = any(lam0 is None for lam0 in corners)
-    if crossings is not None:
-        if any(lam0 is not None and _zhorner(
-                crossings, lam0.numerator, lam0.denominator) == 0
-               for lam0 in corners):
-            raise DegenerateLambda(f"crossing at a corner of {ident}")
-        for brow, binf in branches[ident]:
-            if len(row_gcd([crossings, brow])) > 1:
-                raise DegenerateLambda(
-                    f"crossing at a branch point of {ident}")
-            if inf and binf:
-                raise DegenerateLambda(
-                    f"crossing at the infinite branch point of {ident}")
-    if inf and excluded_inf:
+    if data is None:
+        return 0
+    crossings, inf = data
+    # the divisor's corners, each read in the occurrence that owns it
+    corners = {occ.pm.to_birth(t) for occ, _ in rows for t, _ in occ.corners}
+    if any(lam0 is not None and _zhorner(
+            crossings, lam0.numerator, lam0.denominator) == 0
+           for lam0 in corners):
+        raise DegenerateLambda(f"crossing at a corner of {ident}")
+    for brow, binf in branches[ident]:
+        if len(row_gcd([crossings, brow])) > 1:
+            raise DegenerateLambda(
+                f"crossing at a branch point of {ident}")
+        if inf and binf:
+            raise DegenerateLambda(
+                f"crossing at the infinite branch point of {ident}")
+    if inf and None in corners:
         raise DegenerateLambda(
             f"crossing at the infinite corner of {ident}")
     return zero_count(data)
@@ -172,12 +204,12 @@ def verify_relations(result: PrincipalizationResult,
     A mismatch here is an engine bug, not sample degeneracy: the counts were
     already certified.
     """
-    return _verify_relations(result, lam, _diagram_points(result.state),
+    return _verify_relations(result, lam, _branch_points(result.state),
                              _min_orders(result))
 
 
 def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
-                      points: tuple[dict, dict],
+                      branches: dict[str, list],
                       n_min: dict[str, int]) -> GenericCheckReport:
     checks = _verify_min_property(result, lam, n_min)
     for ident, c in checks.items():
@@ -187,7 +219,7 @@ def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
                 f"{c.N_min}")
     diagram = result.diagram
     for v in diagram.exceptional():
-        n = _count_n(result.state, lam, v.ident, points)
+        n = _count_n(result.state, lam, v.ident, branches)
         table = alpha_nums(diagram, v.ident)
         m, N, nu = len(table), v.N, v.nu
         total = sum(a for _, a in table)  # N sum(alpha)
@@ -197,10 +229,7 @@ def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
                 f"numerical-data relation fails at {v.ident}: "
                 f"sum(alpha) = {Fraction(total, N)}, m = {m}, n = {n}, "
                 f"ratio = {diagram.ratio(v.ident)}")
-        check = checks[v.ident]
-        check.n = n
-        check.relation_lhs = Fraction(total, N)
-        check.relation_rhs = Fraction(rhs, N)
+        checks[v.ident].n = n
     return GenericCheckReport(lam=list(lam), retries=0, per_divisor=checks)
 
 
@@ -208,13 +237,13 @@ def certify_generic(result: PrincipalizationResult,
                     seed: int = 0) -> GenericCheckReport:
     """First accepted sample within the retry budget, with its full report."""
     l = len(result.gens)
-    points = _diagram_points(result.state)
+    branches = _branch_points(result.state)
     n_min = _min_orders(result)
     last = None
     for attempt in range(RETRY_BUDGET):
         lam = sample_lambda(l, seed, attempt)
         try:
-            report = _verify_relations(result, lam, points, n_min)
+            report = _verify_relations(result, lam, branches, n_min)
             report.retries = attempt
             return report
         except DegenerateLambda as exc:

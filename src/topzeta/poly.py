@@ -944,16 +944,17 @@ class _Parser:
             c, bases, degree, bits = self.parse_atom()
             return (-c if odd else c), bases, degree, bits
         if ch.isdigit():
-            num = self.take_int()
+            c = self.take_int()
             if self.peek() == "/":
                 mark = self.pos
                 self.advance()
                 if not self.peek().isdigit():
                     self.pos = mark
                     self.error("'/' outside a rational literal")
-                c = Fraction(num, self.take_int(denominator=True))
-                return c, [], 0, _bits(BiPoly.const(c))
-            return num, [], 0, _bits(BiPoly.const(num))
+                c = Fraction(c, self.take_int(denominator=True))
+            # `_bits` of the constant, off its numerator and denominator
+            return c, [], 0, max((max(abs(c.numerator), 1) - 1).bit_length(),
+                                 (c.denominator - 1).bit_length())
         if ch.isalpha() or ch == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -994,6 +995,13 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
     if p.pos != len(text):
         p.error("trailing input")
     _check_caps(degree, 0)
+    return _typed(c, bases)
+
+
+def _typed(c: int | Fraction, bases: list[tuple[BiPoly, int]]) -> BiPoly:
+    """c times the product of base^e over bases, nonconstant plain bases,
+    typed as `parse_poly` returns it: with `factors` when there are two
+    bases or a power, a `_Product` unless every base is one term."""
     if len(bases) > 1 or bases and bases[0][1] > 1:
         if all(len(b.nums) == 1 for b, _ in bases):  # nothing to defer
             q = _expand(c, bases)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
-from .poly import UniPoly, frac_str
+from .poly import UniPoly, _zhorner, frac_str
 
 #: A primitive linear factor c + d*s, keyed as (c, d).
 Factor = tuple[int, int]
@@ -158,18 +158,25 @@ def poles_of(rf: RationalFunctionS) -> list[Pole]:
 
     The leading coefficient is the residue for an order-one pole and the
     leading Laurent coefficient for higher order: with (nu + N s)^m in the
-    denominator, (nu + N s)^m = N^m (s - s0)^m near s0 = -nu/N.
+    denominator, (nu + N s)^m = N^m (s - s0)^m near s0 = -nu/N.  It is
+    formed on integers, one Fraction per pole: N^d num(s0) by homogeneous
+    Horner, d the numerator's degree, and N (g0 + g1 s0) = g0 N - g1 nu for
+    every other factor.
     """
+    nums, den = rf.num.nums, rf.num.den
+    d = max(rf.num.degree(), 0)
     out = []
     for i, (f, m) in enumerate(rf.den):
         nu, N = f
-        s0 = _factor_root(f)
-        rest = Fraction(1)
-        for j, (g, k) in enumerate(rf.den):
-            if j == i:
-                continue
-            rest *= (g[0] + g[1] * s0) ** k
-        lead = rf.num.eval(s0) / (Fraction(N) ** m * rest)
-        out.append(Pole(location=s0, order=m, leading_coefficient=lead))
+        # lead = H / (rest N^power), H = _zhorner(nums, -nu, N)
+        rest, power = den, d + m
+        for j, ((g0, g1), k) in enumerate(rf.den):
+            if j != i:
+                rest *= (g0 * N - g1 * nu) ** k
+                power -= k
+        lead = Fraction(_zhorner(nums, -nu, N) * N ** max(-power, 0),
+                        rest * N ** max(power, 0))
+        out.append(Pole(location=_factor_root(f), order=m,
+                        leading_coefficient=lead))
     out.sort(key=lambda p: p.location)
     return out

@@ -15,7 +15,7 @@ import pytest
 
 from corpus import EXCLUDED
 from topzeta.criterion import classify, cross_check
-from topzeta.diagram import validate_all
+from topzeta.diagram import alphas, validate_all
 from topzeta.errors import CenterNotRational, OutOfRange
 from topzeta.family import admissible, build, realize_pole
 from topzeta.generic import certify_generic
@@ -81,9 +81,11 @@ def test_criterion_3_relation_suite(corpus_results):
             if len(result.gens) < 2:
                 continue
             report = certify_generic(result, seed=0)
-            for check in report.per_divisor.values():
-                if check.n is not None:
-                    assert check.relation_lhs == check.relation_rhs, name
+            for ident, n in report.n_table().items():
+                v = result.diagram.vertex(ident)
+                table = alphas(result.diagram, ident)
+                assert sum(a for _, a in table) == \
+                    len(table) - 2 + Fraction(v.nu * n, v.N), name
         golden = next(r for name, r in corpus_results if name == "golden")
         assert certify_generic(golden, seed=0).n_table() == {
             "E1": 3, "E2": 0, "E3": 1}

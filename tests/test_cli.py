@@ -616,6 +616,27 @@ def test_principalize_edges_line_sorts_as_strings(capsys):
     assert out.splitlines()[-1] == "edges: E1--E2; E1--S1; E2--E3"
 
 
+SWELL_BRANCH = "((y^2 - x^3)^2 - 4*x^5*y - x^7)"
+
+
+def test_verify_swell_pinned(capsys):
+    """verify on the swell ideal (SWELL_BRANCH*(y - x^2), x^20): 65
+    exceptional curves, whose orders the certificate reads in one walk of
+    pullbacks kept mod x^(B + 1), B the largest N."""
+    crossings = ", ".join(f"{d}:{int(d in ('E14', 'E65'))}" for d in
+                          sorted(f"E{k}" for k in range(1, 66)))
+    assert run(capsys, "verify", "--", f"{SWELL_BRANCH}*(y - x^2)",
+               "x^20") == (0, "\n".join([
+                   *(f"{name}: pass" for name in (
+                       "alpha-bounds", "two-neighbor-ordering",
+                       "ordered-tree", "nu-bound", "tree-shape",
+                       "criterion-vs-zeta", "minimality")),
+                   "lambda: (1, 1), retries 0",
+                   f"crossings with generic member: {crossings}",
+                   "min-property: pass",
+                   "numerical-data relations: pass"]) + "\n", "")
+
+
 def test_classify_text_pinned(capsys):
     no_pole = [f"-{k + 1}/{k}: no pole" for k in range(2, 12)]
     assert run(capsys, "classify", *CHAIN_12)[1] == "\n".join(
@@ -667,11 +688,15 @@ def test_factored_degree_cap_matches_expanded(capsys):
     (("zeta", "--json", "--", "x*(1 + x + y)^24"), 0),
     (("zeta", "--json", "--", "(x^3 + y^2 + x*y)^8"), 0),
     (("zeta", "--", "(1 + x + y)^20*(1 + x)^45", "y"), 2),
+    (("verify", "--", "(y^2 - x^3)^12*x", "(y^2 - x^3)^12*y"), 0),
+    (("verify", "--", "(y + x + x*y)^16*x", "(y + x + x*y)^16*y^2"), 0),
 ])
 def test_curve_part_path_expands_nothing(capsys, monkeypatch, argv, code):
     """A generator typed as a product of powers is read through its
     factors: no dense product, no packed power and no power of a base
-    that is a unit at the origin is computed (call counts, not time)."""
+    that is a unit at the origin is computed (call counts, not time).
+    `verify` takes orders on the bases and forms the generic member as
+    the shared powers times a combination of the cofactors."""
     from topzeta import poly
     calls, unit_powers = [], []
     for name in ("_product", "_unpack"):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from topzeta.blowup import divisor_order_of
+from topzeta.blowup import PointRecord, blow_up, divisor_order_of
 from topzeta.diagram import alphas
 from topzeta.errors import DegenerateLambda, InternalInvariantError
 from topzeta import generic
@@ -77,11 +77,14 @@ def test_count_n_family():
 
 def test_relations_golden(golden):
     report = verify_relations(golden, [Fraction(1), Fraction(1)])
-    e3 = report.per_divisor["E3"]
-    assert (e3.n, e3.relation_lhs, e3.relation_rhs) == \
-        (1, Fraction(-3, 7), Fraction(-3, 7))
-    e1 = report.per_divisor["E1"]
-    assert (e1.n, e1.relation_lhs) == (3, Fraction(6, 5))
+    assert report.n_table() == {"E1": 3, "E2": 0, "E3": 1}
+    sums = {d: sum(a for _, a in alphas(golden.diagram, d))
+            for d in report.n_table()}
+    assert (sums["E3"], sums["E1"]) == (Fraction(-3, 7), Fraction(6, 5))
+    for d, n in report.n_table().items():
+        v = golden.diagram.vertex(d)
+        m = len(alphas(golden.diagram, d))
+        assert sums[d] == m - 2 + Fraction(v.nu * n, v.N), d
 
 
 def test_relations_refuse_a_wrong_alpha_sum(golden, monkeypatch):
@@ -172,13 +175,15 @@ def test_degenerate_all_zero_rejected(golden):
 ], ids=["golden", "build(8,0)", "resampled"])
 def test_certify_generic_reads_diagram_points_once(monkeypatch, gens,
                                                    retries):
-    """Corners and carrier zero data are read from the atlas once per call,
-    however many divisors and retries there are."""
+    """Carrier zero data is read from the atlas once per run, however many
+    divisors and retries there are: the certificate reuses what the
+    diagram read of the completed state.  It reads no corner registry:
+    each divisor's corners come from its own occurrences, and only when
+    the member crosses it."""
     import sys
 
     from topzeta.blowup import ChartState, carrier_intersections
 
-    result = principalize(gens)
     calls = []
     registry = ChartState.corner_registry
 
@@ -196,29 +201,75 @@ def test_certify_generic_reads_diagram_points_once(monkeypatch, gens,
             for attr, val in list(vars(mod).items()):
                 if val is carrier_intersections:
                     monkeypatch.setattr(mod, attr, counted_hits)
+    result = principalize(gens)
+    read = list(calls)
     report = certify_generic(result, seed=0)
     assert report.retries >= retries
-    assert sorted(calls) == ["carrier_intersections", "corner_registry"]
+    assert read.count("carrier_intersections") == 1 and calls == read
+    # a blow-up drops the kept reads: the state has changed
+    state = result.state
+    assert state.kept(ChartState.corner_registry) is \
+        state.kept(ChartState.corner_registry)
+    blow_up(state, PointRecord(0, (Fraction(0), Fraction(0)), ()))
+    assert state._kept == {}
+
+
+def test_certificate_reads_the_rows_the_scan_kept(monkeypatch):
+    """The bad-point scan keeps each occurrence's residual rows on its
+    chart (`Chart.rows`), and the certificate reads them there: the kept
+    rows are the ones it uses, and a second certificate restricts no
+    residual part on t^0 and t^1 again."""
+    from topzeta.blowup import Occurrence
+
+    result = principalize([parse_poly("(y^2 - x^3)*x^3*y"),
+                           parse_poly("(y^2 - x^3)*(x^5 + y^4)")])
+    state = result.state
+    kept = {(id(chart), d): rows for chart in state.leaves
+            for d, rows in chart.rows.items()}
+    assert len(kept) >= 3
+    certify_generic(result, seed=0)
+    assert all(chart.rows[d] is kept[(id(chart), d)]
+               for chart in state.leaves for d in chart.rows
+               if (id(chart), d) in kept)
+    reads = []
+    restriction = Occurrence.restriction
+
+    def counted(occ, p, whole=False):
+        reads.append(whole)
+        return restriction(occ, p, whole)
+
+    monkeypatch.setattr(Occurrence, "restriction", counted)
+    report = certify_generic(result, seed=0)
+    assert report.n_table() and False not in reads
 
 
 def test_certify_generic_takes_generator_orders_once(monkeypatch):
-    """N_min depends only on the generators: each generator's order along
-    each divisor is taken once per call, however many samples are tried."""
+    """N_min depends only on the generators: each generator is walked
+    through the chart tree once per call, for all divisors at once, however
+    many samples are tried, and its orders are not read again one divisor
+    at a time."""
     import topzeta.generic as generic
 
     result = principalize([parse_poly("x^2 + 2*x*y"), parse_poly("y^2")])
     gens = {id(g) for g in result.gens}
-    seen = []
+    walks, single = [], []
+    walk, single_read = generic.divisor_orders, generic.divisor_order_of
 
-    def counted(state, g, ident):
+    def counted_walk(state, g, *args):
         if id(g) in gens:
-            seen.append((id(g), ident))
-        return divisor_order_of(state, g, ident)
+            walks.append(id(g))
+        return walk(state, g, *args)
 
-    monkeypatch.setattr(generic, "divisor_order_of", counted)
+    def counted_single(state, g, ident):
+        if id(g) in gens:
+            single.append(ident)
+        return single_read(state, g, ident)
+
+    monkeypatch.setattr(generic, "divisor_orders", counted_walk)
+    monkeypatch.setattr(generic, "divisor_order_of", counted_single)
     report = certify_generic(result, seed=0)
     assert report.retries >= 1
-    assert len(seen) == len(set(seen)) == len(gens) * len(report.per_divisor)
+    assert sorted(walks) == sorted(gens) and single == []
 
 
 def test_certify_generic_pulls_each_polynomial_back_once(monkeypatch):
@@ -231,9 +282,9 @@ def test_certify_generic_pulls_each_polynomial_back_once(monkeypatch):
     result = principalize(build(40, 0))
     steps = []
 
-    def counted(p, step):
+    def counted(p, step, bound=None):
         steps.append(step)
-        return apply_step(p, step)
+        return apply_step(p, step, bound)
 
     apply_step = blowup.apply_step
     monkeypatch.setattr(blowup, "apply_step", counted)

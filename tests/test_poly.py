@@ -1599,3 +1599,36 @@ def test_trinomial_power_is_multinomial(n):
     assert p.nums == {(a, b): f(n) // (f(a) * f(b) * f(n - a - b))
                       for a in range(n + 1) for b in range(n + 1 - a)}
     _assert_canonical(p)
+
+
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                 st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                           st.integers(1, 10 ** 30))))
+@example(0)
+@example(Fraction(0, 7))
+@example(1)
+@example(Fraction(1, 2))
+def test_literal_bits_read_off_the_number(c):
+    """A literal's bit bound is `_bits` of the constant it denotes."""
+    text = f"{abs(c.numerator)}/{c.denominator}" if c.denominator > 1 \
+        else str(abs(c))
+    bits = poly._Parser(text, ("x", "y")).parse_atom()[3]
+    assert bits == poly._bits(BiPoly.const(abs(c)))
+
+
+def test_parser_builds_no_constant_per_literal(monkeypatch):
+    """Literals are carried as numbers: parsing them builds no constant
+    polynomial, and the literal caps refuse with the same texts."""
+    built = []
+    const = BiPoly.const.__func__
+    monkeypatch.setattr(BiPoly, "const", classmethod(
+        lambda cls, c: (built.append(c), const(cls, c))[1]))
+    assert P("3*x + 5/7*y - 12*x*y^2 + 0*x") == P("3*x + 5/7*y - 12*x*y^2")
+    assert built == []
+    nines = "9" * 1000
+    with pytest.raises(DegreeCapExceeded) as exc:
+        P(f"{nines}/7*x*{nines}")
+    bits = poly._bits(BiPoly.const(Fraction(int(nines), 7))) + poly._bits(
+        BiPoly.const(int(nines)))
+    assert str(exc.value) == (f"coefficient size bound of {bits} bits "
+                              "exceeds cap 4096")

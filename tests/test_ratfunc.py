@@ -395,3 +395,27 @@ def test_sum_matches_oracle_on_diagrams(corpus_results):
     assert len(diagrams) == 111 + 16 + 12
     for diagram in diagrams:
         _assert_same_sum(zeta_terms(diagram))
+
+
+def _poles_by_fractions(rf):
+    """Poles as they were formed in Fraction arithmetic: num(s0) over
+    N^m and the other factors at s0, the oracle of the integer route."""
+    out = []
+    for i, ((nu, N), m) in enumerate(rf.den):
+        s0 = Fraction(-nu, N)
+        rest = Fraction(1)
+        for j, ((g0, g1), k) in enumerate(rf.den):
+            if j != i:
+                rest *= (g0 + g1 * s0) ** k
+        out.append((s0, m, rf.num.eval(s0) / (Fraction(N) ** m * rest)))
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_term_lists(), _order_two_term_lists()))
+def test_poles_match_the_fraction_route(terms):
+    """Leading coefficients formed on integers by homogeneous Horner equal
+    the Fraction evaluation, for numerators of every degree against the
+    factors, order-two poles among them."""
+    rf = rf_sum_of_terms(terms)
+    assert [tuple(p) for p in poles_of(rf)] == _poles_by_fractions(rf)

@@ -50,11 +50,11 @@ RECORDS = [
     (Pole, dict(location=F(-1), order=1, leading_coefficient=F(2)), {}),
     (Chart, dict(path=()),
      {"exc": {}, "pms": {}, "carriers": {}, "residual_parts": [],
-      "residual": [], "bad_hits": None, "blown_up": None}),
+      "residual": [], "bad_hits": None, "blown_up": None, "rows": {}}),
     (IntersectionDiagram, dict(vertices=[], edges=set()),
      {"origin_case": None, "minimal": False}),
     (DivisorCheck, dict(ident="E1", N_from_generic=2, N_min=2),
-     {"n": None, "relation_lhs": None, "relation_rhs": None}),
+     {"n": None}),
     (GenericCheckReport, dict(lam=[F(1), F(1)], retries=0),
      {"per_divisor": {}}),
 ]
