@@ -355,10 +355,6 @@ class Occurrence(NamedTuple):
         """The positive integer each row of `residual_rows(whole)` is its
         generator's restriction times, so that rows combine exactly."""
         scale, exc = self._scale, self.chart.exc
-        if self.axis[0] == "x" or self.axis[1].denominator == 1:
-            # then every `_scale` is the denominator
-            return [math.prod(exc[d].den ** e for d, e in k.items()) * s.den
-                    if k else s.den for s, k in self.chart.residual_parts]
         return [scale(s, whole) * math.prod(scale(exc[d], whole) ** e
                                             for d, e in k.items())
                 for s, k in self.chart.residual_parts]

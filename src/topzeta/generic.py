@@ -165,10 +165,8 @@ def _count_n(state: ChartState, lam: list[Fraction], ident: str,
         if not row:
             raise DegenerateLambda(
                 f"combination vanishes along {ident}")
-        # a repeated zero is a common zero of the row and its derivative:
-        # a row of degree one has none, and the t^0 and t^1 row of a
-        # point-owned divisor has one at t = 0 exactly when both vanish
-        if not any(row) or len(row) > 2 and occ.owned_zeros(row_gcd(
+        # a repeated zero is a common zero of the row and its derivative
+        if occ.owned_zeros(row_gcd(
                 [row, [i * v for i, v in enumerate(row)][1:]])) is not None:
             raise DegenerateLambda(
                 f"restriction to {ident} is not squarefree")

@@ -160,12 +160,6 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
 
-    def eval(self, t) -> Fraction:
-        """p(t) for an int or Fraction t, by homogeneous Horner on integers,
-        one Fraction at the end."""
-        return Fraction(_zhorner(self.nums, t.numerator, t.denominator),
-                        self.den * t.denominator ** max(self.degree(), 0))
-
     def __str__(self) -> str:
         return poly_to_str(_new(BiPoly, {(i, 0): n for i, n in enumerate(
             self.nums) if n}, self.den), ("s", "t"))

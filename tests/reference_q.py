@@ -124,8 +124,16 @@ def chart_restrict(p, axis):
     return restrict(p, c, 0 if var == "x" else 1)
 
 
+def eval_q(p, t):
+    """p(t) by Horner on the Fraction coefficients."""
+    out = Fraction(0)
+    for c in reversed(p.coeffs):
+        out = out * t + c
+    return out
+
+
 def eval_bi(p, px, py):
-    return restrict(p, px, 0).eval(Fraction(py))
+    return eval_q(restrict(p, px, 0), Fraction(py))
 
 
 def compose_affine(p, scale, offset):

@@ -10,6 +10,7 @@ from reference_q import (
     compose_affine,
     const_q,
     divides,
+    eval_q,
     lcm_q,
     reversed_q,
     row_q,
@@ -590,7 +591,7 @@ def _reference_carrier_data(state):
             sigma = chart_restrict(eq, axis)
             if axis[0] == "x":
                 data = _reference_zero_data(pm, sigma)
-            elif sigma.eval(Fraction(0)) == 0:
+            elif eval_q(sigma, Fraction(0)) == 0:
                 birth = pm.to_birth(Fraction(0))
                 data = (const_q(1), True) if birth is None else (
                     UniPoly([-birth, 1]), False)
@@ -677,23 +678,41 @@ def test_zero_data_on_moved_point_maps_matches_reference(replay_states):
                 (ident, lam), set())
 
 
-def _reference_order(state, g, ident):
-    """Order along a divisor by repeated exact division of the pullback,
-    whatever its chart equation."""
+def _prefix_pullback(g, path, pulled):
+    """g pulled back along a chart path, each prefix once per `pulled`."""
+    if path not in pulled:
+        pulled[path] = g if not path else apply_step(
+            _prefix_pullback(g, path[:-1], pulled), path[-1])
+    return pulled[path]
+
+
+def _reference_order(state, g, ident, pulled=None):
+    """Order along a divisor or carrier in the first leaf showing it, read
+    off g's expanded pullback: for the equation x or y the least exponent
+    of it over the terms, otherwise the largest k with eq^k dividing the
+    pullback, found by doubling k, then bisecting.  `pulled` keeps g's
+    pullbacks across calls."""
     for chart in state.leaves:
         eq = chart.exc.get(ident, chart.carriers.get(ident))
         if eq is None:
             continue
-        p, order = _pullback(chart, g), 0
-        while divides(eq, p):
-            p, order = p.divexact(eq), order + 1
-        return order
+        p = _prefix_pullback(g, chart.path, {} if pulled is None else pulled)
+        for i, axis in enumerate((BiPoly.x(), BiPoly.y())):
+            if eq == axis:
+                return min(m[i] for m in p.nums)
+        lo, hi = 0, 1
+        while divides(eq ** hi, p):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if divides(eq ** mid, p) else (lo, mid)
+        return lo
     raise KeyError(ident)
 
 
 def test_divisor_order_matches_division_reference(corpus_results):
-    """The x_order / y_order shortcut for coordinate equations gives the
-    order repeated division gives, on every divisor of every corpus run."""
+    """The walk's orders (and the carriers' root reads) equal the orders
+    read off the expanded pullback, on every divisor of every corpus run."""
     for name, result in corpus_results:
         state = result.state
         idents = list(state.divisor_order) + [

@@ -25,6 +25,7 @@ from reference_q import (
     divexact_q,
     divides,
     eval_bi,
+    eval_q,
     gcd_q,
     lcm_q,
     monic_q,
@@ -1125,7 +1126,7 @@ def _reference_rational_roots(p):
              for v in _reference_divisors(an) for s in (1, -1)}
     for r in sorted(cands):
         mult = 0
-        while p.degree() > 0 and p.eval(r) == 0:
+        while p.degree() > 0 and eval_q(p, r) == 0:
             p = divexact_q(p, UniPoly([-r, 1]))
             mult += 1
         if mult:

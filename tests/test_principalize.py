@@ -13,7 +13,8 @@ from corpus import (
     pool_entries,
     swell_entries,
 )
-from reference_q import chart_restrict, derivative_q, gcd_q, squarefree_q
+from reference_q import (
+    chart_restrict, derivative_q, eval_q, gcd_q, squarefree_q)
 from test_blowup import _reference_point_identity
 from topzeta.blowup import (
     Chart,
@@ -380,7 +381,7 @@ def test_residual_unit_everywhere_after_completion(corpus_results):
             if occ.mode == "all":
                 assert g.degree() == 0, (name, occ.ident)
             else:
-                assert g.eval(Fraction(0)) != 0, (name, occ.ident)
+                assert eval_q(g, Fraction(0)) != 0, (name, occ.ident)
 
 
 # --- the per-call rescan, kept as the oracle of the per-chart memo ----------
@@ -499,7 +500,7 @@ def test_failed_scan_is_not_stored():
 
 def _reference_owned_params(occ, locator, context):
     if occ.mode == "point":
-        return [Fraction(0)] if locator.eval(Fraction(0)) == 0 else []
+        return [Fraction(0)] if eval_q(locator, Fraction(0)) == 0 else []
     if locator.degree() <= 0:
         return []
     roots, cofactor = rational_roots(locator.nums)
@@ -555,7 +556,7 @@ def _reference_bad_values_on_occurrence(occ):
                  f"branches-meet:{ki}:{kj}")
     for t_corner, other in occ.corners:
         for ident, sigma in carrier_restrictions:
-            if sigma.eval(t_corner) == 0:
+            if eval_q(sigma, t_corner) == 0:
                 found.append((t_corner, f"branch-at-corner:{ident}:{other}"))
     return found
 

@@ -1,15 +1,15 @@
 """The certificate's orders from one bounded walk of the chart tree, checked
-against the expanded-pullback read they replaced, which is kept here as the
-oracle."""
+against the expanded-pullback read they replaced (`_reference_order` in
+tests/test_blowup.py, the oracle)."""
 
 from fractions import Fraction
 
 import pytest
 
 from corpus import pool_entries, swell_entries
-from reference_q import divides
+from test_blowup import _reference_order
 from topzeta import blowup, poly
-from topzeta.blowup import apply_step, divisor_order_of, divisor_orders
+from topzeta.blowup import divisor_order_of, divisor_orders
 from topzeta.errors import CenterNotRational
 from topzeta.family import build
 from topzeta.generic import (
@@ -18,10 +18,8 @@ from topzeta.generic import (
     sample_lambda,
     verify_min_property,
 )
-from topzeta.poly import BiPoly, combination, parse_poly
+from topzeta.poly import combination, parse_poly
 from topzeta.principalize import principalize
-
-X, Y = BiPoly.x(), BiPoly.y()
 
 #: Generators typed as products of powers, some sharing bases, some with
 #: a reducible curve part of which the first leaf showing it misses x.
@@ -42,38 +40,9 @@ CURVES = ["x*(y-x)", "x*(x-y^2)", "y*(y-x^2)", "(y-x)*(y+x)"]
 PAIRS = [("x^2", "y^3"), ("(y-x)^2", "x^3"), ("(y-x^2)^2", "x^5")]
 
 
-def _oracle_pullback(g, path, pulled):
-    """g pulled back whole along a chart path, each prefix once."""
-    if path not in pulled:
-        pulled[path] = g if not path else apply_step(
-            _oracle_pullback(g, path[:-1], pulled), path[-1])
-    return pulled[path]
-
-
-def _oracle_order(state, g, ident, pulled):
-    """The order as it was read before the walk: in the first leaf chart
-    showing the divisor or carrier, by x_order, y_order or repeated exact
-    division of g's expanded pullback."""
-    carrier = any(c.ident == ident for c in state.carriers)
-    for chart in state.leaves:
-        eq = (chart.carriers if carrier else chart.exc).get(ident)
-        if eq is None:
-            continue
-        p = _oracle_pullback(g, chart.path, pulled)
-        if eq == X:
-            return p.x_order()
-        if eq == Y:
-            return p.y_order()
-        order = 0
-        while divides(eq, p):
-            p, order = p.divexact(eq), order + 1
-        return order
-    raise KeyError(ident)
-
-
 def _runs(corpus_results):
-    """The corpus, the benchmark's pool, build(a, b) for a <= 12, swell for
-    K <= 11 (K <= 7 for two more centres), the typed products and the
+    """The corpus, then the benchmark's pool, build(a, b) for a <= 12, swell
+    for K <= 11 (K <= 7 for two more centres), the typed products and the
     curve-part family."""
     runs = list(corpus_results)
     for name, gens in pool_entries():
@@ -98,13 +67,15 @@ def runs(corpus_results):
     return _runs(corpus_results)
 
 
-def test_walk_orders_match_the_expanded_pullback(runs):
+def test_walk_orders_match_the_expanded_pullback(runs, corpus_results):
     """Every order of every generator and of the all-ones member, typed or
-    expanded, equals the oracle's, on exceptional divisors and carriers;
+    expanded, equals the oracle's, on exceptional divisors and carriers
+    (`divisor_order_of` on the corpus is checked in tests/test_blowup.py);
     the walk bounded by the largest N reads the same order up to the
     bound, and past it None, or the exact sum over a typed product's
     bases."""
     past = typed = lost = 0
+    corpus_names = {name for name, _ in corpus_results}
     for name, result in runs:
         state = result.state
         idents = state.divisor_order + [
@@ -118,13 +89,15 @@ def test_walk_orders_match_the_expanded_pullback(runs):
         for g in polys:
             if g.is_zero():
                 continue
+            whole = poly._expand(1, ((g, 1),)) if isinstance(
+                g, poly._Product) else g
             pulled = {}
-            want = {d: _oracle_order(state, poly._expand(1, ((g, 1),)) if
-                                     isinstance(g, poly._Product) else g,
-                                     d, pulled) for d in idents}
+            want = {d: _reference_order(state, whole, d, pulled)
+                    for d in idents}
             typed += isinstance(g, poly._Product)
-            assert {d: divisor_order_of(state, g, d) for d in idents} == \
-                want, name
+            if name not in corpus_names:
+                assert {d: divisor_order_of(state, g, d)
+                        for d in idents} == want, name
             walked = divisor_orders(state, g, bound)
             assert walked.keys() == set(state.divisor_order), name
             assert all(k == want[d] if want[d] <= bound else
@@ -148,7 +121,7 @@ def test_divisor_checks_match_the_oracle(runs):
         idents = state.divisor_order + [
             c.ident for c in state.carriers if c.through_origin]
         pulled = [{} for _ in gens]
-        n_min = {d: min(_oracle_order(state, g, d, p)
+        n_min = {d: min(_reference_order(state, g, d, p)
                         for g, p in zip(gens, pulled)) for d in idents}
         lams = [sample_lambda(len(gens), 0, a) for a in range(3)]
         lams.append(certify_generic(result, seed=0).lam)
@@ -158,7 +131,7 @@ def test_divisor_checks_match_the_oracle(runs):
             assert list(got) == idents, name
             for d, check in got.items():
                 assert (check.N_from_generic, check.N_min) == (
-                    _oracle_order(state, member, d, memo), n_min[d]), \
+                    _reference_order(state, member, d, memo), n_min[d]), \
                     (name, lam, d)
                 mismatched += not check.min_property_ok
     assert mismatched > 0
