@@ -44,8 +44,7 @@ from .poly import (
     _Product,
     _shift_rows,
     _strip,
-    _zdivexact,
-    _zgcd,
+    _gcd,
     _zhorner,
     _zmul,
     gcd_bi,
@@ -874,7 +873,7 @@ def union_zero_data(acc: Optional[ZeroData], new: ZeroData) -> ZeroData:
     if acc is None:
         return new
     a, b = acc[0], new[0]
-    return _zmul(_zdivexact(a, _zgcd(a, b)), b), acc[1] or new[1]
+    return _zmul(_gcd(a, b)[1], b), acc[1] or new[1]
 
 
 def zero_count(data: Optional[ZeroData]) -> int:

@@ -167,27 +167,6 @@ class UniPoly:
     __repr__ = __str__
 
 
-def row_gcd(rows: Iterable[Sequence[int]]) -> list[int]:
-    """gcd in Z[t] of integer rows by degree, up to sign, stopping at the
-    first constant gcd; [] when every row is zero."""
-    g: list[int] = []
-    for row in rows:
-        g = _zgcd(g, _zprimitive(_strip(list(row))))
-        if len(g) == 1:
-            break
-    return g
-
-
-def squarefree_part(row: Sequence[int]) -> list[int]:
-    """The primitive row of p / gcd(p, p'), up to sign, for the nonzero
-    integer row p: one copy of each root."""
-    a = _zprimitive(_strip(list(row)))
-    if not a:
-        raise ValueError("zero polynomial")
-    da = [i * v for i, v in enumerate(a)][1:]
-    return _zdivexact(a, _zgcd(a, da))
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -394,22 +373,15 @@ class BiPoly:
     def divexact(self, d: "BiPoly") -> "BiPoly":
         """Exact division; raises ValueError when d does not divide self.
 
-        On integer rows: d's rows are their content c in Z[x] times
-        primitive rows, and by Gauss's lemma the quotients by both are
-        exact in Z[x][y] when d divides self over Q."""
+        On integer rows, by d over its integer content k: by Gauss's lemma
+        that quotient is exact in Z[x][y] when d divides self over Q."""
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        b = _rows(d)
-        c = _content(b)
-        if c != [1]:
-            b = [_zdivexact(row, c) for row in b]
-        q = _rdivexact(_rows(self), b)
-        k = math.gcd(*c)
-        c = [v // k for v in c]
-        if c != [1]:
-            q = [_zdivexact(row, c) for row in q]
+        k = math.gcd(*d.nums.values())
+        q = _rdivexact(_rows(self),
+                       [[v // k for v in row] for row in _rows(d)])
         return BiPoly.from_ints({(a, j): n * d.den for j, row in enumerate(q)
                                  for a, n in enumerate(row)}, self.den * k)
 
@@ -595,9 +567,8 @@ def _shift_rows(nums: dict[tuple[int, int], int], den: int,
 #
 # A polynomial in Z[x] is a list of ints indexed by degree; a polynomial in
 # Z[x][y] is a list of such rows indexed by y-degree.  Neither has trailing
-# zeros, and zero is [].  A rows polynomial is primitive when the gcd of its
-# rows in Z[x] is 1; Gauss's lemma makes primitive gcds and quotients by
-# primitive divisors exact in these rows.
+# zeros, and zero is [].  One heuristic gcd (`_gcd`) serves both; by Gauss's
+# lemma a quotient by a divisor primitive over Z is exact in these rows.
 
 def _strip(a: list) -> list:
     while a and not a[-1]:
@@ -643,36 +614,6 @@ def _zdivexact(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _zprem(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of the remainder of a by b in Q[x]."""
-    a, lead, db = list(a), b[-1], len(b) - 1
-    while len(a) > db:
-        top = a.pop()
-        g = math.gcd(top, lead)
-        u, w, k = lead // g, top // g, len(a) - db
-        if u != 1:
-            a = [u * v for v in a]
-        for j in range(db):
-            a[k + j] -= w * b[j]
-        _strip(a)
-    return a
-
-
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd in Z[x] (content times primitive PRS), up to sign."""
-    if not a or not b:
-        return list(a or b)
-    c = math.gcd(math.gcd(*a), math.gcd(*b))
-    if len(a) == 1 or len(b) == 1:
-        return [c]
-    a, b = _zprimitive(a), _zprimitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _zprimitive(_zprem(a, b))
-    return [c * v for v in a]
-
-
 def _zprimitive(a: list[int]) -> list[int]:
     c = math.gcd(*a)
     return a if c == 1 else [v // c for v in a]
@@ -706,19 +647,9 @@ def _rdiff(a: list[list[int]]) -> list[list[int]]:
     return [[i * v for v in row] for i, row in enumerate(a)][1:]
 
 
-def _content(a: list[list[int]]) -> list[int]:
-    """gcd in Z[x] of the rows, shortest first so that a constant stops
-    the polynomial gcds early."""
-    g: list[int] = []
-    for row in sorted((r for r in a if r), key=len):
-        g = _zgcd(g, row)
-        if len(g) == 1 and g[0] in (1, -1):
-            break
-    return g
-
-
 def _rdivexact(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """a / b in Z[x][y] for primitive b dividing a over Q."""
+    """a / b in Z[x][y] for b primitive over Z; raises ValueError when b
+    does not divide a."""
     a, lead, db = list(a), b[-1], len(b) - 1
     q: list[list[int]] = [[] for _ in range(len(a) - db)]
     for k in range(len(q) - 1, -1, -1):
@@ -731,67 +662,114 @@ def _rdivexact(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return q
 
 
-def _primitive(a: list[list[int]]) -> list[list[int]]:
-    c = _content(a)
-    if len(c) == 1 and c[0] in (1, -1):
+def _ints(a: list) -> list[int]:
+    """The integer coefficients of nonzero a in Z[x] or Z[x][y]."""
+    return [v for row in a for v in row] if isinstance(a[-1], list) else a
+
+
+def _digits(v: int, xi: int) -> list[int]:
+    """The row of symmetric base-xi digits of v, each of absolute value at
+    most xi / 2: the polynomial in Z[x] that takes the value v at xi."""
+    out = []
+    while v:
+        v, d = divmod(v, xi)
+        if 2 * d > xi:
+            v, d = v + 1, d - xi
+        out.append(d)
+    return out
+
+
+def _gcd(a: list, b: list) -> tuple[list, list, list]:
+    """(g, a / g, b / g) for nonzero a and b, both in Z[x] or both in
+    Z[x][y] (rows), where g is their gcd up to sign, primitive over Z: the
+    heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989).
+
+    Set x to an integer xi > 2 |a| + 1, where |p| is the largest absolute
+    coefficient of p and |a| <= |b|; take the gcd gamma of a(xi) and b(xi),
+    an integer gcd or, for rows, one recursive call in Z[y] times the
+    integer content the values share; read gamma back as the polynomial h
+    of its symmetric base-xi digits, and accept G = h over its integer
+    content once exact division shows that it divides a and b.  Otherwise
+    grow xi and repeat.
+
+    A G that divides a and b is their gcd.  Write gcd(a, b) = G c; then
+    c(xi) divides gamma / G(xi) = cont(h), at most xi / 2, so c(xi) is an
+    integer.  Every complex root of a row of a lies below 1 + |a| <= xi / 2
+    in modulus (Cauchy's bound).  c's leading row divides a's, so it does
+    not vanish at xi, and c has no y; c then divides every row of a, so
+    unless c is an integer, |c(xi)| > xi / 2.
+
+    The loop ends.  With cofactors A and B, gamma is gcd(a, b)(xi) times
+    e = gcd(A(xi), B(xi)), and e divides the resultant of A and B in x,
+    which is nonzero and does not change with xi; e is a constant once xi
+    is not a root of their resultant in y.  So e is bounded, and once xi is
+    past twice the coefficients of e gcd(a, b), h is that product: G is the
+    gcd.
+    """
+    rows = isinstance(a[-1], list)
+    div = _rdivexact if rows else _zdivexact
+    xi = 2 * min(max(map(abs, _ints(a))), max(map(abs, _ints(b)))) + 2
+    while True:
+        if rows:
+            va, vb = (_strip([_zhorner(r, xi, 1) for r in p]) for p in (a, b))
+            k = math.gcd(*va, *vb)
+            gamma = [k * v for v in _gcd(va, vb)[0]] if va and vb else va or vb
+            h = [_digits(v, xi) for v in gamma]
+            c = math.gcd(*_ints(h))
+            g = [[v // c for v in row] for row in h]
+        else:
+            g = _zprimitive(_digits(
+                math.gcd(_zhorner(a, xi, 1), _zhorner(b, xi, 1)), xi))
+        try:
+            return g, div(a, g), div(b, g)
+        except ValueError:
+            xi = xi * 73794 // 27011
+
+
+def row_gcd(rows: Iterable[Sequence[int]]) -> list[int]:
+    """gcd in Z[t] of integer rows by degree, up to sign, primitive,
+    stopping at the first constant gcd; [] when every row is zero."""
+    g: list[int] = []
+    for row in rows:
+        if row := _strip(list(row)):
+            g = _gcd(g, row)[0] if g else _zprimitive(row)
+            if len(g) == 1:
+                break
+    return g
+
+
+def squarefree_part(row: Sequence[int]) -> list[int]:
+    """The primitive row of p / gcd(p, p'), up to sign, for the nonzero
+    integer row p: one copy of each root."""
+    a = _zprimitive(_strip(list(row)))
+    if not a:
+        raise ValueError("zero polynomial")
+    if len(a) == 1:
         return a
-    return [_zdivexact(row, c) for row in a]
-
-
-def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Pseudo-remainder of a by b along y."""
-    a, lead, db = list(a), b[-1], len(b) - 1
-    while len(a) > db:
-        top, k = a.pop(), len(a) - db
-        a = [_zmul(lead, row) for row in a]
-        for j in range(db):
-            a[k + j] = _zsub(a[k + j], _zmul(top, b[j]))
-        _strip(a)
-    return a
-
-
-def _primitive_gcd(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """gcd of primitive rows by the primitive PRS along y; primitive."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
-
-
-def _gcd_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    ca, cb = _content(a), _content(b)
-    g = _primitive_gcd(_primitive(a), _primitive(b))
-    c = _zgcd(ca, cb)
-    return [_zmul(c, row) for row in g]
+    return _gcd(a, [i * v for i, v in enumerate(a)][1:])[1]
 
 
 def gcd_bi(p: BiPoly, q: BiPoly) -> BiPoly:
-    """Greatest common divisor in Q[x, y], normalized monic in graded-lex.
-
-    Brown's primitive PRS over Z[x][y] on integer rows, with contents
-    taken in Z[x].
-    """
+    """Greatest common divisor in Q[x, y], normalized monic in graded-lex,
+    by `_gcd` on integer rows."""
     rows = [_rows(f) for f in (p, q) if f.nums]
     if not rows:
         raise ValueError("gcd of two zero polynomials")
-    return _from_rows(rows[0] if len(rows) == 1 else _gcd_rows(*rows))
+    return _from_rows(rows[0] if len(rows) == 1 else _gcd(*rows)[0])
 
 
 def _yun(f: list[list[int]]) -> list[tuple[list[list[int]], int]]:
-    """Yun's squarefree split of primitive rows f along y: the products of
-    the factors of each multiplicity, nonconstant ones only."""
-    df = _rdiff(f)
-    a = _primitive_gcd(f, _primitive(df))
-    b, c = _rdivexact(f, a), _rdivexact(df, a)
+    """Yun's squarefree split of rows f along y, primitive in Z[x]: the
+    products of the factors of each multiplicity, nonconstant ones only."""
+    a, b, c = _gcd(f, _rdiff(f))
     out = []
     i = 1
     while len(b) > 1:
         d = _rsub(c, _rdiff(b))
-        a = _primitive_gcd(b, _primitive(d)) if d else b
+        a, b, c = _gcd(b, d) if d else (b, [[1]], [])
         if len(a) > 1:
             out.append((a, i))
-        b, c = _rdivexact(b, a), _rdivexact(d, a)
         i += 1
     return out
 
@@ -806,13 +784,13 @@ def squarefree_decomposition(h: BiPoly) -> list[tuple[BiPoly, int]]:
     if h.is_zero() or h.is_constant():
         return []
     rows = _rows(h)
-    cont = _content(rows)
+    cont = row_gcd(sorted(rows, key=len))
     parts: dict[int, list[list[int]]] = {}
     if len(cont) > 1:
-        for a, i in _yun(_primitive([[v] if v else [] for v in cont])):
+        for a, i in _yun([[v] if v else [] for v in cont]):
             parts[i] = [[v[0] if v else 0 for v in a]]
     if len(rows) > 1:
-        for a, i in _yun(_primitive(rows)):
+        for a, i in _yun([_zdivexact(row, cont) for row in rows]):
             c = parts.get(i, [[1]])[0]
             parts[i] = [_zmul(c, row) for row in a]
     return [(_from_rows(parts[i]), i) for i in sorted(parts)]

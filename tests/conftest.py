@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 from topzeta import principalize
 from topzeta.blowup import PointRecord, blow_up, initial_state
 from corpus import corpus
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time have
+    passed (SIGALRM, main thread), so a test of an input that used to hang
+    fails in seconds instead of stalling the run."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

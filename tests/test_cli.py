@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import deadline
 from topzeta.cli import build_parser, main
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -635,6 +636,45 @@ def test_verify_swell_pinned(capsys):
                    f"crossings with generic member: {crossings}",
                    "min-property: pass",
                    "numerical-data relations: pass"]) + "\n", "")
+
+
+#: Two inputs whose gcds a pseudo-remainder sequence did not finish in
+#: 20 s and 60 s: a smooth germ whose curve part is split against its
+#: y-derivative, and a pair whose generators are coprime.
+SPARSE_GERM = ("x^20*y^12-x*y-16*x+y^15",)
+COPRIME_PAIR = ("x^45-y^50", "y*5*x-x^9-y^4")
+
+
+@pytest.mark.parametrize("argv, first, digest", [
+    (("zeta", "--", *SPARSE_GERM), "Z = (1)/((1+s))",
+     "9b3cc62505eb1aed6561640e4131559814617d96f9ff43b615702bf2825d8193"),
+    (("zeta", "--", *COPRIME_PAIR), "Z = (19/450*s + 1)/((1+s)^2)",
+     "942788bb89ff698ea04649fd488f8d776c1223c6131124c2f1bd3de8bd370d4a"),
+    (("principalize", "--", *COPRIME_PAIR), "principalization log:",
+     "7dcd06313b32fa733e1706b68af6fcbb69d621a850067d2c8c236bbb14fc8c85"),
+], ids=["zeta-sparse-germ", "zeta-coprime-pair", "principalize-coprime-pair"])
+def test_former_gcd_hangs_pinned(capsys, argv, first, digest):
+    with deadline(1):
+        code, out, err = run(capsys, *argv)
+    assert (code, err, out.splitlines()[0]) == (0, "", first)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_coprime_pair_pinned(capsys):
+    """verify on the coprime pair: two chains of curves, E1 to E44 and E45
+    to E92, meet at E1; the generic member crosses the end of each."""
+    crossings = ", ".join(f"{d}:{int(d in ('E44', 'E92'))}" for d in
+                          sorted(f"E{k}" for k in range(1, 93)))
+    with deadline(1):
+        result = run(capsys, "verify", "--", *COPRIME_PAIR)
+    assert result == (0, "\n".join([
+        *(f"{name}: pass" for name in (
+            "alpha-bounds", "two-neighbor-ordering", "ordered-tree",
+            "nu-bound", "tree-shape", "criterion-vs-zeta", "minimality")),
+        "lambda: (1, 1), retries 0",
+        f"crossings with generic member: {crossings}",
+        "min-property: pass",
+        "numerical-data relations: pass"]) + "\n", "")
 
 
 def test_classify_text_pinned(capsys):

@@ -1,6 +1,7 @@
 """Exact arithmetic: parser, gcd, multiplicities, root counting."""
 
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline
 from topzeta.blowup import curve_part, initial_state
 from topzeta.errors import (
     DegreeCapExceeded,
@@ -24,6 +26,7 @@ from reference_q import (
     derivative_q,
     divexact_q,
     divides,
+    divmod_q,
     eval_bi,
     eval_q,
     gcd_q,
@@ -774,7 +777,18 @@ def _assert_uni_normal(p):
     assert not p.coeffs or p.coeffs[-1] != 0
 
 
+def _y_derivative(p):
+    return BiPoly({(a, b - 1): b * c for (a, b), c in p.terms.items() if b})
+
+
+#: A member of the sparse family x^a*y^b - x*y - 16*x + y^c, whose gcd
+#: with its y-derivative took the PRS 0.23 s here and over 20 s at
+#: (20, 12, 15); the Fraction references take seconds past (10, 5, 7).
+SPARSE = P("x^10*y^5 - x*y - 16*x + y^7")
+
+
 @given(curve_parts(2, 3))
+@example(SPARSE)
 @settings(max_examples=100, deadline=None)
 def test_squarefree_matches_musser(h):
     assert squarefree_decomposition(h) == _reference_squarefree(h)
@@ -796,6 +810,8 @@ def test_squarefree_is_a_factorization(h):
 
 
 @given(curve_parts(2, 2), curve_parts(2, 2), curve_parts(2, 2))
+@example(SPARSE, _y_derivative(SPARSE), BiPoly.const(1))
+@example(P("-3*x*y"), P("3*x + 6"), P("-4*x^2*y^2"))  # read back twice
 @settings(max_examples=60, deadline=None)
 def test_gcd_matches_reference(a, b, m):
     p, q = a * m, b * m
@@ -833,6 +849,82 @@ def test_gcd_powered_pair():
     p = P("(y + x + x*y)^20*x")
     q = P("(y + x + x*y)^20*y^2")
     assert gcd_bi(p, q) == P("(y + x + x*y)^20")
+
+
+@pytest.mark.parametrize("a, b, cofactors", [
+    ([0, 1], [-4, 1], ([1], [0, 1], [-4, 1])),  # x - 4 vanishes at xi = 4
+    # 12 x^3 y^3 and -12 x^2 y^2 (x^2 + 2 x), found by a seeded search
+    ([[], [], [], [0, 0, 0, 12]], [[], [], [0, 0, -24, -12]],
+     ([[], [], [0, 0, 1]], [[], [0, 12]], [[-24, -12]])),
+])
+def test_gcd_read_back_retries(monkeypatch, a, b, cofactors):
+    """The first read-back at xi = 2 min(|a|, |b|) + 2 fails the division
+    test, so xi grows once and the gcd, with its cofactors, comes out
+    right."""
+    xis = []
+    original = poly._digits
+
+    def digits(v, xi):
+        xis.append(xi)
+        return original(v, xi)
+
+    monkeypatch.setattr(poly, "_digits", digits)
+    xi = 2 * min(max(map(abs, poly._ints(p))) for p in (a, b)) + 2
+    assert poly._gcd(a, b) == cofactors
+    assert xi in xis and xi * 73794 // 27011 in xis
+
+
+def _coefficient(rng, bits=40):
+    """A nonzero rational of numerator and denominator below 2^bits."""
+    return Fraction(rng.randrange(1, 2 ** bits) * rng.choice((1, -1)),
+                    rng.randrange(1, 2 ** bits))
+
+
+def _dense(rng, degree):
+    """Every monomial of total degree <= degree, with random coefficients."""
+    return BiPoly({(a, b): _coefficient(rng) for a in range(degree + 1)
+                   for b in range(degree + 1 - a)})
+
+
+def _eisenstein(rng, c, d):
+    """y^d + sum (x - c) r_i(x) y^i, i < d, with deg r_i = d - 1 - i and
+    r_0(c) != 0: dense in total degree d, and irreducible by Eisenstein's
+    criterion at the prime x - c of Q[x]."""
+    f = BiPoly.monomial(0, d)
+    for i in range(d):
+        r = {(a, i): _coefficient(rng) for a in range(d - i)}
+        assert i or sum(v * c ** a for (a, _), v in r.items())
+        f = f + P(f"x - ({c})") * BiPoly(r)
+    return f
+
+
+def test_heavy_gcds_match_their_construction():
+    """Inputs the Fraction references cannot take (Musser's loop ran past
+    90 s on a dense f^2 g of degree 9), checked against gcds known by
+    construction: each pair of cofactors is an irreducible polynomial and
+    one it does not divide."""
+    rng = random.Random(24)
+    # f^2 g, f and g irreducible and distinct: 91 terms, total degree 12
+    f, g = _eisenstein(rng, 1, 4), _eisenstein(rng, -1, 4)
+    h = f * f * g
+    assert len(h.nums) == 91 and f.monic_grlex() != g.monic_grlex()
+    # gcd(u m, v m) = m, dense of total degree 11
+    u, v, m = _eisenstein(rng, 2, 5), _dense(rng, 5), _dense(rng, 6)
+    assert u.monic_grlex() != v.monic_grlex()
+    # gcd(p n, q n) = n in Z[x], of degrees 65 and 66 and ~1,010 bits, with
+    # p irreducible by Eisenstein's criterion at 2
+    p = [2 * rng.randrange(-2 ** 499, 2 ** 499) for _ in range(34)] + [1]
+    p[0] = 2 * (2 * rng.randrange(2 ** 498) + 1)
+    q, n = ([rng.randrange(-2 ** 500, 2 ** 500) for _ in range(k + 1)]
+            for k in (35, 31))
+    assert not divmod_q(UniPoly(q), UniPoly(p))[1].is_zero()
+    with deadline(2):
+        assert squarefree_decomposition(h) == [(g.monic_grlex(), 1),
+                                               (f.monic_grlex(), 2)]
+    with deadline(2):
+        assert gcd_bi(u * m, v * m) == m.monic_grlex()
+    with deadline(2):
+        assert row_q(row_gcd([_zmul(p, n), _zmul(q, n)])) == row_q(n)
 
 
 # --- curve part from the typed products of powers -----------------------------
@@ -1162,6 +1254,7 @@ def root_rich(draw, roots=small_roots, count=5):
 
 
 @given(unipolys, unipolys, unipolys)
+@example(UniPoly([0, 1]), UniPoly([-4, 1]), UniPoly([1]))  # read back twice
 @settings(max_examples=120, deadline=None)
 def test_row_gcd_matches_reference(p, q, m):
     pm, qm = mul_q(p, m), mul_q(q, m)

@@ -772,7 +772,7 @@ def test_point_owned_scans_take_no_gcd(monkeypatch, replay_states, gens):
             return original(*args)
         return counted
 
-    for original in (topzeta.poly._zgcd, topzeta.poly.rational_roots):
+    for original in (topzeta.poly._gcd, topzeta.poly.rational_roots):
         wrapper = counting(original)
         for name, mod in list(sys.modules.items()):
             if name == "topzeta" or name.startswith("topzeta."):
