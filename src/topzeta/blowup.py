@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
@@ -177,10 +176,11 @@ class Chart:
     `residual` is the expanded view, built on every read.
 
     A chart never changes after it is built: `blow_up` replaces a leaf by
-    fresh charts rather than editing it.  Its four memos rely on this and
-    are never invalidated: `axes`, `bad_hits`, `blown_up` and `rows`.
-    `blown_up` links a blown-up chart to its two children, so the state's
-    `root` keeps the whole chart tree of a run alive, not only its leaves.
+    fresh charts rather than editing it.  So `axes` is set when the chart
+    is built, and its three memos are never invalidated: `bad_hits`,
+    `blown_up` and `rows`.  `blown_up` links a blown-up chart to its two
+    children, so the state's `root` keeps the whole chart tree of a run
+    alive, not only its leaves.
     """
 
     def __init__(self, path: tuple, exc: dict[str, BiPoly] | None = None,
@@ -193,6 +193,10 @@ class Chart:
         self.pms = {} if pms is None else pms
         self.carriers = {} if carriers is None else carriers
         self.residual_parts = [] if residual_parts is None else residual_parts
+        #: Axis of every divisor the chart can analyze, in birth order.
+        self.axes: dict[str, tuple[str, Fraction]] = {
+            d: axis for d in self.exc
+            if d in self.pms and (axis := self.axis_of(d)) is not None}
         #: The chart's bad-point hits, stored by
         #: `principalize.find_bad_points` on its first successful scan.
         self.bad_hits: Optional[tuple] = None
@@ -224,12 +228,6 @@ class Chart:
                 c = nums.get((0, 0))
                 return (var, Fraction(-c, nums[e]) if c else _ZERO)
         return None
-
-    @cached_property
-    def axes(self) -> dict[str, tuple[str, Fraction]]:
-        """Axis of every divisor the chart can analyze, in birth order."""
-        return {d: axis for d in self.exc
-                if d in self.pms and (axis := self.axis_of(d)) is not None}
 
     def occurrences(self, leaf_index: int) -> Iterator["Occurrence"]:
         """Analyzable divisor appearances of the chart as leaf
@@ -891,8 +889,10 @@ def carrier_intersections(
     state: ChartState,
 ) -> dict[tuple[str, str], ZeroData]:
     """Birth-coordinate zero data of every carrier on every exceptional
-    divisor it meets."""
+    divisor it meets; no occurrence is read when there is no carrier."""
     out: dict[tuple[str, str], ZeroData] = {}
+    if not state.carriers:
+        return out
     for occ in state.occurrences():
         for c, sigma in occ.carrier_restrictions():
             data = occ.owned_zeros(sigma)

@@ -31,8 +31,11 @@ class Vertex(NamedTuple):
     nu: int
 
 
+_ID = re.compile(r"([A-Za-z]+)(\d+)")
+
+
 def _id_key(ident: str) -> tuple:
-    m = re.fullmatch(r"([A-Za-z]+)(\d+)", ident)
+    m = _ID.fullmatch(ident)
     if m:
         return (m.group(1), int(m.group(2)))
     return (ident, 0)

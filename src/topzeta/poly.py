@@ -217,6 +217,10 @@ def _zhorner(a, u: int, v: int) -> int:
 # bivariate
 # ---------------------------------------------------------------------------
 
+#: The exponents a constant may have.
+_CONSTANT = frozenset({(0, 0)})
+
+
 def _grlex_key(e: tuple[int, int]) -> tuple[int, int]:
     return (e[0] + e[1], e[0])
 
@@ -282,7 +286,7 @@ class BiPoly:
         return not self.nums
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0) for e in self.nums)
+        return self.nums.keys() <= _CONSTANT
 
     def total_degree(self) -> int:
         if not self.nums:
@@ -667,6 +671,11 @@ def _ints(a: list) -> list[int]:
     return [v for row in a for v in row] if isinstance(a[-1], list) else a
 
 
+def _neg(a: list) -> list:
+    """-a for a in Z[x] or Z[x][y]."""
+    return [_neg(v) if isinstance(v, list) else -v for v in a]
+
+
 def _digits(v: int, xi: int) -> list[int]:
     """The row of symmetric base-xi digits of v, each of absolute value at
     most xi / 2: the polynomial in Z[x] that takes the value v at xi."""
@@ -691,7 +700,8 @@ def _gcd(a: list, b: list) -> tuple[list, list, list]:
     integer content the values share; read gamma back as the polynomial h
     of its symmetric base-xi digits, and accept G = h over its integer
     content once exact division shows that it divides a and b.  Otherwise
-    grow xi and repeat.
+    grow xi and repeat.  A unit G (+-1) divides both, so it is taken with
+    no division, with a and b, negated for -1, as the cofactors.
 
     A G that divides a and b is their gcd.  Write gcd(a, b) = G c; then
     c(xi) divides gamma / G(xi) = cont(h), at most xi / 2, so c(xi) is an
@@ -721,6 +731,8 @@ def _gcd(a: list, b: list) -> tuple[list, list, list]:
         else:
             g = _zprimitive(_digits(
                 math.gcd(_zhorner(a, xi, 1), _zhorner(b, xi, 1)), xi))
+        if len(g) == 1 and len(unit := g[0] if rows else g) == 1:
+            return (g, a, b) if unit[0] == 1 else (g, _neg(a), _neg(b))
         try:
             return g, div(a, g), div(b, g)
         except ValueError:

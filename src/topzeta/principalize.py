@@ -80,15 +80,19 @@ def _chart_hits(chart: Chart, leaf_index: int) -> tuple:
             for s, k in chart.residual_parts):
         chart.bad_hits = ()
     if chart.bad_hits is None:
-        found: dict[tuple[Fraction, Fraction], tuple[str, ...]] = {}
-        for coords, reason in sorted({
+        # sorted pairs, duplicates adjacent: grouped with no Fraction hash
+        found: list[tuple[tuple[Fraction, Fraction], list[str]]] = []
+        for coords, reason in sorted(
                 (occ.param_point(t), reason)
                 for occ in chart.occurrences(leaf_index)
-                for t, reason in _bad_values_on_occurrence(occ)}):
-            found[coords] = found.get(coords, ()) + (reason,)
+                for t, reason in _bad_values_on_occurrence(occ)):
+            if not found or found[-1][0] != coords:
+                found.append((coords, [reason]))
+            elif found[-1][1][-1] != reason:
+                found[-1][1].append(reason)
         chart.bad_hits = tuple(
-            (coords, reasons, tuple(chart.divisors_through(coords)))
-            for coords, reasons in found.items())
+            (coords, tuple(reasons), tuple(chart.divisors_through(coords)))
+            for coords, reasons in found)
     return chart.bad_hits
 
 

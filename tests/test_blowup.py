@@ -650,6 +650,23 @@ def test_ownership_walk_matches_reference(corpus_results, replay_states):
                 _reference_carrier_data(state), name
 
 
+def test_carrier_intersections_without_carriers_read_nothing(monkeypatch):
+    """A state with no carrier has no intersections, and none is looked
+    for: no occurrence is read.  With a carrier, they are."""
+    import topzeta.blowup as blowup_mod
+    reads = []
+    real = blowup_mod.ChartState.occurrences
+    monkeypatch.setattr(blowup_mod.ChartState, "occurrences",
+                        lambda st: reads.append(1) or real(st))
+    for gens in (build(12, 1), swell_entries(6)[4][1]):
+        state = principalize(gens).state
+        assert not state.carriers and state.log
+        assert carrier_intersections(state) == {} and reads == []
+    state = principalize([P(t) for t in MOVED]).state
+    reads.clear()
+    assert carrier_intersections(state) and reads == [1]
+
+
 #: Branches meeting E1 at distinct points, one of them after a translation:
 #: a fully owned divisor whose point map has a nonzero offset then carries
 #: branch zeros, which no corpus run has.

@@ -809,14 +809,28 @@ def test_squarefree_is_a_factorization(h):
             assert gcd_bi(f, g).is_constant()
 
 
+def _int_poly(rows):
+    """The polynomial of integer rows by y-degree, coefficients exact."""
+    return BiPoly.from_ints({(a, b): v for b, row in enumerate(rows)
+                             for a, v in enumerate(row) if v})
+
+
 @given(curve_parts(2, 2), curve_parts(2, 2), curve_parts(2, 2))
 @example(SPARSE, _y_derivative(SPARSE), BiPoly.const(1))
 @example(P("-3*x*y"), P("3*x + 6"), P("-4*x^2*y^2"))  # read back twice
+@example(P("x + y"), P("x - y"), BiPoly.const(1))  # the unit 1
+@example(BiPoly.const(-3), P("x - 8"), BiPoly.const(1))  # the unit -1
 @settings(max_examples=60, deadline=None)
 def test_gcd_matches_reference(a, b, m):
     p, q = a * m, b * m
     assert gcd_bi(p, q) == _reference_gcd_bi(p, q)
     assert gcd_bi(p, BiPoly.zero()) == p.monic_grlex()
+    # the cofactors, signs included, times the gcd give the inputs exactly
+    rows = [poly._rows(f) for f in (p, q)]
+    g, *cofactors = poly._gcd(*rows)
+    assert poly._from_rows(g) == gcd_bi(p, q)
+    for f, c in zip(rows, cofactors):
+        assert _int_poly(g) * _int_poly(c) == _int_poly(f)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -872,6 +886,36 @@ def test_gcd_read_back_retries(monkeypatch, a, b, cofactors):
     xi = 2 * min(max(map(abs, poly._ints(p))) for p in (a, b)) + 2
     assert poly._gcd(a, b) == cofactors
     assert xi in xis and xi * 73794 // 27011 in xis
+
+
+def _count_calls(monkeypatch, *names):
+    """The names of the calls made to the named `poly` functions."""
+    calls = []
+    for name in names:
+        real = getattr(poly, name)
+        monkeypatch.setattr(poly, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("a, b, cofactors", [
+    ([1, 1], [-1, 1], ([1], [1, 1], [-1, 1])),  # Z[x], the unit 1
+    ([[0, 1], [1]], [[0, 1], [-1]],  # Z[x][y]: x + y, x - y
+     ([[1]], [[0, 1], [1]], [[0, 1], [-1]])),
+    # -3 and x - 8: xi = 8 is the root of x - 8, so the read-back is -1
+    ([[-3]], [[-8, 1]], ([[-1]], [[3]], [[8, -1]])),
+])
+def test_unit_gcd_takes_no_division(monkeypatch, a, b, cofactors):
+    """A unit candidate divides both inputs, so it is their gcd (GCDHEU's
+    lemma): `_gcd` returns it with the inputs, negated for -1, as the
+    cofactors, and tests no division."""
+    rows = isinstance(a[-1], list)
+    div = poly._rdivexact if rows else poly._zdivexact
+    g = cofactors[0]
+    assert cofactors == (g, div(a, g), div(b, g))
+    calls = _count_calls(monkeypatch, "_zdivexact", "_rdivexact")
+    assert poly._gcd(a, b) == cofactors
+    assert calls == []
 
 
 def _coefficient(rng, bits=40):
@@ -1255,6 +1299,9 @@ def root_rich(draw, roots=small_roots, count=5):
 
 @given(unipolys, unipolys, unipolys)
 @example(UniPoly([0, 1]), UniPoly([-4, 1]), UniPoly([1]))  # read back twice
+@example(UniPoly([1, 1]), UniPoly([-1, 1]), UniPoly([1]))  # the unit 1
+# rows equal up to sign and content
+@example(UniPoly([1, 2, -3]), UniPoly([-2, -4, 6]), UniPoly([1]))
 @settings(max_examples=120, deadline=None)
 def test_row_gcd_matches_reference(p, q, m):
     pm, qm = mul_q(p, m), mul_q(q, m)
@@ -1262,6 +1309,12 @@ def test_row_gcd_matches_reference(p, q, m):
         g = row_gcd([a.nums, b.nums])
         assert row_q(g) == gcd_q(a, b)
         assert not g or (g[-1] and math.gcd(*g) == 1)
+        if a.nums and b.nums:
+            # _gcd's sign, and cofactors whose products give a and b
+            ra, rb = list(a.nums), list(b.nums)
+            h, ca, cb = poly._gcd(ra, rb)
+            assert len(g) == 1 or g == h
+            assert _zmul(h, ca) == ra and _zmul(h, cb) == rb
     # the chain stops at a constant gcd, whatever follows
     chained = row_gcd([pm.nums, qm.nums, m.nums])
     assert row_q(chained) == gcd_q(gcd_q(pm, qm), m) or (

@@ -332,6 +332,19 @@ def test_blow_up_recomputes_a_memo_for_another_divisor(monkeypatch):
         assert mine.residual == theirs.residual
 
 
+def test_chart_axes_are_the_analyzable_divisors():
+    """`Chart.axes`, set when the chart is built, holds the axis of every
+    divisor with a point map, in birth order, on every chart of the swell
+    runs."""
+    charts = 0
+    for _, gens in swell_entries(11):
+        for chart in _chart_tree(principalize(gens).state.root):
+            assert list(chart.axes.items()) == [
+                (d, chart.axis_of(d)) for d in chart.exc if d in chart.pms]
+            charts += 1
+    assert charts > 500
+
+
 @pytest.mark.parametrize("k", [16, 20])
 def test_heavy_swell_principalizes_and_replays(k):
     """The swell ideal (branch*(y - x^2), x^K) far past the benchmark's
