@@ -28,16 +28,9 @@ from .diagram import (
     validate_tree_shape,
 )
 from .family import admissible, build, expected_chain, realize_pole
-from .generic import (
-    certify_generic,
-    count_n,
-    sample_lambda,
-    verify_min_property,
-    verify_relations,
-)
+from .generic import certify_generic, sample_lambda
 from .poly import (
     BiPoly,
-    UniPoly,
     gcd_bi,
     parse_poly,
     poly_to_str,
@@ -50,6 +43,6 @@ from .principalize import (
     verify_minimality,
 )
 from .ratfunc import Pole, RationalFunctionS, poles_of, rf_sum_of_terms
-from .zeta import ZetaReport, local_zeta, pole_report, residue_contribution
+from .zeta import ZetaReport, pole_report, residue_contribution
 
 __version__ = "0.1.0"

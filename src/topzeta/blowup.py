@@ -37,7 +37,6 @@ from .errors import (
 from .poly import (
     INFINITE_MULT,
     BiPoly,
-    UniPoly,
     _new,
     _expand,
     _Product,
@@ -47,11 +46,11 @@ from .poly import (
     _zhorner,
     _zmul,
     gcd_bi,
+    poly_to_str,
     rational_roots,
     row_gcd,
     squarefree_decomposition,
     squarefree_part,
-    uni_to_str,
 )
 
 #: Point on a projective line over Q: a Fraction, or None for infinity.
@@ -160,7 +159,6 @@ class PointRecord(NamedTuple):
 
     leaf_index: int
     coords: tuple[Fraction, Fraction]
-    divisors: tuple[str, ...]
     reasons: tuple[str, ...] = ()
 
 
@@ -395,9 +393,10 @@ class Occurrence(NamedTuple):
         if len(cofactor) > 1:
             # printed monic, in y: a fully owned divisor is {x = 0}
             s = squarefree_part(cofactor)
+            monic = BiPoly.from_ints({(0, j): n for j, n in enumerate(s)},
+                                     s[-1])
             raise CenterNotRational(
-                f"{uni_to_str(UniPoly.from_ints(s, s[-1]), 'y')} "
-                f"({context} on {self.ident})")
+                f"{poly_to_str(monic)} ({context} on {self.ident})")
         return [r for r, _ in roots]
 
     def owned_zeros(self, row: list[int]) -> Optional[ZeroData]:

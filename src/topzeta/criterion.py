@@ -30,14 +30,13 @@ class Verdict(NamedTuple):
     hits: Sequence[ConditionHit] = ()
 
 
-def classify(diagram: IntersectionDiagram, s0: Fraction,
-             assume_minimal: bool = False) -> Verdict:
+def classify(diagram: IntersectionDiagram, s0: Fraction) -> Verdict:
     """Apply the five-condition test to one candidate value.
 
     Aggregates over every component attaining -nu/N = s0; a value is a pole
     as soon as one component witnesses a condition.
     """
-    if not (diagram.minimal or assume_minimal):
+    if not diagram.minimal:
         raise NonMinimalDiagram(
             "pole classification requires a minimal principalization")
     if not isinstance(s0, Fraction):
@@ -63,12 +62,11 @@ def classify(diagram: IntersectionDiagram, s0: Fraction,
     return Verdict(s0=s0, is_pole=bool(hits), hits=hits)
 
 
-def poles_by_criterion(diagram: IntersectionDiagram,
-                       assume_minimal: bool = False) -> set[Fraction]:
+def poles_by_criterion(diagram: IntersectionDiagram) -> set[Fraction]:
     """The classification applied to every candidate."""
     return {
         s0 for s0 in diagram.by_candidate
-        if classify(diagram, s0, assume_minimal=assume_minimal).is_pole
+        if classify(diagram, s0).is_pole
     }
 
 
@@ -79,11 +77,11 @@ class CrossCheckReport(NamedTuple):
     detail: str = ""
 
 
-def cross_check(diagram: IntersectionDiagram, report: ZetaReport,
-                assume_minimal: bool = False) -> CrossCheckReport:
+def cross_check(diagram: IntersectionDiagram,
+                report: ZetaReport) -> CrossCheckReport:
     """Assert that the classification agrees with the poles of the diagram's
     zeta report."""
-    by_criterion = poles_by_criterion(diagram, assume_minimal=assume_minimal)
+    by_criterion = poles_by_criterion(diagram)
     exact = report.pole_locations()
     if by_criterion == exact:
         return CrossCheckReport(True, by_criterion, exact)

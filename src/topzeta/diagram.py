@@ -45,10 +45,10 @@ class IntersectionDiagram:
     """A diagram never changes after it is built, so the constructor
     derives once the tables that every query reads: the canonical edge
     pairs (``edge_pairs``, in id order), each vertex's neighbours in id
-    order, each vertex's ratio ``nu/N`` (``ratio``), and the vertices
-    grouped by candidate ``-nu/N`` (``by_candidate``, candidates ascending,
-    vertices in id order).  The alpha table of an exceptional vertex is
-    kept on its first read (``alpha_nums``)."""
+    order, and the vertices grouped by candidate ``-nu/N``
+    (``by_candidate``, candidates ascending, vertices in id order).  The
+    alpha table of an exceptional vertex is kept on its first read
+    (``alpha_nums``)."""
 
     def __init__(self, vertices: list[Vertex], edges: set[frozenset],
                  origin_case: Optional[list[str]] = None,  # branch vertex ids
@@ -76,10 +76,9 @@ class IntersectionDiagram:
         for a, b in self.edge_pairs:
             self._neighbors[a].append(b)
             self._neighbors[b].append(a)
-        self._ratio = {v.ident: Fraction(v.nu, v.N) for v in self.vertices}
         groups: dict[Fraction, list[Vertex]] = {}
         for v in self.vertices:
-            groups.setdefault(-self._ratio[v.ident], []).append(v)
+            groups.setdefault(Fraction(-v.nu, v.N), []).append(v)
         self.by_candidate = dict(sorted(groups.items()))
         self._alpha_nums: dict[str, tuple[tuple[str, int], ...]] = {}
 
@@ -101,7 +100,8 @@ class IntersectionDiagram:
         return len(self._neighbors.get(ident, ()))
 
     def ratio(self, ident: str) -> Fraction:
-        return self._ratio[ident]
+        v = self._by_id[ident]
+        return Fraction(v.nu, v.N)
 
 
 # --- construction from a completed state -------------------------------------

@@ -73,13 +73,6 @@ class GenericCheckReport:
                 if c.n is not None}
 
 
-def verify_min_property(result: PrincipalizationResult,
-                        lam: list[Fraction]) -> dict[str, DivisorCheck]:
-    """Order of the combination along each divisor versus the minimum over
-    generators; inequality marks the sample as degenerate."""
-    return _verify_min_property(result, lam, _min_orders(result))
-
-
 def _min_orders(result: PrincipalizationResult) -> dict[str, int]:
     """N_min of every divisor and strict branch through the origin: the
     minimum order over the generators, which no sample changes.  The walks
@@ -123,8 +116,10 @@ def _member(lam: list[Fraction], gens: list[BiPoly]) -> BiPoly:
 
 def _verify_min_property(result: PrincipalizationResult, lam: list[Fraction],
                          n_min: dict[str, int]) -> dict[str, DivisorCheck]:
-    """The member's orders, in one walk bounded by the largest N_min; an
-    order past it is a mismatch, read again with no bound."""
+    """Order of the combination along each divisor versus the minimum over
+    generators; inequality marks the sample as degenerate.  The member's
+    orders come in one walk bounded by the largest N_min; an order past it
+    is a mismatch, read again with no bound."""
     state = result.state
     member = _member(lam, result.gens)
     if member.is_zero():
@@ -146,8 +141,8 @@ def _branch_points(state: ChartState) -> dict[str, list]:
     return branches
 
 
-def count_n(result: PrincipalizationResult, lam: list[Fraction],
-            ident: str) -> int:
+def _count_n(state: ChartState, lam: list[Fraction], ident: str,
+             branches: dict[str, list]) -> int:
     """Distinct crossings of the generic member's strict transform with one
     exceptional curve, deduplicated across the atlas.
 
@@ -155,11 +150,6 @@ def count_n(result: PrincipalizationResult, lam: list[Fraction],
     no crossing sits at an existing diagram point; violations raise
     DegenerateLambda so the caller can resample.
     """
-    return _count_n(result.state, lam, ident, _branch_points(result.state))
-
-
-def _count_n(state: ChartState, lam: list[Fraction], ident: str,
-             branches: dict[str, list]) -> int:
     data, rows = None, restrict_residual_to(state, ident, lam)
     for occ, row in rows:
         if not row:
@@ -195,20 +185,14 @@ def _count_n(state: ChartState, lam: list[Fraction], ident: str,
     return zero_count(data)
 
 
-def verify_relations(result: PrincipalizationResult,
-                     lam: list[Fraction]) -> GenericCheckReport:
+def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
+                      branches: dict[str, list],
+                      n_min: dict[str, int]) -> GenericCheckReport:
     """Both identities, exactly, for every exceptional divisor.
 
     A mismatch here is an engine bug, not sample degeneracy: the counts were
     already certified.
     """
-    return _verify_relations(result, lam, _branch_points(result.state),
-                             _min_orders(result))
-
-
-def _verify_relations(result: PrincipalizationResult, lam: list[Fraction],
-                      branches: dict[str, list],
-                      n_min: dict[str, int]) -> GenericCheckReport:
     checks = _verify_min_property(result, lam, n_min)
     for ident, c in checks.items():
         if not c.min_property_ok:

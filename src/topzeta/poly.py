@@ -2,20 +2,19 @@
 
 Every polynomial is stored as integer numerators over one positive common
 denominator in lowest terms: gcd(den, *numerators) == 1 and no numerator
-is zero (no trailing zero in a dense tuple).  The form is unique, so the
-identity tests everything downstream depends on compare integers.  A
-bivariate polynomial maps exponent pairs (a, b) to numerators; a
-univariate one, the zeta numerator, is a tuple of numerators indexed by
-degree.  A restriction to an exceptional line, and a zero set on it, is a
-plain list of integers by degree (a row), up to a nonzero factor.
+is zero.  The form is unique, so the identity tests everything downstream
+depends on compare integers.  A bivariate polynomial maps exponent pairs
+(a, b) to numerators.  A restriction to an exceptional line, and a zero
+set on it, is a plain list of integers by degree (a row), up to a nonzero
+factor.
 
 Every kernel computes on integers and builds no Fraction per coefficient;
 gcds, the squarefree split, exact division and the rational roots run on
 primitive integer rows; dense bivariate products and powers pack the
 numerators into the signed slots of one Python int, for one C-level
 product or power (Kronecker substitution, von zur Gathen and Gerhard,
-Modern Computer Algebra, 8.4).  `BiPoly.terms` and `UniPoly.coeffs` are
-read-only Fraction views, for printing and callers.
+Modern Computer Algebra, 8.4).  `BiPoly.terms` is a read-only Fraction
+view, for printing and callers.
 """
 
 from __future__ import annotations
@@ -116,56 +115,6 @@ def _unpack(r: int, lo: int, slots: int, width: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # univariate
 # ---------------------------------------------------------------------------
-
-class UniPoly:
-    """Dense univariate polynomial over Q.
-
-    `nums` holds the integer numerators indexed by degree, without a
-    trailing zero, over the denominator `den` >= 1, with
-    gcd(den, *nums) == 1.  `coeffs` is a read-only Fraction view.
-    """
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
-        p = UniPoly.from_ints([int(c * den) for c in cs], den)
-        self.nums, self.den = p.nums, p.den
-
-    @classmethod
-    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "UniPoly":
-        """The polynomial with coefficients nums[i] / den, den != 0."""
-        nums = list(nums)
-        while nums and not nums[-1]:
-            nums.pop()
-        g = _lowest(den, nums)
-        return _new(cls, tuple(n // g for n in nums), den // g)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def degree(self) -> int:
-        """Degree, with deg(0) = -1."""
-        return len(self.nums) - 1
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UniPoly) and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def __str__(self) -> str:
-        return poly_to_str(_new(BiPoly, {(i, 0): n for i, n in enumerate(
-            self.nums) if n}, self.den), ("s", "t"))
-
-    __repr__ = __str__
-
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)
@@ -1050,7 +999,3 @@ def frac_str(q: Fraction) -> str:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
-
-def uni_to_str(p: UniPoly, var: str) -> str:
-    """Display a univariate polynomial in a named variable."""
-    return str(p).replace("s", var)

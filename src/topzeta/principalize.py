@@ -67,8 +67,8 @@ def _bad_values_on_occurrence(occ: Occurrence) -> list[tuple[Fraction, str]]:
 
 
 def _chart_hits(chart: Chart, leaf_index: int) -> tuple:
-    """(coords, reasons, divisors through) of every bad point the chart
-    owns, sorted by coordinates, reasons sorted.
+    """(coords, reasons) of every bad point the chart owns, sorted by
+    coordinates, reasons sorted.
 
     Scanned once and stored on the chart, which never changes; a scan that
     raises stores nothing.  A chart with no carrier and a nonzero constant
@@ -90,9 +90,8 @@ def _chart_hits(chart: Chart, leaf_index: int) -> tuple:
                 found.append((coords, [reason]))
             elif found[-1][1][-1] != reason:
                 found[-1][1].append(reason)
-        chart.bad_hits = tuple(
-            (coords, tuple(reasons), tuple(chart.divisors_through(coords)))
-            for coords, reasons in found)
+        chart.bad_hits = tuple((coords, tuple(reasons))
+                               for coords, reasons in found)
     return chart.bad_hits
 
 
@@ -113,11 +112,11 @@ def find_bad_points(state: ChartState) -> list[PointRecord]:
             reasons.append("residual-vanishes")
         if sum(v.mult_at_origin() for v in chart.carriers.values()) >= 2:
             reasons.append("curve-part-not-normal-crossings")
-        return [PointRecord(0, (Fraction(0), Fraction(0)), (),
+        return [PointRecord(0, (Fraction(0), Fraction(0)),
                             tuple(reasons))] if reasons else []
-    return [PointRecord(leaf_index, coords, divisors, reasons)
+    return [PointRecord(leaf_index, coords, reasons)
             for leaf_index, chart in enumerate(state.leaves)
-            for coords, reasons, divisors in _chart_hits(chart, leaf_index)]
+            for coords, reasons in _chart_hits(chart, leaf_index)]
 
 
 def _first_bad_point(state: ChartState, start: int) -> PointRecord | None:
@@ -132,8 +131,7 @@ def _first_bad_point(state: ChartState, start: int) -> PointRecord | None:
     _chart_hits(leaves[start + 1], start + 1)
     for leaf_index in range(start, len(leaves)):
         if hits := _chart_hits(leaves[leaf_index], leaf_index):
-            coords, reasons, divisors = hits[0]
-            return PointRecord(leaf_index, coords, divisors, reasons)
+            return PointRecord(leaf_index, *hits[0])
     return None
 
 
@@ -200,7 +198,7 @@ def verify_minimality(result: PrincipalizationResult) -> MinimalityReport:
             failures.append(f"step {event.step}: chart not found in replay")
             break
         if state.log:
-            is_bad = any(coords == event.center for coords, *_ in
+            is_bad = any(coords == event.center for coords, _ in
                          _chart_hits(state.leaves[leaf_index], leaf_index))
         else:
             is_bad = any(b.coords == event.center
@@ -209,5 +207,5 @@ def verify_minimality(result: PrincipalizationResult) -> MinimalityReport:
             failures.append(
                 f"step {event.step}: center {event.center} in chart "
                 f"{event.chart_path} was not a bad point")
-        blow_up(state, PointRecord(leaf_index, event.center, (), ()))
+        blow_up(state, PointRecord(leaf_index, event.center))
     return MinimalityReport(passed=not failures, failures=failures)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
-from .poly import UniPoly, _zhorner, frac_str
+from .poly import BiPoly, _lowest, _strip, _zhorner, frac_str, poly_to_str
 
 #: A primitive linear factor c + d*s, keyed as (c, d).
 Factor = tuple[int, int]
@@ -44,28 +44,38 @@ class Pole(NamedTuple):
 
 
 class RationalFunctionS:
-    """Reduced rational function numerator / prod (nu_i + N_i s)^m_i."""
+    """Reduced rational function numerator / prod (nu_i + N_i s)^m_i.
 
-    __slots__ = ("num", "den")
+    The numerator is `nums`, its integer numerators indexed by degree with
+    no trailing zero, over `scale` >= 1, with gcd(scale, *nums) == 1.
+    """
 
-    def __init__(self, num: UniPoly, den: Sequence[tuple[Factor, int]]):
-        self.num = num
+    __slots__ = ("nums", "scale", "den")
+
+    def __init__(self, nums: Sequence[int], scale: int,
+                 den: Sequence[tuple[Factor, int]]):
+        nums = _strip(list(nums))
+        g = _lowest(scale, nums)
+        self.nums = tuple(n // g for n in nums)
+        self.scale = scale // g
         self.den: tuple[tuple[Factor, int], ...] = tuple(den)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalFunctionS)
-                and self.num == other.num and self.den == other.den)
+        return (isinstance(other, RationalFunctionS) and self.den == other.den
+                and (self.nums, self.scale) == (other.nums, other.scale))
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.nums, self.scale, self.den))
 
     def __str__(self) -> str:
-        if self.num.is_zero():
+        if not self.nums:
             return "0"
-        num = str(self.num)
+        num = poly_to_str(BiPoly.from_ints(
+            {(i, 0): n for i, n in enumerate(self.nums)}, self.scale),
+            ("s", "t"))
         if not self.den:
             return num
         fac = []
@@ -78,7 +88,7 @@ class RationalFunctionS:
 
     def to_json_dict(self) -> dict:
         return {
-            "num": [frac_str(c) for c in self.num.coeffs],
+            "num": [frac_str(Fraction(n, self.scale)) for n in self.nums],
             "den": [[nu, N, m] for (nu, N), m in self.den],
         }
 
@@ -150,7 +160,7 @@ def rf_sum_of_terms(
                    zip_longest(num + [0], [0] + num, den, fillvalue=0)]
         for _ in range(m):
             den = [c0 * u + c1 * v for u, v in zip(den + [0], [0] + den)]
-    return RationalFunctionS(UniPoly.from_ints(num, L), kept)
+    return RationalFunctionS(num, L, kept)
 
 
 def poles_of(rf: RationalFunctionS) -> list[Pole]:
@@ -163,8 +173,8 @@ def poles_of(rf: RationalFunctionS) -> list[Pole]:
     Horner, d the numerator's degree, and N (g0 + g1 s0) = g0 N - g1 nu for
     every other factor.
     """
-    nums, den = rf.num.nums, rf.num.den
-    d = max(rf.num.degree(), 0)
+    nums, den = rf.nums, rf.scale
+    d = max(len(nums) - 1, 0)
     out = []
     for i, (f, m) in enumerate(rf.den):
         nu, N = f

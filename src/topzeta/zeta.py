@@ -44,11 +44,6 @@ def zeta_terms(diagram: IntersectionDiagram) -> list[ZetaTerm]:
     return terms
 
 
-def local_zeta(diagram: IntersectionDiagram) -> RationalFunctionS:
-    """The reduced local topological zeta function."""
-    return rf_sum_of_terms(zeta_terms(diagram))
-
-
 def residue_contribution(diagram: IntersectionDiagram, ident: str,
                          s0: Fraction) -> Fraction:
     """Contribution of one component to the residue at an order-one
@@ -78,17 +73,14 @@ def residue_contribution(diagram: IntersectionDiagram, ident: str,
 
 class ZetaReport:
     """Zeta function with candidates and poles; the residue contributions
-    are the given ones, or computed from the diagram on first read."""
+    are computed from the diagram on first read."""
 
     def __init__(self, zeta: RationalFunctionS, terms: list[ZetaTerm],
                  candidate_poles: list[Fraction],  # sorted ascending
                  poles: list[Pole],  # sorted ascending by location
-                 contributions: dict[Fraction, dict] | None = None,
-                 diagram: IntersectionDiagram | None = None):
+                 diagram: IntersectionDiagram):
         self.zeta, self.terms, self.poles = zeta, terms, poles
         self.candidate_poles, self._diagram = candidate_poles, diagram
-        if diagram is None or contributions is not None:
-            self.contributions = contributions or {}
 
     @cached_property
     def contributions(self) -> dict[Fraction, dict[str, Fraction]]:

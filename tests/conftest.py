@@ -44,7 +44,7 @@ def _replay_states(result):
         yield state
         leaf = next(i for i, ch in enumerate(state.leaves)
                     if ch.path == ev.chart_path)
-        blow_up(state, PointRecord(leaf, ev.center, ()))
+        blow_up(state, PointRecord(leaf, ev.center))
     yield state
 
 

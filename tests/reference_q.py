@@ -1,36 +1,64 @@
 """Polynomial arithmetic in Q[t] by Fraction loops: the reference oracles of
 the integer row kernels in `topzeta.poly` and `topzeta.blowup`.
 
-Every helper takes and returns `UniPoly` values and computes on their
-`coeffs`, one Fraction per coefficient.  `restrict`, `chart_restrict` and
-`compose_affine` are the Fraction restriction path the engine took before
-restrictions and zero sets became integer rows.
+A polynomial is a plain tuple of Fraction coefficients indexed by degree,
+with no trailing zero; () is zero.  `poly_q` makes one, and every helper
+takes and returns one, computing one Fraction per coefficient.
+`restrict`, `chart_restrict` and `compose_affine` are the Fraction
+restriction path the engine took before restrictions and zero sets became
+integer rows.
 """
 
+import math
 from fractions import Fraction
 
-from topzeta.poly import BiPoly, UniPoly
+from topzeta.poly import BiPoly
+
+
+def poly_q(coeffs=()):
+    """The coefficients as Fractions, without trailing zeros."""
+    out = [Fraction(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def from_ints_q(nums, den=1):
+    """The polynomial with coefficients nums[i] / den, den != 0."""
+    return poly_q(Fraction(n, den) for n in nums)
+
+
+def den_q(p):
+    """The least positive common denominator of the coefficients."""
+    return math.lcm(*(c.denominator for c in p))
+
+
+def nums_q(p):
+    """The integer numerators over `den_q(p)`, which share no factor with
+    it: the integer row of p in lowest terms."""
+    den = den_q(p)
+    return [int(c * den) for c in p]
 
 
 def const_q(c):
-    return UniPoly([Fraction(c)])
+    return poly_q([c])
 
 
 def var_q():
-    return UniPoly([0, 1])
+    return poly_q([0, 1])
 
 
 def add_q(p, q):
-    a, b = list(p.coeffs), list(q.coeffs)
+    a, b = list(p), list(q)
     if len(a) < len(b):
         a, b = b, a
     for i, c in enumerate(b):
         a[i] += c
-    return UniPoly(a)
+    return poly_q(a)
 
 
 def scale_q(p, c):
-    return UniPoly([a * Fraction(c) for a in p.coeffs])
+    return poly_q([a * Fraction(c) for a in p])
 
 
 def sub_q(p, q):
@@ -38,62 +66,62 @@ def sub_q(p, q):
 
 
 def mul_q(p, q):
-    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
             out[i + j] += a * b
-    return UniPoly(out)
+    return poly_q(out)
 
 
 def leading_q(p):
-    return p.coeffs[-1]
+    return p[-1]
 
 
 def monic_q(p):
-    return p if p.is_zero() else scale_q(p, 1 / leading_q(p))
+    return scale_q(p, 1 / leading_q(p)) if p else p
 
 
 def derivative_q(p):
-    return UniPoly([i * c for i, c in enumerate(p.coeffs)][1:])
+    return poly_q([i * c for i, c in enumerate(p)][1:])
 
 
 def reversed_q(p):
-    return UniPoly(p.coeffs[::-1])
+    return poly_q(p[::-1])
 
 
 def divmod_q(p, q):
     """Quotient and remainder of p by nonzero q, by long division."""
-    if q.is_zero():
+    if not q:
         raise ZeroDivisionError("division by zero polynomial")
-    rem = list(p.coeffs)
-    dq = len(rem) - len(q.coeffs)
+    rem = list(p)
+    dq = len(rem) - len(q)
     if dq < 0:
-        return UniPoly(), p
+        return (), p
     quo = [Fraction(0)] * (dq + 1)
     for k in range(dq, -1, -1):
-        c = quo[k] = rem[k + q.degree()] / leading_q(q)
-        for j, b in enumerate(q.coeffs):
+        c = quo[k] = rem[k + len(q) - 1] / leading_q(q)
+        for j, b in enumerate(q):
             rem[k + j] -= c * b
-    return UniPoly(quo), UniPoly(rem)
+    return poly_q(quo), poly_q(rem)
 
 
 def divexact_q(p, q):
     quo, rem = divmod_q(p, q)
-    if not rem.is_zero():
+    if rem:
         raise ValueError("inexact univariate division")
     return quo
 
 
 def gcd_q(a, b):
     """Monic gcd by the Euclidean loop."""
-    while not b.is_zero():
+    while b:
         a, b = b, divmod_q(a, b)[1]
     return monic_q(a)
 
 
 def squarefree_q(p):
     """Monic p / gcd(p, p')."""
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial")
     return monic_q(divexact_q(p, gcd_q(p, derivative_q(p))))
 
@@ -105,7 +133,7 @@ def lcm_q(a, b):
 def row_q(row):
     """A row of integers as the monic polynomial it stands for, up to a
     nonzero factor; zero for an empty or all-zero row."""
-    return monic_q(UniPoly(row))
+    return monic_q(poly_q(row))
 
 
 def restrict(p, value, axis):
@@ -115,7 +143,7 @@ def restrict(p, value, axis):
     out = {}
     for e, c in p.terms.items():
         out[e[other]] = out.get(e[other], Fraction(0)) + c * value ** e[axis]
-    return UniPoly([out.get(i, 0) for i in range(max(out, default=-1) + 1)])
+    return poly_q([out.get(i, 0) for i in range(max(out, default=-1) + 1)])
 
 
 def chart_restrict(p, axis):
@@ -127,7 +155,7 @@ def chart_restrict(p, axis):
 def eval_q(p, t):
     """p(t) by Horner on the Fraction coefficients."""
     out = Fraction(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         out = out * t + c
     return out
 
@@ -139,10 +167,10 @@ def eval_bi(p, px, py):
 def compose_affine(p, scale, offset):
     """p(scale*t + offset): the Taylor shift by offset through
     `BiPoly.translate`, then coefficient j times scale^j."""
-    q = BiPoly({(j, 0): c for j, c in enumerate(p.coeffs)}).translate(
+    q = BiPoly({(j, 0): c for j, c in enumerate(p)}).translate(
         Fraction(offset), 0)
-    return UniPoly([q.terms.get((j, 0), 0) * Fraction(scale) ** j
-                    for j in range(len(p.coeffs))])
+    return poly_q([q.terms.get((j, 0), 0) * Fraction(scale) ** j
+                   for j in range(len(p))])
 
 
 def divides(d, p):

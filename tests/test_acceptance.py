@@ -19,9 +19,10 @@ from topzeta.diagram import alphas, validate_all
 from topzeta.errors import CenterNotRational, OutOfRange
 from topzeta.family import admissible, build, realize_pole
 from topzeta.generic import certify_generic
-from topzeta.poly import UniPoly, parse_poly
+from topzeta.poly import parse_poly
 from topzeta.principalize import principalize
-from topzeta.zeta import local_zeta, pole_report
+from topzeta.ratfunc import rf_sum_of_terms
+from topzeta.zeta import pole_report, zeta_terms
 
 
 #: collected pass/fail lines, printed in the terminal summary (conftest)
@@ -52,8 +53,8 @@ def test_criterion_1_golden_example(corpus_results):
         assert result.diagram.edges == {
             frozenset(("S1", "E1")), frozenset(("E1", "E2")),
             frozenset(("E2", "E3"))}
-        rf = local_zeta(result.diagram)
-        assert rf.num == UniPoly([8, 16, 5])
+        rf = rf_sum_of_terms(zeta_terms(result.diagram))
+        assert (rf.nums, rf.scale) == ((8, 16, 5), 1)
         assert dict(rf.den) == {(4, 7): 1, (2, 5): 1, (1, 1): 1}
         assert str(rf) == "(5*s^2 + 16*s + 8)/((2+5s)(4+7s)(1+s))"
         rep = pole_report(result.diagram)
@@ -141,8 +142,7 @@ def test_criterion_6_independence(corpus_results):
             for i, ch in enumerate(state.leaves):
                 for d in state.divisor_order:
                     if ch.axis_of(d) == ("x", 0) and d in ch.pms:
-                        center = PointRecord(i, (Fraction(0), Fraction(23)),
-                                             ())
+                        center = PointRecord(i, (Fraction(0), Fraction(23)))
                         break
                 if center:
                     break
@@ -150,8 +150,8 @@ def test_criterion_6_independence(corpus_results):
                 continue
             blow_up(state, center)
             state.complete = True
-            z0 = str(local_zeta(result.diagram))
-            z1 = str(local_zeta(diagram_from_state(state)))
+            z0 = str(rf_sum_of_terms(zeta_terms(result.diagram)))
+            z1 = str(rf_sum_of_terms(zeta_terms(diagram_from_state(state))))
             assert z0 == z1, name
             done += 1
         assert done == 10
@@ -205,30 +205,33 @@ def test_criterion_8_admissible_rejections():
         # chain E1 (N=1, nu=2) - E2 (N=2, nu=3), see the module docstring
         assert admissible(Fraction(-3, 2))
         gens = [parse_poly("y"), parse_poly("x^2 + y")]
-        rf = local_zeta(principalize(gens).diagram)
-        assert rf.num == UniPoly([3])
+        rf = rf_sum_of_terms(zeta_terms(principalize(gens).diagram))
+        assert (rf.nums, rf.scale) == ((3,), 1)
         assert dict(rf.den) == {(3, 2): 1}
 
 
 def test_criterion_9_degenerate_bases():
     with criterion("9", "smooth branch, monomial ideals, coordinate pair"):
-        rf = local_zeta(principalize([parse_poly("x")]).diagram)
-        assert rf.num == UniPoly([1]) and dict(rf.den) == {(1, 1): 1}
+        d = principalize([parse_poly("x")]).diagram
+        rf = rf_sum_of_terms(zeta_terms(d))
+        assert (rf.nums, rf.scale) == ((1,), 1)
+        assert dict(rf.den) == {(1, 1): 1}
 
         for a in range(1, 7):
             for b in range(1, 7):
                 if a == b:
                     continue
                 d = principalize([parse_poly(f"x^{a}*y^{b}")]).diagram
-                rf = local_zeta(d)
-                assert rf.num == UniPoly([1])
+                rf = rf_sum_of_terms(zeta_terms(d))
+                assert (rf.nums, rf.scale) == ((1,), 1)
                 assert dict(rf.den) == {(1, a): 1, (1, b): 1}
                 rep = pole_report(d)
                 assert rep.pole_locations() == {
                     Fraction(-1, a), Fraction(-1, b)}
 
         d = principalize([parse_poly("x"), parse_poly("y")]).diagram
-        rf = local_zeta(d)
-        assert rf.num == UniPoly([2]) and dict(rf.den) == {(2, 1): 1}
+        rf = rf_sum_of_terms(zeta_terms(d))
+        assert (rf.nums, rf.scale) == ((2,), 1)
+        assert dict(rf.den) == {(2, 1): 1}
         rep = pole_report(d)
         assert [(p.location, p.order) for p in rep.poles] == [(Fraction(-2), 1)]

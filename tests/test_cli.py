@@ -796,6 +796,8 @@ REFUSAL_TEXTS = [
     (_BUDGET, ("y", "x^8 + y^9"), 3,
      "unsupported: no principalization within 3 blow-ups\n"),
     (_BUDGET, ("x^4*y", "x^7 + x*y^4"), 0, ""),
+    # a locator whose monic form has a fractional coefficient
+    ((), ("3*y^2 - 2*x^2", "x^3"), 3, _IRRATIONAL.format("y^2 - 2/3")),
 ])
 def test_refusals_keep_codes_and_texts(capsys, command, flags, gens, code,
                                        err):

@@ -6,7 +6,7 @@ import pytest
 
 from corpus import curve_entries
 from topzeta.criterion import classify, cross_check, poles_by_criterion
-from topzeta.diagram import export_json, load_json
+from topzeta.diagram import IntersectionDiagram, export_json, load_json
 from topzeta.errors import NonMinimalDiagram, NotACandidate
 from topzeta.family import build
 from topzeta.poly import parse_poly
@@ -57,7 +57,9 @@ def test_classify_refuses_nonminimal(golden):
     loaded = load_json(export_json(golden))
     with pytest.raises(NonMinimalDiagram):
         classify(loaded, Fraction(-1))
-    assert classify(loaded, Fraction(-1), assume_minimal=True).is_pole
+    marked = IntersectionDiagram(loaded.vertices, loaded.edges,
+                                 loaded.origin_case, minimal=True)
+    assert classify(marked, Fraction(-1)).is_pole
 
 
 def test_poles_by_criterion_golden(golden):

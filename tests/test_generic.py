@@ -11,11 +11,13 @@ from topzeta.errors import DegenerateLambda, InternalInvariantError
 from topzeta import generic
 from topzeta.family import build
 from topzeta.generic import (
+    _branch_points,
+    _count_n,
+    _min_orders,
+    _verify_min_property,
+    _verify_relations,
     certify_generic,
-    count_n,
     sample_lambda,
-    verify_min_property,
-    verify_relations,
 )
 from topzeta.poly import parse_poly
 from topzeta.principalize import principalize
@@ -45,7 +47,8 @@ def test_sample_lambda_deterministic():
 
 
 def test_min_property_golden(golden):
-    checks = verify_min_property(golden, [Fraction(1), Fraction(1)])
+    checks = _verify_min_property(golden, [Fraction(1), Fraction(1)],
+                                  _min_orders(golden))
     assert checks["E1"].N_from_generic == checks["E1"].N_min == 5
     assert checks["E3"].N_from_generic == checks["E3"].N_min == 7
     assert all(c.min_property_ok for c in checks.values())
@@ -60,23 +63,25 @@ def test_min_property_detects_degenerate_combination():
 
 
 def test_count_n_golden(golden):
-    lam = [Fraction(1), Fraction(1)]
-    assert count_n(golden, lam, "E1") == 3
-    assert count_n(golden, lam, "E2") == 0
-    assert count_n(golden, lam, "E3") == 1
+    lam, branches = [Fraction(1), Fraction(1)], _branch_points(golden.state)
+    assert _count_n(golden.state, lam, "E1", branches) == 3
+    assert _count_n(golden.state, lam, "E2", branches) == 0
+    assert _count_n(golden.state, lam, "E3", branches) == 1
 
 
 def test_count_n_family():
     result = principalize(
         [parse_poly("x^4*y"), parse_poly("x^7 + y^5")])
-    lam = [Fraction(1), Fraction(1)]
-    assert count_n(result, lam, "E1") == 4
-    assert count_n(result, lam, "E2") == 0
-    assert count_n(result, lam, "E3") == 1
+    lam, branches = [Fraction(1), Fraction(1)], _branch_points(result.state)
+    assert _count_n(result.state, lam, "E1", branches) == 4
+    assert _count_n(result.state, lam, "E2", branches) == 0
+    assert _count_n(result.state, lam, "E3", branches) == 1
 
 
 def test_relations_golden(golden):
-    report = verify_relations(golden, [Fraction(1), Fraction(1)])
+    report = _verify_relations(golden, [Fraction(1), Fraction(1)],
+                               _branch_points(golden.state),
+                               _min_orders(golden))
     assert report.n_table() == {"E1": 3, "E2": 0, "E3": 1}
     sums = {d: sum(a for _, a in alphas(golden.diagram, d))
             for d in report.n_table()}
@@ -101,7 +106,8 @@ def test_relations_refuse_a_wrong_alpha_sum(golden, monkeypatch):
 
     monkeypatch.setattr(generic, "alpha_nums", off_by_one)
     with pytest.raises(InternalInvariantError) as exc:
-        verify_relations(golden, [Fraction(1), Fraction(1)])
+        _verify_relations(golden, [Fraction(1), Fraction(1)],
+                          _branch_points(golden.state), _min_orders(golden))
     assert str(exc.value) == ("numerical-data relation fails at E3: "
                               "sum(alpha) = -2/7, m = 1, n = 1, ratio = 4/7")
 
@@ -109,7 +115,9 @@ def test_relations_refuse_a_wrong_alpha_sum(golden, monkeypatch):
 def test_relations_family_chain():
     from topzeta.family import build
     result = principalize(build(7, 4))
-    report = verify_relations(result, [Fraction(1), Fraction(1)])
+    report = _verify_relations(result, [Fraction(1), Fraction(1)],
+                               _branch_points(result.state),
+                               _min_orders(result))
     assert set(report.n_table()) == {"E1", "E2", "E3"}
 
 
@@ -133,8 +141,10 @@ def test_certify_generic_corpus(corpus_results):
 def test_count_n_lambda_independent(golden):
     lam_a = [Fraction(1), Fraction(1)]
     lam_b = [Fraction(2), Fraction(5)]
+    branches = _branch_points(golden.state)
     for ident in ("E1", "E2", "E3"):
-        assert count_n(golden, lam_a, ident) == count_n(golden, lam_b, ident)
+        assert _count_n(golden.state, lam_a, ident, branches) == \
+            _count_n(golden.state, lam_b, ident, branches)
 
 
 def test_total_crossings_positive_when_residual_vanishes(corpus_results):
@@ -156,7 +166,8 @@ def test_resample_on_non_squarefree_restriction():
     first sample is rejected and a later one accepted."""
     result = principalize([parse_poly("x^2 + 2*x*y"), parse_poly("y^2")])
     with pytest.raises(DegenerateLambda):
-        count_n(result, [Fraction(1), Fraction(1)], "E1")
+        _count_n(result.state, [Fraction(1), Fraction(1)], "E1",
+                 _branch_points(result.state))
     report = certify_generic(result, seed=0)
     assert report.retries >= 1
     assert all(c.min_property_ok for c in report.per_divisor.values())
@@ -164,7 +175,8 @@ def test_resample_on_non_squarefree_restriction():
 
 def test_degenerate_all_zero_rejected(golden):
     with pytest.raises(DegenerateLambda):
-        count_n(golden, [Fraction(0), Fraction(0)], "E1")
+        _count_n(golden.state, [Fraction(0), Fraction(0)], "E1",
+                 _branch_points(golden.state))
 
 
 
@@ -210,7 +222,7 @@ def test_certify_generic_reads_diagram_points_once(monkeypatch, gens,
     state = result.state
     assert state.kept(ChartState.corner_registry) is \
         state.kept(ChartState.corner_registry)
-    blow_up(state, PointRecord(0, (Fraction(0), Fraction(0)), ()))
+    blow_up(state, PointRecord(0, (Fraction(0), Fraction(0))))
     assert state._kept == {}
 
 

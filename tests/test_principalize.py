@@ -14,7 +14,7 @@ from corpus import (
     swell_entries,
 )
 from reference_q import (
-    chart_restrict, derivative_q, eval_q, gcd_q, squarefree_q)
+    chart_restrict, derivative_q, eval_q, gcd_q, nums_q, poly_q, squarefree_q)
 from test_blowup import _reference_point_identity
 from topzeta.blowup import (
     Chart,
@@ -31,12 +31,7 @@ from topzeta.errors import (
     TopZetaError,
 )
 from topzeta.family import build
-from topzeta.poly import (
-    UniPoly,
-    parse_poly,
-    rational_roots,
-    uni_to_str,
-)
+from topzeta.poly import BiPoly, parse_poly, poly_to_str, rational_roots
 from topzeta.principalize import (
     MinimalityReport,
     PrincipalizationResult,
@@ -143,7 +138,7 @@ def test_minimality_flags_extra_step():
     fake = PrincipalizationResult(
         state=state, diagram=result.diagram,
         log=list(result.log), step_count=result.step_count)
-    blow_up(state, PointRecord(leaf_index, (Fraction(0), Fraction(5)), ()))
+    blow_up(state, PointRecord(leaf_index, (Fraction(0), Fraction(5))))
     fake.log = list(state.log)
     rep = verify_minimality(fake)
     assert not rep.passed
@@ -178,7 +173,7 @@ def _reference_verify_minimality(result):
             failures.append(
                 f"step {event.step}: center {event.center} in chart "
                 f"{event.chart_path} was not a bad point")
-        blow_up(state, PointRecord(leaf_index, event.center, (), ()))
+        blow_up(state, PointRecord(leaf_index, event.center))
     return MinimalityReport(passed=not failures, failures=failures)
 
 
@@ -310,18 +305,18 @@ def test_blow_up_recomputes_a_memo_for_another_divisor(monkeypatch):
     and the stored blow-up stays as it was."""
     first = initial_state(GOLDEN)
     root = first.root
-    blow_up(first, PointRecord(0, (Fraction(0), Fraction(0)), ()))
+    blow_up(first, PointRecord(0, (Fraction(0), Fraction(0))))
     memo = root.blown_up
     assert memo[0] == (0, "E1") and first.leaves == list(memo[4:])
 
     counts = _count_replay_work(monkeypatch)
     again = ChartState(first.gens, first.carriers, root)
-    blow_up(again, PointRecord(0, (Fraction(0), Fraction(0)), ()))
+    blow_up(again, PointRecord(0, (Fraction(0), Fraction(0))))
     assert not counts and again.leaves == first.leaves
 
     other = ChartState(first.gens, first.carriers, root)
     other.divisor_order.append("E0")  # the next divisor is E2
-    blow_up(other, PointRecord(0, (Fraction(0), Fraction(0)), ()))
+    blow_up(other, PointRecord(0, (Fraction(0), Fraction(0))))
     assert counts["_child"] == 2
     assert root.blown_up is memo
     assert other.divisors["E2"] == first.divisors["E1"]._replace(ident="E2")
@@ -388,11 +383,11 @@ def test_residual_unit_everywhere_after_completion(corpus_results):
     for name, result in corpus_results[:15]:
         state = result.state
         for occ in state.occurrences():
-            g = UniPoly()
+            g = poly_q()
             for r in occ.chart.residual:
                 g = gcd_q(g, chart_restrict(r, occ.axis))
             if occ.mode == "all":
-                assert g.degree() == 0, (name, occ.ident)
+                assert len(g) == 1, (name, occ.ident)
             else:
                 assert eval_q(g, Fraction(0)) != 0, (name, occ.ident)
 
@@ -414,7 +409,7 @@ def _reference_find_bad_points(state):
         if total_mult >= 2:
             reasons.append("curve-part-not-normal-crossings")
         if reasons:
-            return [PointRecord(0, (Fraction(0), Fraction(0)), (),
+            return [PointRecord(0, (Fraction(0), Fraction(0)),
                                 tuple(reasons))]
         return []
 
@@ -440,15 +435,12 @@ def _reference_find_bad_points(state):
                     if reason not in records[i].reasons:
                         records[i] = PointRecord(
                             records[i].leaf_index, records[i].coords,
-                            records[i].divisors,
                             records[i].reasons + (reason,))
                     merged = True
                     break
             if not merged:
                 identities.append(ident)
-                records.append(PointRecord(
-                    leaf_index, coords,
-                    tuple(occ.chart.divisors_through(coords)), (reason,)))
+                records.append(PointRecord(leaf_index, coords, (reason,)))
     return records
 
 
@@ -514,23 +506,23 @@ def test_failed_scan_is_not_stored():
 def _reference_owned_params(occ, locator, context):
     if occ.mode == "point":
         return [Fraction(0)] if eval_q(locator, Fraction(0)) == 0 else []
-    if locator.degree() <= 0:
+    if len(locator) <= 1:
         return []
-    roots, cofactor = rational_roots(locator.nums)
+    roots, cofactor = rational_roots(nums_q(locator))
     if len(cofactor) > 1:
-        raise CenterNotRational(
-            f"{uni_to_str(squarefree_q(UniPoly(cofactor)), 'y')} "
-            f"({context} on {occ.ident})")
+        monic = squarefree_q(poly_q(cofactor))
+        text = poly_to_str(BiPoly({(0, j): c for j, c in enumerate(monic)}))
+        raise CenterNotRational(f"{text} ({context} on {occ.ident})")
     return [r for r, _ in roots]
 
 
 def _reference_carrier_restrictions(occ):
-    """Every carrier's restriction as a UniPoly, in carrier order, as the
-    scan built them before it read integer rows."""
+    """Every carrier's restriction as Fraction coefficients, in carrier
+    order, as the scan built them before it read integer rows."""
     out = []
     for c, eq in occ.chart.carriers.items():
         sigma = chart_restrict(eq, occ.axis)
-        if sigma.is_zero():
+        if not sigma:
             raise InternalInvariantError(
                 f"carrier {c} contains divisor {occ.ident}")
         out.append((c, sigma))
@@ -548,16 +540,16 @@ def _reference_bad_values_on_occurrence(occ):
         for t in _reference_owned_params(occ, locator, context):
             found.append((t, reason))
 
-    locator = UniPoly()
+    locator = poly_q()
     for r in chart.residual:
         locator = gcd_q(locator, chart_restrict(r, occ.axis))
-    if locator.is_zero():
+    if not locator:
         raise InternalInvariantError(
             f"residual ideal vanishes along divisor {occ.ident}")
     emit(locator, "residual zero locus", "residual-vanishes")
     carrier_restrictions = _reference_carrier_restrictions(occ)
     for ident, sigma in carrier_restrictions:
-        if sigma.degree() <= 0:
+        if len(sigma) <= 1:
             continue
         emit(gcd_q(sigma, derivative_q(sigma)),
              f"tangency of {ident}", f"branch-tangent:{ident}")
@@ -724,17 +716,12 @@ def test_scan_zero_constant_terms_are_not_vanishing(axis_eq):
 ], ids=["chain-40-0", "swell"])
 def test_principalize_builds_no_restriction(monkeypatch, gens, steps,
                                             whole_reads):
-    """The scan and the diagram read integer rows and build no UniPoly.
-    A point-owned restriction is read whole only to rule out that it
-    vanishes identically, when its t^0 coefficient is zero; swell has two
-    such reads, on integers too.  Every point-owned occurrence of the chain
+    """The scan and the diagram read integer rows.  A point-owned
+    restriction is read whole only to rule out that it vanishes
+    identically, when its t^0 coefficient is zero; swell has two such
+    reads, on integers too.  Every point-owned occurrence of the chain
     lies on a chart with a unit residual, which is not scanned, so the
     chain reads rows of fully owned divisors only."""
-    from topzeta.poly import BiPoly
-
-    def refuse(*args):
-        raise AssertionError("UniPoly built")
-
     reads, x0_reads = [], []
     y_coeffs, x0_row = BiPoly.y_coeffs, BiPoly.x0_row
 
@@ -746,8 +733,6 @@ def test_principalize_builds_no_restriction(monkeypatch, gens, steps,
         x0_reads.append(p)
         return x0_row(p)
 
-    monkeypatch.setattr(UniPoly, "__init__", refuse)
-    monkeypatch.setattr(UniPoly, "from_ints", classmethod(refuse))
     monkeypatch.setattr(BiPoly, "y_coeffs", counted)
     monkeypatch.setattr(BiPoly, "x0_row", counted_x0)
     result = principalize(gens)
@@ -903,8 +888,7 @@ def _reference_chart_hits(chart, leaf_index):
             for occ in chart.occurrences(leaf_index)
             for t, reason in _bad_values_on_occurrence(occ)}):
         found[coords] = found.get(coords, ()) + (reason,)
-    return tuple((coords, reasons, tuple(chart.divisors_through(coords)))
-                 for coords, reasons in found.items())
+    return tuple(found.items())
 
 
 def _chart_outcome(scan, chart, leaf_index):
@@ -973,10 +957,10 @@ def test_unit_residual_with_a_carrier_is_scanned():
     power is no unit."""
     occ = _crafted_occurrence("x", ["1"], ["y^2 - x"])
     assert _chart_hits(occ.chart, 0) == _reference_chart_hits(occ.chart, 0) \
-        == (((Fraction(0), Fraction(0)), ("branch-tangent:C1",), ("E1",)),)
+        == (((Fraction(0), Fraction(0)), ("branch-tangent:C1",)),)
     bare = _crafted_occurrence("x", ["1", "y"], []).chart
     assert _chart_hits(bare, 0) == _reference_chart_hits(bare, 0) == ()
     powered = Chart((), exc={"E1": P("x")}, pms={"E1": PointMap("A", Fraction(0))},
                     residual_parts=[(P("1"), {"E1": 1}), (P("y"), {})])
     assert _chart_hits(powered, 0) == _reference_chart_hits(powered, 0) == (
-        ((Fraction(0), Fraction(0)), ("residual-vanishes",), ("E1",)),)
+        ((Fraction(0), Fraction(0)), ("residual-vanishes",)),)

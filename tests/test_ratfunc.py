@@ -9,9 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import perfbench_ideals
-from reference_q import add_q, const_q, divexact_q, eval_q, mul_q
+from reference_q import (
+    add_q,
+    const_q,
+    den_q,
+    divexact_q,
+    eval_q,
+    from_ints_q,
+    mul_q,
+    nums_q,
+    poly_q,
+)
 from topzeta import parse_poly, principalize
-from topzeta.poly import UniPoly
 from topzeta.ratfunc import (
     RationalFunctionS,
     _den_sort_key,
@@ -29,13 +38,13 @@ def test_sum_golden():
         (1, [(2, 5), (3, 6)]),
         (1, [(1, 1), (2, 5)]),
     ])
-    assert rf.num == UniPoly([8, 16, 5])
+    assert (rf.nums, rf.scale) == ((8, 16, 5), 1)
     assert rf.den == (((2, 5), 1), ((4, 7), 1), ((1, 1), 1))
 
 
 def test_sum_single_vertex():
     rf = rf_sum_of_terms([(2, [(2, 1)])])
-    assert rf.num == UniPoly([2])
+    assert (rf.nums, rf.scale) == ((2,), 1)
     assert rf.den == (((2, 1), 1),)
 
 
@@ -46,7 +55,7 @@ def test_sum_empty_is_zero():
 def test_sum_constant_factor_folds():
     # N = 0 factors are plain constants
     rf = rf_sum_of_terms([(6, [(3, 0), (1, 1)])])
-    assert rf.num == UniPoly([2])
+    assert (rf.nums, rf.scale) == ((2,), 1)
     assert rf.den == (((1, 1), 1),)
 
 
@@ -77,7 +86,12 @@ def _eval_at(rf, s):
     d = Fraction(1)
     for (nu, N), m in rf.den:
         d *= (nu + N * s) ** m
-    return eval_q(rf.num, s) / d
+    return eval_q(_num(rf), s) / d
+
+
+def _num(rf):
+    """The numerator of rf as Fraction coefficients."""
+    return from_ints_q(rf.nums, rf.scale)
 
 
 def _prod(factors, s):
@@ -96,7 +110,7 @@ def test_reduction_cancels_linear_factor():
         (1, [(1, 1), (2, 5)]),
     ])
     assert all(f != (1, 2) for f, _ in rf.den)
-    assert eval_q(rf.num, Fraction(-1, 2)) != 0
+    assert eval_q(_num(rf), Fraction(-1, 2)) != 0
 
 
 def test_poles_golden():
@@ -123,7 +137,7 @@ def test_poles_simple_readoff():
 
 
 def test_pole_order_two():
-    rf = _build(UniPoly([1]), {(1, 1): 2})
+    rf = _build(poly_q([1]), {(1, 1): 2})
     (p,) = poles_of(rf)
     assert (p.location, p.order) == (Fraction(-1), 2)
     assert p.leading_coefficient == Fraction(1)
@@ -132,17 +146,21 @@ def test_pole_order_two():
 def test_poles_are_roots_of_reduced_denominator():
     rf = rf_sum_of_terms([(1, [(1, 2), (3, 4)]), (5, [(3, 4)])])
     for p in poles_of(rf):
-        assert eval_q(rf.num, p.location) != 0
+        assert eval_q(_num(rf), p.location) != 0
 
 
-def test_canonical_order_and_str():
-    rf = rf_sum_of_terms([
-        (1, [(4, 7)]),
-        (1, [(3, 6), (4, 7)]),
-        (1, [(2, 5), (3, 6)]),
-        (1, [(1, 1), (2, 5)]),
-    ])
-    assert str(rf) == "(5*s^2 + 16*s + 8)/((2+5s)(4+7s)(1+s))"
+@pytest.mark.parametrize("terms, text, num", [
+    ([(1, [(4, 7)]), (1, [(3, 6), (4, 7)]), (1, [(2, 5), (3, 6)]),
+      (1, [(1, 1), (2, 5)])],
+     "(5*s^2 + 16*s + 8)/((2+5s)(4+7s)(1+s))", ["8", "16", "5"]),
+    # a fractional numerator with a zero coefficient inside
+    ([(Fraction(1, 2), [(1, 1)]), (Fraction(-5, 2), [(2, 1)]),
+      (Fraction(5, 2), [(3, 1)])],
+     "(1/2*s^2 + 1/2)/((1+s)(2+s)(3+s))", ["1/2", "0", "1/2"]),
+])
+def test_canonical_order_and_str(terms, text, num):
+    rf = rf_sum_of_terms(terms)
+    assert str(rf) == text and rf.to_json_dict()["num"] == num
     # ratios nu/N ascend: 2/5 < 4/7 < 1
     ratios = [Fraction(nu, N) for (nu, N), _ in rf.den]
     assert ratios == sorted(ratios)
@@ -185,12 +203,12 @@ def _build(num, den=None):
     """Reduce and canonicalize num / prod f^m: cancel factors against
     numerator roots, drop zero multiplicities, sort factors."""
     den = {f: m for f, m in (den or {}).items() if m > 0}
-    if num.is_zero():
-        return RationalFunctionS(num, ())
+    if not num:
+        return RationalFunctionS(num, 1, ())
     # num = content * prim with prim primitive in Z[s]; by Gauss's lemma
     # a primitive factor divides prim in Q[s] iff it does so in Z[s]
-    g = math.gcd(*num.nums)
-    prim = [c // g for c in num.nums]
+    g = math.gcd(*nums_q(num))
+    prim = [c // g for c in nums_q(num)]
     for f in list(den):
         while den[f] and (q := _div_factor(prim, f)) is not None:
             prim = q
@@ -198,8 +216,7 @@ def _build(num, den=None):
         if not den[f]:
             del den[f]
     items = sorted(den.items(), key=_den_sort_key)
-    return RationalFunctionS(UniPoly.from_ints([g * c for c in prim],
-                                               num.den), items)
+    return RationalFunctionS([g * c for c in prim], den_q(num), items)
 
 
 def _common_denominator_sum(terms):
@@ -239,7 +256,7 @@ def _common_denominator_sum(terms):
         k = c.numerator * (L // c.denominator)
         for i, a in enumerate(q):
             acc[i] += k * a
-    return _build(UniPoly.from_ints(acc, L), common)
+    return _build(from_ints_q(acc, L), common)
 
 
 # --- reference oracle: Fraction-coefficient products, root-test reduction ---
@@ -248,11 +265,11 @@ def _reference_build(num, den):
     """Cancel each factor while its root is a numerator root, then sort by
     ratio nu/N."""
     den = {f: m for f, m in den.items() if m > 0}
-    if num.is_zero():
+    if not num:
         return num, ()
     for f in list(den):
         while den[f] > 0 and eval_q(num, Fraction(-f[0], f[1])) == 0:
-            num = divexact_q(num, UniPoly([f[0], f[1]]))
+            num = divexact_q(num, poly_q([f[0], f[1]]))
             den[f] -= 1
         if den[f] == 0:
             del den[f]
@@ -275,7 +292,7 @@ def _reference_sum(terms):
     for _, fs in parsed:
         for f in fs:
             common[f] = max(common.get(f, 0), fs.count(f))
-    num = UniPoly()
+    num = poly_q()
     for c, fs in parsed:
         missing = dict(common)
         for f in fs:
@@ -283,7 +300,7 @@ def _reference_sum(terms):
         piece = const_q(c)
         for f, m in missing.items():
             for _ in range(m):
-                piece = mul_q(piece, UniPoly([f[0], f[1]]))
+                piece = mul_q(piece, poly_q([f[0], f[1]]))
         num = add_q(num, piece)
     return _reference_build(num, common)
 
@@ -319,7 +336,7 @@ def _term_lists(draw):
 def test_sum_matches_reference(terms):
     rf = rf_sum_of_terms(terms)
     num, den = _reference_sum(terms)
-    assert rf.num == num and rf.den == den
+    assert _num(rf) == num and rf.den == den
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,15 +346,15 @@ def test_sum_matches_reference(terms):
                        st.integers(-1, 3), max_size=4))
 def test_build_matches_reference(coeffs, roots, den):
     """Numerators carrying some denominator factors, to any multiplicity."""
-    num = UniPoly(coeffs)
+    num = poly_q(coeffs)
     for nu, N in roots:
         g = math.gcd(nu, N)
-        num = mul_q(num, UniPoly([nu // g, N // g]))
+        num = mul_q(num, poly_q([nu // g, N // g]))
     den = {(nu // math.gcd(nu, N), N // math.gcd(nu, N)): m
            for (nu, N), m in den.items()}
     rf = _build(num, den)
     ref_num, ref_den = _reference_build(num, den)
-    assert rf.num == ref_num and rf.den == ref_den
+    assert _num(rf) == ref_num and rf.den == ref_den
 
 
 def test_sum_cancels_to_zero():
@@ -361,7 +378,7 @@ def _order_two_term_lists(draw):
 
 def _assert_same_sum(terms):
     rf, want = rf_sum_of_terms(terms), _common_denominator_sum(terms)
-    assert (rf.num, rf.den) == (want.num, want.den)
+    assert (rf.nums, rf.scale, rf.den) == (want.nums, want.scale, want.den)
     assert str(rf) == str(want) and rf.to_json_dict() == want.to_json_dict()
 
 
@@ -407,7 +424,7 @@ def _poles_by_fractions(rf):
         for j, ((g0, g1), k) in enumerate(rf.den):
             if j != i:
                 rest *= (g0 + g1 * s0) ** k
-        out.append((s0, m, eval_q(rf.num, s0) / (Fraction(N) ** m * rest)))
+        out.append((s0, m, eval_q(_num(rf), s0) / (Fraction(N) ** m * rest)))
     return sorted(out)
 
 

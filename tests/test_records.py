@@ -24,7 +24,7 @@ from topzeta.principalize import (
     principalize,
 )
 from topzeta.ratfunc import Pole
-from topzeta.zeta import ZetaReport, pole_report
+from topzeta.zeta import pole_report
 
 F = Fraction
 GOLDEN = [parse_poly("x^4*y"), parse_poly("x^7 + x*y^4")]
@@ -36,8 +36,7 @@ RECORDS = [
     (BlowUpEvent, dict(step=0, chart_path=(), center=(F(0), F(0)),
                        divisors_through=(), new_divisor="E1", N=1, nu=2,
                        reasons=("residual-vanishes",)), {}),
-    (PointRecord, dict(leaf_index=0, coords=(F(0), F(0)), divisors=()),
-     {"reasons": ()}),
+    (PointRecord, dict(leaf_index=0, coords=(F(0), F(0))), {"reasons": ()}),
     (CarrierDef, dict(ident="C1", root_eq=BiPoly.y(), exponent=1,
                       through_origin=True), {}),
     (ConditionHit, dict(condition=2, witness="E1"), {}),
@@ -73,8 +72,8 @@ def test_record_builds_by_keyword(cls, given, defaults):
 
 
 def test_named_tuple_records_take_replace():
-    pr = PointRecord(leaf_index=0, coords=(F(0), F(0)), divisors=("E1",))
-    assert pr._replace(reasons=("x",)) == (0, (F(0), F(0)), ("E1",), ("x",))
+    pr = PointRecord(leaf_index=0, coords=(F(0), F(0)))
+    assert pr._replace(reasons=("x",)) == (0, (F(0), F(0)), ("x",))
     pm = PointMap("B", F(0))
     assert pm._replace(offset=F(2)) == PointMap(side="B", offset=F(2))
     assert pm.shift(F(1)).to_birth(F(0)) == F(1)
@@ -104,13 +103,6 @@ def test_result_and_report_methods():
     rep = pole_report(result.diagram)
     assert rep.pole_locations() == {F(-1), F(-4, 7), F(-2, 5)}
     assert rep.to_json_dict()["candidates"] == ["-1", "-4/7", "-1/2", "-2/5"]
-    bare = ZetaReport(zeta=rep.zeta, terms=rep.terms,
-                      candidate_poles=rep.candidate_poles, poles=rep.poles)
-    assert bare.contributions == {}
-    assert bare.to_json_dict() == rep.to_json_dict()
-    given = {F(-1): {"S1": F(-1, 3)}}
-    assert ZetaReport(rep.zeta, rep.terms, rep.candidate_poles, rep.poles,
-                      given).contributions is given
     check = DivisorCheck(ident="E1", N_from_generic=2, N_min=3, n=1)
     assert not check.min_property_ok
     report = GenericCheckReport(lam=[F(1)], retries=0, per_divisor={

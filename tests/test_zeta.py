@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from test_diagram_tables import drawn_diagrams
 from topzeta.diagram import IntersectionDiagram, Vertex
 from topzeta.errors import MalformedDiagram, OrderTwoCandidate
-from topzeta.poly import UniPoly, parse_poly
+from topzeta.poly import parse_poly
 from topzeta.principalize import principalize
+from topzeta.ratfunc import rf_sum_of_terms
 from topzeta.zeta import (
-    local_zeta,
     pole_report,
     residue_contribution,
     zeta_terms,
@@ -34,21 +34,21 @@ def test_zeta_terms_golden(golden):
 
 
 def test_local_zeta_golden(golden):
-    rf = local_zeta(golden)
-    assert rf.num == UniPoly([8, 16, 5])
+    rf = rf_sum_of_terms(zeta_terms(golden))
+    assert (rf.nums, rf.scale) == ((8, 16, 5), 1)
     assert dict(rf.den) == {(2, 5): 1, (4, 7): 1, (1, 1): 1}
 
 
 def test_local_zeta_single_vertex():
     d = principalize([parse_poly("x"), parse_poly("y")]).diagram
-    rf = local_zeta(d)
-    assert rf.num == UniPoly([2]) and dict(rf.den) == {(2, 1): 1}
+    rf = rf_sum_of_terms(zeta_terms(d))
+    assert (rf.nums, rf.scale) == ((2,), 1) and dict(rf.den) == {(2, 1): 1}
 
 
 def test_local_zeta_origin_single_branch():
     d = principalize([parse_poly("x")]).diagram
-    rf = local_zeta(d)
-    assert rf.num == UniPoly([1]) and dict(rf.den) == {(1, 1): 1}
+    rf = rf_sum_of_terms(zeta_terms(d))
+    assert (rf.nums, rf.scale) == ((1,), 1) and dict(rf.den) == {(1, 1): 1}
 
 
 def test_local_zeta_origin_two_branches():
@@ -59,8 +59,8 @@ def test_local_zeta_origin_two_branches():
                   Vertex("S2", "strict-branch", 3, 1)],
         edges={frozenset(("S1", "S2"))},
         origin_case=["S1", "S2"])
-    rf = local_zeta(d)
-    assert rf.num == UniPoly([1])
+    rf = rf_sum_of_terms(zeta_terms(d))
+    assert (rf.nums, rf.scale) == ((1,), 1)
     assert dict(rf.den) == {(1, 2): 1, (1, 3): 1}
 
 
@@ -184,21 +184,21 @@ def test_blowup_independence(corpus_results):
                   if ch.axis_of(d) is not None
                   and ch.axis_of(d)[0] == "y"]
             if xs and ys:
-                return PointRecord(i, (Fraction(0), ys[0][1]), ())
+                return PointRecord(i, (Fraction(0), ys[0][1]))
         return None
 
     def fresh_center(state):
         for i, ch in enumerate(state.leaves):
             for d in state.divisor_order:
                 if ch.axis_of(d) == ("x", 0) and d in ch.pms:
-                    return PointRecord(i, (Fraction(0), Fraction(17)), ())
+                    return PointRecord(i, (Fraction(0), Fraction(17)))
         return None
 
     checked = 0
     for name, result in corpus_results:
         if checked >= 10:
             break
-        z0 = str(local_zeta(result.diagram))
+        z0 = str(rf_sum_of_terms(zeta_terms(result.diagram)))
         for pick in (corner_center, fresh_center):
             state = copy.deepcopy(result.state)
             center = pick(state)
@@ -206,7 +206,7 @@ def test_blowup_independence(corpus_results):
                 continue
             blow_up(state, center)
             state.complete = True
-            z1 = str(local_zeta(diagram_from_state(state)))
+            z1 = str(rf_sum_of_terms(zeta_terms(diagram_from_state(state))))
             assert z1 == z0, (name, pick.__name__)
         checked += 1
     assert checked == 10
@@ -236,7 +236,7 @@ def test_pole_report_builds_terms_once(golden, monkeypatch):
     assert rep.terms == original(golden)
 
 
-@pytest.mark.parametrize("fn", [zeta_terms, local_zeta, pole_report])
+@pytest.mark.parametrize("fn", [zeta_terms, pole_report])
 def test_empty_diagram_refused(fn):
     from topzeta.errors import MalformedDiagram
     with pytest.raises(MalformedDiagram, match="empty diagram"):
