@@ -501,63 +501,44 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
     """For nonzero gens with gcd h: squarefree_decomposition(h), and the
     quotients g / h with h monic in grlex.
 
-    Reads each generator as its product of powers (`factors`, or itself),
-    and the lead of a typed product off its factors: it expands only when
-    the generators share no factor, as its own residual, which is plain.
-    x and y split off by their orders.  A common factor divides a base of
-    every generator, so one gcd chain over the other bases, made monic,
-    rules it out first, and then each quotient is g over x^a y^b.  When
-    every generator has one such base, to the first power, the chain ends
-    at the rest of h, and each base is h times its exact quotient by h.
-    Otherwise the bases are refined into a gcd-free base, each element
-    with its exponent in every generator (factor refinement: Bach, Driscoll
-    and Shallit, J. Algorithms 15, 1993).  Yun's split runs on h or on the
-    base elements other than x and y, which are their own splits, and each
-    quotient is a product of the remaining powers.
+    Reads each generator as its product of powers (`factors` of a
+    `_Product`, or itself), and the lead of a typed product off its
+    factors.  x and y split off by their orders.  A common factor divides a
+    base of every generator, so one gcd chain over the other bases, made
+    monic, rules it out first.  Only then are the bases refined into a
+    gcd-free base, each element with its exponent in every generator
+    (factor refinement: Bach, Driscoll and Shallit, J. Algorithms 15,
+    1993).  Yun's split runs on the base elements other than x and y,
+    which are their own splits, and each quotient is its generator's lead
+    times the remaining powers of x, y and the base elements.
     """
     n = len(gens)
-    xs, ys, sums = [0] * n, [0] * n, [0] * n
+    xs, ys = [0] * n, [0] * n
     exps: dict[BiPoly, list[int]] = {}  # monic base -> exponent per generator
     for i, g in enumerate(gens):
-        for b, e in getattr(g, "factors", None) or ((g, 1),):
+        for b, e in g.factors if isinstance(g, _Product) else ((g, 1),):
             a, c = b.x_order(), b.y_order()
             xs[i] += a * e
             ys[i] += c * e
             if len(b.nums) > 1:
                 r = b.divide_x_power(a).divide_y_power(c).monic_grlex()
                 exps.setdefault(r, [0] * n)[i] += e
-                sums[i] += e
     common = [b for b, es in exps.items() if es[0]]
     for i in range(1, n):
         gcds = (c if c == b else gcd_bi(c, b)
                 for c in common for b, es in exps.items() if es[i])
         common = list(dict.fromkeys(d for d in gcds if not d.is_constant()))
-    mx, my = min(xs), min(ys)
     base = [(BiPoly.x(), xs), (BiPoly.y(), ys)]
-    if common and n > 1 and sums.count(1) == n:
-        base.append((common[0], [1] * n))
-        base += [(b.divexact(common[0]), es) for b, es in exps.items()
-                 if b != common[0]]
-    elif common:
-        base += _refine(list(exps.items()))
+    base += _refine(list(exps.items())) if common else exps.items()
     parts: dict[int, BiPoly] = {}
     for k, (p, es) in enumerate(base):
         if m := min(es):
             for q, j in ((p, 1),) if k < 2 else squarefree_decomposition(p):
                 parts[j * m] = parts[j * m] * q if j * m in parts else q
     split = [(parts[e], e) for e in sorted(parts)]
-    if not common:  # g over x^mx y^my, plain: here a _Product expands
-        return split, [g if not (mx or my or isinstance(g, _Product)) else
-                       _new(BiPoly, {(a - mx, b - my): v for (a, b), v in
-                                     g.nums.items()}, g.den) for g in gens]
-    residual = []
-    for i, g in enumerate(gens):
-        r = BiPoly.monomial(xs[i] - mx, ys[i] - my, g.lead_grlex()[1])
-        for p, es in base[2:]:
-            if (k := es[i] - min(es)) > 0:
-                r = (p if k == 1 else p ** k) * r
-        residual.append(r)
-    return split, residual
+    return split, [_expand(g.lead_grlex()[1], [
+        (p, k) for p, es in base if (k := es[i] - min(es))])
+        for i, g in enumerate(gens)]
 
 
 def _refine(pieces: list[tuple[BiPoly, list[int]]]
@@ -754,7 +735,7 @@ def divisor_order_of(state: ChartState, g: BiPoly, ident: str) -> int:
         return _root_order(state.kept(_carrier_eqs)[ident], g)
     if ident not in state.divisors:
         raise KeyError(f"unknown divisor {ident}")
-    return divisor_orders(state, g, None, [ident])[ident]
+    return divisor_orders(state, g)[ident]
 
 
 def _carrier_eqs(state: ChartState) -> dict[str, BiPoly]:
@@ -775,18 +756,15 @@ def _carrier_eqs(state: ChartState) -> dict[str, BiPoly]:
     return out
 
 
-def divisor_orders(state: ChartState, g: BiPoly, bound: int | None = None,
-                   idents: list[str] | None = None
+def divisor_orders(state: ChartState, g: BiPoly, bound: int | None = None
                    ) -> dict[str, Optional[int]]:
-    """Order of the nonzero g along every exceptional divisor, or those of
-    `idents` (each walked from the root), None past `bound`: g is pulled
-    back step by step along the leaves of `_walk_plan`, each path prefix
-    once, and read there by `x_order`.  With a bound, each pullback is kept mod x^(bound + 1)
-    (`apply_step`).  A typed product is read as the sum of e * order(base)
-    over its bases (a valuation), so it never expands."""
+    """Order of the nonzero g along every exceptional divisor, None past
+    `bound`: g is pulled back step by step along the leaves of
+    `_walk_plan`, each path prefix once, and read there by `x_order`.  With
+    a bound, each pullback is kept mod x^(bound + 1) (`apply_step`).  A
+    typed product is read as the sum of e * order(base) over its bases (a
+    valuation), so it never expands."""
     plan = state.kept(_walk_plan)
-    if idents is not None:
-        plan = [(0, path, d) for _, path, d in plan if d in idents]
     out: dict[str, Optional[int]] = {d: 0 for _, _, d in plan}
     for b, e in g.factors if isinstance(g, _Product) else ((g, 1),):
         stack = [b if bound is None else _below(b, bound)]

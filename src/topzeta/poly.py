@@ -10,11 +10,9 @@ factor.
 
 Every kernel computes on integers and builds no Fraction per coefficient;
 gcds, the squarefree split, exact division and the rational roots run on
-primitive integer rows; dense bivariate products and powers pack the
-numerators into the signed slots of one Python int, for one C-level
-product or power (Kronecker substitution, von zur Gathen and Gerhard,
-Modern Computer Algebra, 8.4).  `BiPoly.terms` is a read-only Fraction
-view, for printing and callers.
+primitive integer rows; every bivariate product and power is one
+schoolbook convolution over packed exponents (`_product`).
+`BiPoly.terms` is a read-only Fraction view, for printing and callers.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -68,48 +65,16 @@ def _hpowers(q: int | Fraction, d: int) -> list[int]:
     return up if v == 1 else [a * b for a, b in zip(up, reversed(vp))]
 
 
-#: Kronecker products once term pairs outnumber packed slots this many times.
-_DENSE = 4
-
-
 def _product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     """Integer convolution of nonzero polynomials given as {packed exponent:
     numerator}, packed so that exponents add under multiplication; an
     output entry may be zero."""
-    lo_p, lo_q = min(p), min(q)
-    slots = max(p) - lo_p + max(q) - lo_q + 1
-    if _DENSE * slots < len(p) * len(q):
-        w = (min(len(p), len(q)) * max(map(abs, p.values()))
-             * max(map(abs, q.values()))).bit_length() // 8 + 1
-        return _unpack(_pack(p, lo_p, w) * _pack(q, lo_q, w), lo_p + lo_q,
-                       slots, w)
     qs = list(q.items())
     acc: dict[int, int] = {}
     for i, a in p.items():
         for j, b in qs:
             acc[i + j] = acc.get(i + j, 0) + a * b
     return acc
-
-
-def _pack(nums: dict[int, int], lo: int, width: int) -> int:
-    """sum n X^(k - lo) over nums = {k: n}, X = 2^(8 width); a width of
-    bound.bit_length() // 8 + 1 bytes keeps coefficients |c| <= bound < X/2."""
-    pos, neg = (bytearray((max(nums) - lo + 1) * width) for _ in "+-")
-    for k, n in nums.items():
-        buf, at = pos if n > 0 else neg, (k - lo) * width
-        buf[at:at + width] = abs(n).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _unpack(r: int, lo: int, slots: int, width: int) -> dict[int, int]:
-    """{k: c_k} for the nonzero c_k of r = sum c_k X^(k - lo), |c_k| < X/2,
-    over `slots` slots.  Slot i read as two's complement is c_i - b_i: the
-    borrow b_i is 1 exactly when slot i - 1 reads negative."""
-    buf = r.to_bytes(slots * width, "little", signed=True)
-    s = [int.from_bytes(buf[i:i + width], "little", signed=True)
-         for i in range(0, len(buf), width)]
-    return {k: c for k, si, prev in zip(count(lo), s, [0, *s])
-            if (c := si + (prev < 0))}
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +145,12 @@ class BiPoly:
     `nums` maps exponent pairs (a, b) to nonzero integer numerators over
     the denominator `den` >= 1, with gcd(den, *nums.values()) == 1; the
     zero polynomial has no numerators.  `terms` is a read-only Fraction
-    view, {(a, b): coefficient}.  `factors`, set only by `parse_poly`, is
-    the product of powers the polynomial was typed as; such a product with
-    a base of several terms is a `_Product`, which computes `nums` and
-    `den` only when one is first read.
+    view, {(a, b): coefficient}.  A product of powers that `parse_poly`
+    keeps typed is a `_Product`, which computes `nums` and `den` only when
+    one is first read.
     """
 
-    __slots__ = ("nums", "den", "factors")
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
         cs = {(int(a), int(b)): Fraction(c)
@@ -298,14 +262,7 @@ class BiPoly:
         # (a, b) packs to a*s + b, with s past the power's y-degree
         s = n * max(b for _, b in self.nums) + 1
         nums = {a * s + b: v for (a, b), v in self.nums.items()}
-        lo, m = min(nums), len(nums)
-        slots = n * (max(nums) - lo) + 1
-        # n products by p take at most m comb(n + m - 1, m) term pairs
-        if _DENSE * slots < m * math.comb(n + m - 1, m):
-            w = (sum(map(abs, nums.values())) ** n).bit_length() // 8 + 1
-            out = _unpack(_pack(nums, lo, w) ** n, n * lo, slots, w)
-        else:
-            out = reduce(_product, [nums] * n, {0: 1})
+        out = reduce(_product, [nums] * n, {0: 1})
         return BiPoly.from_ints({divmod(k, s): v for k, v in out.items()},
                                 self.den ** n)
 
@@ -419,7 +376,7 @@ class _Product(BiPoly):
     the factors.  The read hook lives on this subclass alone, so attribute
     reads on every other BiPoly stay plain slot reads."""
 
-    __slots__ = ("const",)
+    __slots__ = ("const", "factors")
 
     def __getattr__(self, name: str):
         # reached only while the nums and den slots are unset
@@ -912,16 +869,15 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
     Grammar: integers, rational literals a/b, the two declared variables,
     operators + - * ^ and parentheses.  Multiplication is always explicit.
 
-    A product of powers keeps its bases as `factors`: the result is a
-    constant times the product of base^e over factors = ((base, e), ...).
-    Constants are folded, parenthesized products and nested powers
-    flattened, and a sum is expanded and stays one base.  Unless every
-    base is one term, the product is returned unexpanded, as a `_Product`
-    with the constant as `const`, whose numerators are computed when `nums`
-    or `den` is first read.  A result that is zero, one base or a sum gets
-    no `factors`: it is its own only factor.  A degree, exponent, literal or
-    coefficient size past its cap is refused before anything expands, and
-    so is nesting past 100 parentheses.
+    A product of powers with a base of several terms is returned
+    unexpanded, as a `_Product`: a constant `const` times the product of
+    base^e over `factors` = ((base, e), ...), whose numerators are computed
+    when `nums` or `den` is first read.  Constants are folded,
+    parenthesized products and nested powers flattened, and a sum is
+    expanded and stays one base.  Any other result (zero, one base to the
+    first power, a sum or a monomial) is a plain BiPoly.  A degree,
+    exponent, literal or coefficient size past its cap is refused before
+    anything expands, and so is nesting past 100 parentheses.
     """
     p = _Parser(text, names)
     c, bases, degree, _ = p.parse_expr()
@@ -933,14 +889,12 @@ def parse_poly(text: str, names: tuple[str, str] = ("x", "y")) -> BiPoly:
 
 def _typed(c: int | Fraction, bases: list[tuple[BiPoly, int]]) -> BiPoly:
     """c times the product of base^e over bases, nonconstant plain bases,
-    typed as `parse_poly` returns it: with `factors` when there are two
-    bases or a power, a `_Product` unless every base is one term."""
-    if len(bases) > 1 or bases and bases[0][1] > 1:
-        if all(len(b.nums) == 1 for b, _ in bases):  # nothing to defer
-            q = _expand(c, bases)
-        else:
-            q = object.__new__(_Product)
-            q.const = c
+    typed as `parse_poly` returns it: a `_Product` when there are two
+    bases or a power and a base has several terms."""
+    if (len(bases) > 1 or bases and bases[0][1] > 1) and any(
+            len(b.nums) > 1 for b, _ in bases):
+        q = object.__new__(_Product)
+        q.const = c
         q.factors = tuple(bases)
         return q
     return _expand(c, bases)

@@ -34,7 +34,7 @@ from topzeta.cli import main
 from topzeta.criterion import poles_by_criterion
 from topzeta.errors import CenterNotRational, TopZetaError
 from topzeta.family import build
-from topzeta.poly import BiPoly, parse_poly, poly_to_str
+from topzeta.poly import BiPoly, _Product, parse_poly, poly_to_str
 from topzeta.principalize import principalize
 from topzeta.zeta import pole_report
 
@@ -140,16 +140,14 @@ UNIT_FAMILY = [(f"x^{m}*y^{n}*{unit}^{k}",) for unit in UNITS
 
 def _typed(text: str) -> bool:
     try:
-        return hasattr(parse_poly(text), "factors")
+        return isinstance(parse_poly(text), _Product)
     except TopZetaError:
         return False
 
 
 def _expanded(text: str) -> str:
-    """poly_to_str(parse_poly(text)): a sum, so untyped; a monomial prints
-    as a product, so it gets a + 0."""
-    out = poly_to_str(parse_poly(text))
-    return out + " + 0" if _typed(out) else out
+    """The expansion of text, printed: a sum or a monomial, so untyped."""
+    return poly_to_str(parse_poly(text))
 
 
 def _zp(*argv: str) -> tuple[int, str]:

@@ -52,7 +52,6 @@ from topzeta.poly import (
     BiPoly,
     _product,
     _shift_rows,
-    _unpack,
     _zhorner,
     _zmul,
     frac_str,
@@ -230,17 +229,18 @@ def test_parse_keeps_products_of_powers():
     def factors_of(text):
         return [(poly_to_str(b), e) for b, e in P(text).factors]
 
-    assert factors_of("-2/3*x^2*y") == [("x", 2), ("y", 1)]
-    assert factors_of("((x*y)^2)^3") == [("x", 6), ("y", 6)]
     assert factors_of("x*x*(y - x^2)*(y - x^2)^2") == [
         ("x", 1), ("x", 1), ("-x^2 + y", 1), ("-x^2 + y", 2)]
     assert factors_of("-(2*(x + y))^2*3") == [("x + y", 2)]
     assert factors_of("x*(1 + x)^0*(x^2 - y)") == [("x", 1), ("x^2 - y", 1)]
-    # one base to the first power, or a sum: the polynomial is its own
-    # only factor
+    # one base to the first power, a sum or a monomial: the polynomial is
+    # plain, its own only factor
     for text in ("x", "-3*x", "((x + y))", "x^2 - y", "x*y + x",
-                 "(x - x)*y", "x*(1 + x)^0", "0*x*y", "(0*x)^2"):
+                 "(x - x)*y", "x*(1 + x)^0", "0*x*y", "(0*x)^2",
+                 "-2/3*x^2*y", "((x*y)^2)^3"):
         assert not hasattr(P(text), "factors")
+    assert P("-2/3*x^2*y") == BiPoly.monomial(2, 1, Fraction(-2, 3))
+    assert P("((x*y)^2)^3") == BiPoly.monomial(6, 6)
 
 
 @st.composite
@@ -376,15 +376,14 @@ def test_parsed_product_matches_its_eager_expansion(tree):
     c, bases = _typed(tree)
     typed = len(bases) > 1 or bool(bases) and bases[0][1] > 1
     lazy = typed and any(len(b.nums) > 1 for b, _ in bases)  # else a monomial
-    assert hasattr(p, "factors") == typed
+    assert hasattr(p, "factors") == lazy
     assert isinstance(p, poly._Product) == lazy
     assert p.is_zero() == want.is_zero()
     if not want.is_zero():
         assert p.lead_grlex() == want.lead_grlex()
-    if typed:
+    if lazy:
         assert [(poly_to_str(b), e) for b, e in p.factors] == \
             [(poly_to_str(b), e) for b, e in bases]
-    if lazy:
         assert p.const == c
         with pytest.raises(AttributeError):  # the numerators are unread
             BiPoly.nums.__get__(p, type(p))
@@ -1026,12 +1025,23 @@ def test_initial_state_factored_matches_expanded(texts):
     assert a.leaves[0].residual == b.leaves[0].residual
 
 
+#: Three generators sharing y^2 - x^3, with distinct cofactors.
+_SHARED_FACTOR_TEXTS = ("(y^2 - x^3)*(x + y)*x", "(y^2 - x^3)*(x - y^2)",
+                        "(y^2 - x^3)*(y - x^2)^2*y")
+
+
 @pytest.mark.parametrize("texts", [
     ["x*(1 + x + y)^24"], ["(y^2 - x^3)^12*x", "(y^2 - x^3)^12*y"],
     ["(y + x + x*y)^16*y^2", "(y + x + x*y)^16*x"],
     ["x*x*(y - x^2)*(y - x^2)^2", "(y^2 - x^4)*(y - x^2)^2*y"],
     ["(x^2 - y^2)^2", "(x + y)^3*(x - y)*x^2"], ["x^4*y", "x^7 + x*y^4"],
     ["(x*y)^2*(x - y)", "x^2*y^2*(x + y)", "x^3*y^3"],
+    # typed expanded: distinct bases sharing a factor, their cofactors
+    # sharing x + y in two of the three in the second
+    [poly_to_str(P(t)) for t in _SHARED_FACTOR_TEXTS],
+    [poly_to_str(P(t)) for t in ("(y - x^2)*(x + y)*(x - y)",
+                                 "(y - x^2)*(x + y)*(x + 2*y)",
+                                 "(y - x^2)*(x - 3*y)")],
 ])
 def test_curve_part_cases(texts):
     gens = [P(t) for t in texts]
@@ -1086,10 +1096,12 @@ def test_curve_part_splits_no_coordinate(monkeypatch):
     assert split == [(P("y"), 1), (P("x"), 2)] and calls == []
 
 
-def test_curve_part_expanded_costs_one_gcd_chain(monkeypatch):
+def test_curve_part_expanded_refines_its_bases(monkeypatch):
     """Generators typed expanded, with a common factor and nonconstant
-    cofactors, cost one gcd per generator after the first and no
-    refinement, as the gcd chain on the expanded generators does."""
+    cofactors, take the one route every curve part takes: the gcd chain
+    (2 gcds) finds the common factor, and factor refinement of the three
+    distinct bases (12 gcds) splits it off, as the gcd chain on the
+    expanded generators does."""
     calls = []
 
     def counted(p, q):
@@ -1097,11 +1109,9 @@ def test_curve_part_expanded_costs_one_gcd_chain(monkeypatch):
         return gcd_bi(p, q)
 
     monkeypatch.setattr(blowup, "gcd_bi", counted)
-    texts = ["(y^2 - x^3)*(x + y)*x", "(y^2 - x^3)*(x - y^2)",
-             "(y^2 - x^3)*(y - x^2)^2*y"]
-    expanded = [P(poly_to_str(P(t))) for t in texts]
+    expanded = [P(poly_to_str(P(t))) for t in _SHARED_FACTOR_TEXTS]
     assert curve_part(expanded) == _reference_curve_part(expanded)
-    assert len(calls) == 2
+    assert len(calls) == 14
 
 
 @given(bipolys(), bipolys())
@@ -1624,7 +1634,7 @@ def test_kernel_outputs_are_canonical(p, u):
     assert hash(BiPoly(p.terms)) == hash(p)
 
 
-# --- Kronecker products and powers against the schoolbook loop -----------------
+# --- products and powers against the schoolbook loop ---------------------------
 
 def _reference_product(p, q):
     """The schoolbook convolution of {packed exponent: numerator}, one
@@ -1637,16 +1647,14 @@ def _reference_product(p, q):
 
 
 #: Nonzero numerators: small ones, ones up to 10^12, and ones at and next
-#: to the signed limit 2^(8w - 1) of a w-byte slot, where an output can
-#: fill its slot and a wrong borrow or width shows.
+#: to powers of two.
 numerators = st.one_of(
     st.integers(-9, 9), st.integers(-10**12, 10**12),
     st.builds(lambda bits, d, sign: sign * (2 ** bits + d),
               st.sampled_from([7, 15, 23, 31, 63, 64, 100]),
               st.integers(-2, 1), st.sampled_from([-1, 1]))).filter(bool)
-#: Packed polynomials whose products lie on either side of the density
-#: rule: many terms in a short range, or at most three terms, which no
-#: placement makes dense enough.
+#: Packed polynomials, dense (many terms in a short range) or sparse (at
+#: most three terms in a long one).
 dense_packed = st.dictionaries(st.integers(0, 12), numerators,
                                min_size=11, max_size=13)
 sparse_packed = st.dictionaries(st.integers(0, 2000), numerators,
@@ -1657,42 +1665,17 @@ def _nonzero(nums):
     return {k: n for k, n in nums.items() if n}
 
 
-def _kronecker_side(p, q):
-    slots = max(p) - min(p) + max(q) - min(q) + 1
-    return poly._DENSE * slots < len(p) * len(q)
-
-
-@pytest.mark.parametrize("packed, kronecker", [(dense_packed, True),
-                                               (sparse_packed, False)],
+@pytest.mark.parametrize("packed", [dense_packed, sparse_packed],
                          ids=["dense", "sparse"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_product_matches_schoolbook(packed, kronecker, data):
-    """Both routes on every draw: the one the density rule picks, and
-    Kronecker forced, where one sparse factor makes the slot bound tight."""
+def test_product_matches_schoolbook(packed, data):
     p, q = data.draw(packed), data.draw(packed)
-    assert _kronecker_side(p, q) == kronecker
     # (p + q)(p - q): the cross terms cancel
     a = _nonzero({k: p.get(k, 0) + q.get(k, 0) for k in p.keys() | q.keys()})
     b = _nonzero({k: p.get(k, 0) - q.get(k, 0) for k in p.keys() | q.keys()})
-    pairs = [(p, q)] + ([(a, b)] if a and b else [])
-    for dense in (poly._DENSE, 0):
-        with mock.patch.object(poly, "_DENSE", dense):
-            for f, g in pairs:
-                assert _nonzero(_product(f, g)) == _reference_product(f, g)
-
-
-def test_product_borrow_chains(monkeypatch):
-    """Negative outputs followed by zeros and by outputs at the slot limit,
-    through Kronecker products: every slot above a negative one reads one
-    too low."""
-    monkeypatch.setattr(poly, "_DENSE", 0)
-    for limit in (127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1,
-                  2**63, 2**100):
-        p = {0: -limit, 1: -1, 5: limit, 6: -limit, 9: 1, 12: limit}
-        for q in ({0: 1}, {0: -1}, {3: 1, 4: -1, 5: 1, 6: -1, 7: 1, 8: 1,
-                                    9: -1, 10: 1, 11: 1}):
-            assert _nonzero(_product(p, q)) == _reference_product(p, q)
+    for f, g in [(p, q)] + ([(a, b)] if a and b else []):
+        assert _nonzero(_product(f, g)) == _reference_product(f, g)
 
 
 @given(any_bipolys, any_bipolys)
@@ -1715,18 +1698,13 @@ def test_power_matches_repeated_product(p, n):
     _assert_canonical(got)
 
 
-@pytest.mark.parametrize("text, kronecker", [
-    ("(1 + x + y)^24", True), ("(1 - x)^45", True),
-    ("(1/2 + 1/3*x + y)^20", True), ("(y^2 - x^3)^12", False),
-    ("(x^20 + y^20 + x)^3", False)])
-def test_power_on_both_sides_of_density_rule(text, kronecker, monkeypatch):
+@pytest.mark.parametrize("text", [
+    "(1 + x + y)^24", "(1 - x)^45", "(1/2 + 1/3*x + y)^20", "(y^2 - x^3)^12",
+    "(x^20 + y^20 + x)^3"])
+def test_dense_and_sparse_powers_match_repeated_product(text):
     base, n = text.rsplit("^", 1)
     p, n = P(base), int(n)
-    unpacked = []
-    monkeypatch.setattr(poly, "_unpack",
-                        lambda *args: unpacked.append(args) or _unpack(*args))
     got = p ** n
-    assert bool(unpacked) == kronecker
     want = BiPoly.const(1)
     for _ in range(n):
         want = want * p
@@ -1751,6 +1729,22 @@ def test_trinomial_power_is_multinomial(n):
     assert p.nums == {(a, b): f(n) // (f(a) * f(b) * f(n - a - b))
                       for a in range(n + 1) for b in range(n + 1 - a)}
     _assert_canonical(p)
+
+
+def test_dense_inputs_parse_in_bounded_time():
+    """Dense products and powers with small and with 30-digit
+    coefficients, each one schoolbook convolution per product: the
+    trinomial powers fill in, the large literals make every term pair a
+    long multiplication."""
+    c, d = "123456789012345678901234567890", "98765432109876543210987654321"
+    with deadline(1):
+        for text, terms in [
+                ("(1+x+y)^32*(1-x+y)^32 + x", 1090),
+                ("(1+x+y)^64 + x", 2145),
+                (f"({c}*x + {d}*y + 1)^40 + x", 861),
+                (f"({c}*x + {d}*y + 1)^20*({d}*x - {c}*y + 1)^20 + x",
+                 861)]:
+            assert len(P(text).nums) == terms, text
 
 
 @given(st.one_of(st.integers(-10 ** 30, 10 ** 30),
