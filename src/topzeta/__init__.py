@@ -4,7 +4,6 @@ local topological zeta functions attached to them."""
 from .blowup import (
     BlowUpEvent,
     ChartState,
-    DivisorRecord,
     PointRecord,
     blow_up,
     divisor_order_of,

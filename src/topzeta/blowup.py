@@ -129,20 +129,6 @@ _NEW_PM = {side: PointMap(side, _ZERO) for side in "AB"}
 
 # --- records ----------------------------------------------------------------
 
-class DivisorRecord(NamedTuple):
-    """One component of the total-transform support.
-
-    N is the multiplicity of the component in the divisor of the pulled-back
-    ideal; nu - 1 its multiplicity in the pullback of dx^dy.  Strict branches
-    always have nu = 1.
-    """
-
-    ident: str
-    kind: str  # "exceptional" | "strict-branch"
-    N: int
-    nu: int
-
-
 class BlowUpEvent(NamedTuple):
     step: int
     chart_path: tuple
@@ -239,9 +225,8 @@ class Chart:
         axes, (px, py) = self.axes, pt
         return [d for d, eq in self.exc.items()
                 if ((px if axes[d][0] == "x" else py) == axes[d][1]
-                    if d in axes else _zhorner(eq.y_coeffs(py, max(
-                        a for a, _ in eq.nums)), px.numerator,
-                        px.denominator) == 0)]
+                    if d in axes else _zhorner(eq.y_coeffs(py), px.numerator,
+                                               px.denominator) == 0)]
 
 
 class Occurrence(NamedTuple):
@@ -256,12 +241,13 @@ class Occurrence(NamedTuple):
     the atlas (bad points, corners, branch points, generic crossings) is
     read through `corners`, `owned_params` or `owned_zeros`.
 
-    Ownership decides the work, on integer rows (`restriction`): only a
-    fully owned divisor takes gcds and roots; a point-owned one reads the
-    coefficients of t^0 and t^1 in p(t, beta), and all of p(t, beta) only
-    when p(0, beta) = 0, to rule out a restriction that vanishes.  A
-    residual generator's row is the product of its factors' rows
-    (`residual_rows`): restriction is a ring homomorphism.
+    Ownership decides only which points a chart speaks for, not how a
+    polynomial is read: on either kind of divisor `restriction` reads all
+    of p on it, as a stripped integer row, so [] is a restriction that
+    vanishes.  Only a fully owned divisor takes gcds and roots of rows; a
+    point-owned one asks only whether a row is zero at t = 0.  A residual
+    generator's row is the product of its factors' rows (`residual_rows`):
+    restriction is a ring homomorphism.
     """
 
     leaf_index: int
@@ -287,83 +273,59 @@ class Occurrence(NamedTuple):
         var, c = self.axis
         return (c, t) if var == "x" else (t, c)
 
-    def restriction(self, p: BiPoly, whole: bool = False) -> list[int]:
-        """p on the divisor by degree in t, up to a positive factor: p(0, t)
-        when fully owned, else the coefficients of t^0 and t^1 in
-        p(t, beta), zeros kept, which answer only at t = 0 (all of p(t, beta)
-        when `whole`)."""
+    def restriction(self, p: BiPoly) -> list[int]:
+        """p on the divisor by degree in t, up to a positive factor, without
+        a trailing zero: p(0, t) when fully owned, else p(t, beta)."""
         var, beta = self.axis
-        if var == "x":
-            return p.x0_row()
-        return p.y_coeffs(beta, max((a for a, _ in p.nums), default=0)
-                          if whole else 1)
+        return p.x0_row() if var == "x" else p.y_coeffs(beta)
 
-    def _vanishes(self, p: BiPoly, row: list[int]) -> bool:
-        """Whether p, whose row is zero at t = 0, vanishes on the divisor."""
-        return not any(row if self.mode == "all" else
-                       self.restriction(p, True))
-
-    def _scale(self, p: BiPoly, whole: bool) -> int:
-        """The positive integer `restriction(p, whole)` is p's restriction
-        times (see `x0_row` and `y_coeffs`)."""
+    def _scale(self, p: BiPoly) -> int:
+        """The positive integer `restriction(p)` is p's restriction times
+        (see `x0_row` and `y_coeffs`)."""
         var, beta = self.axis
         v = beta.denominator
         if var == "x" or v == 1:
             return p.den
-        upto = max((a for a, _ in p.nums), default=0) if whole else 1
-        return p.den * v ** max((b for a, b in p.nums if a <= upto),
-                                default=0)
+        return p.den * v ** max((b for _, b in p.nums), default=0)
 
-    def residual_rows(self, whole: bool = False) -> list[list[int]]:
-        """`restriction(r, whole)` of every residual generator r, in order:
-        the product of the rows of its strict part and divisor powers, each
-        divisor equation's row read once.  So a row is r's restriction
-        times the product of its factors' `_scale`s (`residual_scales`).
-        The rows of the t^0 and t^1 read are kept on the chart (`rows`);
-        callers do not modify them."""
-        if not whole and self.ident in self.chart.rows:
+    def residual_rows(self) -> list[list[int]]:
+        """`restriction(r)` of every residual generator r, in order: the
+        product of the rows of its strict part and divisor powers, each
+        divisor equation's row read once, and [] for a power of the
+        occurrence's own divisor.  So a row is r's restriction times the
+        product of its factors' `_scale`s (`residual_scales`).  The rows
+        are kept on the chart (`rows`); callers do not modify them."""
+        if self.ident in self.chart.rows:
             return self.chart.rows[self.ident]
-        full, exc = self.axis[0] == "x", self.chart.exc
+        exc = self.chart.exc
         factors: dict[str, list[int]] = {}
         out = []
         for s, k in self.chart.residual_parts:
-            if full and self.ident in k:
-                out.append([])  # a power of x on x = 0
+            if self.ident in k:
+                out.append([])
                 continue
-            row = self.restriction(s, whole)
+            row = self.restriction(s)
             for d, e in k.items():
                 if d not in factors:
-                    factors[d] = self.restriction(exc[d], whole)
-                if full or whole:
-                    for _ in range(e):
-                        row = _zmul(row, factors[d])
-                else:  # (a0 + a1 t) (b0 + b1 t)^e mod t^2
-                    (a0, a1), (b0, b1) = row, factors[d]
-                    p0 = b0 ** e
-                    row = [a0 * p0, a1 * p0 + e * a0 * b0 ** (e - 1) * b1]
+                    factors[d] = self.restriction(exc[d])
+                for _ in range(e):
+                    row = _zmul(row, factors[d])
             out.append(row)
-        if not whole:
-            self.chart.rows[self.ident] = out
+        self.chart.rows[self.ident] = out
         return out
 
-    def residual_scales(self, whole: bool = False) -> list[int]:
-        """The positive integer each row of `residual_rows(whole)` is its
+    def residual_scales(self) -> list[int]:
+        """The positive integer each row of `residual_rows()` is its
         generator's restriction times, so that rows combine exactly."""
         scale, exc = self._scale, self.chart.exc
-        return [scale(s, whole) * math.prod(scale(exc[d], whole) ** e
-                                            for d, e in k.items())
+        return [scale(s) * math.prod(scale(exc[d]) ** e for d, e in k.items())
                 for s, k in self.chart.residual_parts]
 
     def residual_restrictions(self) -> list[list[int]]:
         """Restriction of every residual generator, in order; refuses a
-        residual ideal that vanishes along the divisor (a product vanishes
-        on a line when one of its factors does)."""
-        rows, exc = self.residual_rows(), self.chart.exc
-        if all(map(_zero_at_0, rows)) and all(
-                not row if self.mode == "all" else any(
-                    not any(self.restriction(f, True))
-                    for f in (*map(exc.get, k), s))
-                for (s, k), row in zip(self.chart.residual_parts, rows)):
+        residual ideal that vanishes along the divisor."""
+        rows = self.residual_rows()
+        if not any(rows):
             raise InternalInvariantError(
                 f"residual ideal vanishes along divisor {self.ident}")
         return rows
@@ -374,7 +336,7 @@ class Occurrence(NamedTuple):
         out = []
         for c, eq in self.chart.carriers.items():
             row = self.restriction(eq)
-            if _zero_at_0(row) and self._vanishes(eq, row):
+            if not row:
                 raise InternalInvariantError(
                     f"carrier {c} contains divisor {self.ident}")
             out.append((c, row))
@@ -418,6 +380,21 @@ class CarrierDef(NamedTuple):
     through_origin: bool
 
 
+class Vertex(NamedTuple):
+    """One component of the total-transform support, a vertex of the
+    intersection diagram.
+
+    N is the multiplicity of the component in the divisor of the pulled-back
+    ideal; nu - 1 its multiplicity in the pullback of dx^dy.  Strict branches
+    always have nu = 1.
+    """
+
+    ident: str
+    kind: str  # "exceptional" | "strict-branch"
+    N: int
+    nu: int
+
+
 class ChartState:
     """Single-owner mutable state of one principalization run."""
 
@@ -425,10 +402,10 @@ class ChartState:
                  root: Chart):
         self.gens = gens
         self.carriers = carriers
-        self.divisors: dict[str, DivisorRecord] = {}
+        self.divisors: dict[str, Vertex] = {}
         self.divisor_order: list[str] = []
         self.strict_records = [
-            DivisorRecord(c.ident, "strict-branch", c.exponent, 1)
+            Vertex(c.ident, "strict-branch", c.exponent, 1)
             for c in carriers if c.through_origin]
         self.adjacency: set[frozenset] = set()
         self.root = root
@@ -700,8 +677,7 @@ def blow_up(state: ChartState, pr: PointRecord) -> ChartState:
     if chart.blown_up is None:
         chart.blown_up = split
 
-    state.divisors[ident] = DivisorRecord(
-        ident=ident, kind="exceptional", N=N, nu=nu)
+    state.divisors[ident] = Vertex(ident, "exceptional", N, nu)
     state.divisor_order.append(ident)
     state.leaves[pr.leaf_index:pr.leaf_index + 1] = [child_a, child_b]
 
@@ -895,15 +871,9 @@ def restrict_residual_to(
         raise DegenerateLambda("all combination coefficients are zero")
     common = math.lcm(*(c.denominator for c in lams))
     lams = [c.numerator * (common // c.denominator) for c in lams]
-    pieces = []
-    for occ, rows, scales in state.kept(_residual_pieces).get(ident, ()):
-        row = _combined(lams, rows, scales)
-        if occ.mode == "all":
-            row = _strip(row)
-        elif not row[0] and not any(_combined(
-                lams, occ.residual_rows(True), occ.residual_scales(True))):
-            row = []
-        pieces.append((occ, row))
+    pieces = [(occ, _strip(_combined(lams, rows, scales)))
+              for occ, rows, scales in state.kept(_residual_pieces).get(
+                  ident, ())]
     if not pieces:
         raise KeyError(f"divisor {ident} not visible in any leaf chart")
     return pieces

@@ -19,17 +19,9 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .blowup import ChartState, carrier_intersections, zero_count
+from .blowup import ChartState, Vertex, carrier_intersections, zero_count
 from .errors import InternalInvariantError, MalformedDiagram
 from .poly import _zhorner, frac_str
-
-
-class Vertex(NamedTuple):
-    ident: str
-    kind: str  # "exceptional" | "strict-branch"
-    N: int
-    nu: int
-
 
 _ID = re.compile(r"([A-Za-z]+)(\d+)")
 
@@ -114,10 +106,8 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
     supplies their N.  Conjugate points each count as a vertex.
     """
     if not state.log:
-        branches = [
-            Vertex(f"S{i + 1}", "strict-branch", rec.N, 1)
-            for i, rec in enumerate(state.strict_records)
-        ]
+        branches = [rec._replace(ident=f"S{i + 1}")
+                    for i, rec in enumerate(state.strict_records)]
         edges: set[frozenset] = set()
         if len(branches) == 2:
             edges.add(frozenset((branches[0].ident, branches[1].ident)))
@@ -128,9 +118,7 @@ def diagram_from_state(state: ChartState) -> IntersectionDiagram:
             vertices=branches, edges=edges,
             origin_case=[b.ident for b in branches], minimal=True)
 
-    vertices = [Vertex(d, state.divisors[d].kind, state.divisors[d].N,
-                       state.divisors[d].nu)
-                for d in state.divisor_order]
+    vertices = [state.divisors[d] for d in state.divisor_order]
     edges = set(state.adjacency)
 
     corners = None  # read only where a branch meets a divisor

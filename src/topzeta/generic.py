@@ -77,14 +77,16 @@ def _min_orders(result: PrincipalizationResult) -> dict[str, int]:
     """N_min of every divisor and strict branch through the origin: the
     minimum order over the generators, which no sample changes.  The walks
     are bounded by the largest engine N; only when every generator's order
-    is past it are the orders read again with no bound, as carriers are
-    read (`divisor_order_of`)."""
-    state = result.state
+    along some divisor is past it is each generator walked once more, with
+    no bound.  Carriers are read by `divisor_order_of`."""
+    state, gens = result.state, result.gens
     bound = max((state.divisors[d].N for d in state.divisor_order),
                 default=0)
-    walks = [divisor_orders(state, g, bound) for g in result.gens]
+    walks = [divisor_orders(state, g, bound) for g in gens]
+    if any(all(w[d] is None for w in walks) for d in state.divisor_order):
+        walks = [divisor_orders(state, g) for g in gens]
     return {d: min([w[d] for w in walks if w.get(d) is not None] or
-                   [divisor_order_of(state, g, d) for g in result.gens])
+                   [divisor_order_of(state, g, d) for g in gens])
             for d in state.divisor_order + [
                 c.ident for c in state.carriers if c.through_origin]}
 
@@ -119,16 +121,19 @@ def _verify_min_property(result: PrincipalizationResult, lam: list[Fraction],
     """Order of the combination along each divisor versus the minimum over
     generators; inequality marks the sample as degenerate.  The member's
     orders come in one walk bounded by the largest N_min; an order past it
-    is a mismatch, read again with no bound."""
+    is a mismatch, read in one more walk with no bound."""
     state = result.state
     member = _member(lam, result.gens)
     if member.is_zero():
         raise DegenerateLambda("combination is identically zero")
     orders = divisor_orders(state, member, max(
         (n_min[d] for d in state.divisor_order), default=0))
+    if None in orders.values():
+        orders = divisor_orders(state, member)
     return {d: DivisorCheck(ident=d, N_min=want, N_from_generic=(
-                divisor_order_of(state, member, d) if orders.get(d) is None
-                else orders[d])) for d, want in n_min.items()}
+                orders[d] if d in orders else
+                divisor_order_of(state, member, d)))
+            for d, want in n_min.items()}
 
 
 def _branch_points(state: ChartState) -> dict[str, list]:

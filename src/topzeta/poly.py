@@ -347,17 +347,17 @@ class BiPoly:
         col = {b: n for (a, b), n in self.nums.items() if not a}
         return [col.get(b, 0) for b in range(max(col, default=-1) + 1)]
 
-    def y_coeffs(self, beta, upto: int) -> list[int]:
-        """The coefficients of t^0..t^upto in p(t, beta), zeros kept, times
-        one positive integer: den v^D for beta = u/v, D the y-degree read."""
+    def y_coeffs(self, beta) -> list[int]:
+        """The numerators of p(t, beta) by degree, without a trailing zero:
+        den v^D times p(t, beta) for beta = u/v, D the y-degree of p."""
         if not beta:
-            return [self.nums.get((a, 0), 0) for a in range(upto + 1)]
-        out, cols = [0] * (upto + 1), [
-            (a, b, n) for (a, b), n in self.nums.items() if a <= upto]
-        powers = _hpowers(beta, max((b for _, b, _ in cols), default=0))
-        for a, b, n in cols:
+            col = {a: n for (a, b), n in self.nums.items() if not b}
+            return [col.get(a, 0) for a in range(max(col, default=-1) + 1)]
+        out = [0] * (max((a for a, _ in self.nums), default=-1) + 1)
+        powers = _hpowers(beta, max((b for _, b in self.nums), default=0))
+        for (a, b), n in self.nums.items():
             out[a] += n * powers[b]
-        return out
+        return _strip(out)
 
     # -- printing --
 

@@ -230,7 +230,7 @@ def test_certificate_reads_the_rows_the_scan_kept(monkeypatch):
     """The bad-point scan keeps each occurrence's residual rows on its
     chart (`Chart.rows`), and the certificate reads them there: the kept
     rows are the ones it uses, and a second certificate restricts no
-    residual part on t^0 and t^1 again."""
+    polynomial again."""
     from topzeta.blowup import Occurrence
 
     result = principalize([parse_poly("(y^2 - x^3)*x^3*y"),
@@ -246,13 +246,13 @@ def test_certificate_reads_the_rows_the_scan_kept(monkeypatch):
     reads = []
     restriction = Occurrence.restriction
 
-    def counted(occ, p, whole=False):
-        reads.append(whole)
-        return restriction(occ, p, whole)
+    def counted(occ, p):
+        reads.append(p)
+        return restriction(occ, p)
 
     monkeypatch.setattr(Occurrence, "restriction", counted)
     report = certify_generic(result, seed=0)
-    assert report.n_table() and False not in reads
+    assert report.n_table() and reads == []
 
 
 def test_certify_generic_takes_generator_orders_once(monkeypatch):
@@ -282,6 +282,45 @@ def test_certify_generic_takes_generator_orders_once(monkeypatch):
     report = certify_generic(result, seed=0)
     assert report.retries >= 1
     assert sorted(walks) == sorted(gens) and single == []
+
+
+def test_certify_generic_falls_back_to_one_walk_per_polynomial(
+        monkeypatch):
+    """When a bounded walk misses an order (here every walk is bounded by
+    0, too small for every order), each generator and each sampled member
+    is walked once more with no bound, for all divisors at once; only
+    carriers are read one at a time, and the report is the one the true
+    bounds give."""
+    import topzeta.generic as generic
+
+    result = principalize([parse_poly("(y^2 - x^3)*x^3*y"),
+                           parse_poly("(y^2 - x^3)*(x^5 + y^4)")])
+    want = certify_generic(result, seed=0)
+    unbounded, single = [], []
+    walk, single_read = generic.divisor_orders, generic.divisor_order_of
+
+    def too_small(state, g, bound=None):
+        if bound is None:
+            unbounded.append(g)
+            return walk(state, g)
+        return walk(state, g, 0)
+
+    def counted_single(state, g, ident):
+        single.append(ident)
+        return single_read(state, g, ident)
+
+    monkeypatch.setattr(generic, "divisor_orders", too_small)
+    monkeypatch.setattr(generic, "divisor_order_of", counted_single)
+    got = certify_generic(result, seed=0)
+    assert (got.lam, got.retries) == (want.lam, want.retries)
+    assert {d: (c.N_from_generic, c.N_min, c.n)
+            for d, c in got.per_divisor.items()} == {
+        d: (c.N_from_generic, c.N_min, c.n)
+        for d, c in want.per_divisor.items()}
+    assert all(sum(p is g for p in unbounded) == 1 for g in result.gens)
+    assert len({id(p) for p in unbounded}) == len(unbounded) == \
+        len(result.gens) + got.retries + 1
+    assert single and set(single) <= {c.ident for c in result.state.carriers}
 
 
 def test_certify_generic_pulls_each_polynomial_back_once(monkeypatch):

@@ -500,15 +500,16 @@ def _positive_multiple(ints, coeffs):
                                    Fraction(-5, 7)]))
 @settings(max_examples=300, deadline=None)
 def test_integer_restrictions_match_restrict(p, c):
-    """The rows the bad-point scan reads: the coefficients of t^0 and t^1
-    in p(t, c), all of p(t, c), and p(0, t), each equal up to one positive
-    factor to the coefficients of the Fraction restrictions p(t, c) and
-    p(0, t)."""
-    top = max((a for a, _ in p.nums), default=0)
-    full = restrict(p, c, 1)
-    full += (Fraction(0),) * (top + 3 - len(full))
-    for upto in (1, top, top + 2):
-        assert _positive_multiple(p.y_coeffs(c, upto), full[:upto + 1])
+    """The rows the bad-point scan reads, p(t, c) and p(0, t), each without
+    a trailing zero and equal up to one positive factor, den v^D for
+    c = u/v and D the y-degree, to the coefficients of the Fraction
+    restrictions."""
+    deg_y = max((b for _, b in p.nums), default=0)
+    row = p.y_coeffs(c)
+    assert not row or row[-1]
+    assert _positive_multiple(row, restrict(p, c, 1))
+    assert from_ints_q(row, p.den * Fraction(c).denominator ** deg_y) == \
+        restrict(p, c, 1)
     row = p.x0_row()
     assert not row or row[-1]
     assert _positive_multiple(row, restrict(p, 0, 0))
@@ -546,7 +547,7 @@ def test_kernel_on_zero_polynomial():
     for dx, dy in ((0, 0), (0, Fraction(-3, 7)), (Fraction(2), Fraction(5))):
         assert z.translate(dx, dy).is_zero()
     assert z.x0_row() == []
-    assert z.y_coeffs(0, 2) == z.y_coeffs(Fraction(9), 2) == [0, 0, 0]
+    assert z.y_coeffs(0) == z.y_coeffs(Fraction(9)) == []
 
 
 def test_translate_dense_row():
@@ -1152,7 +1153,7 @@ def test_uni_outputs_keep_normal_form(ca, cb):
     p, q = poly_q(ca), poly_q(cb)
     pn, qn = nums_q(p), nums_q(q)
     rows = [_zmul(pn, qn), pn[::-1], [0, 0, *pn, 0],
-            BiPoly({(i, i % 2): c for i, c in enumerate(ca)}).y_coeffs(0, 6),
+            BiPoly({(i, i % 2): c for i, c in enumerate(ca)}).y_coeffs(0),
             BiPoly({(i % 2, i): c for i, c in enumerate(cb)}).x0_row()]
     if q:
         rows += [row_gcd([pn, qn]), squarefree_part(qn)]
@@ -1575,12 +1576,13 @@ def test_restrict_matches_fraction_kernel(p, value):
 @settings(max_examples=200, deadline=None)
 def test_eval_matches_fraction_kernel(p, px, py):
     """Evaluation as `Chart.divisors_through` makes it: `_zhorner` at px
-    over the row `y_coeffs(py, deg_x)`, over den v_y^deg_y v_x^deg_x."""
-    deg_x = max((a for a, _ in p.nums), default=0)
+    over the row `y_coeffs(py)`, of degree d at most deg_x, over
+    den v_y^deg_y v_x^d."""
     deg_y = max((b for _, b in p.nums), default=0)
-    row = p.y_coeffs(py, deg_x)
+    row = p.y_coeffs(py)
+    assert len(row) <= max((a for a, _ in p.nums), default=0) + 1
     scale = p.den * Fraction(py).denominator ** (deg_y if py else 0) * \
-        Fraction(px).denominator ** deg_x
+        Fraction(px).denominator ** max(len(row) - 1, 0)
     value = Fraction(_zhorner(row, px.numerator, px.denominator), scale)
     assert value == _reference_eval(p, px, py) == eval_bi(p, px, py)
 

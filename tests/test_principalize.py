@@ -15,7 +15,7 @@ from corpus import (
 )
 from reference_q import (
     chart_restrict, derivative_q, eval_q, gcd_q, nums_q, poly_q, squarefree_q)
-from test_blowup import _reference_point_identity
+from test_blowup import _positive_multiple, _reference_point_identity
 from topzeta.blowup import (
     Chart,
     ChartState,
@@ -710,24 +710,24 @@ def test_scan_zero_constant_terms_are_not_vanishing(axis_eq):
         "residual-vanishes", "branch-tangent:C2", "branches-meet:C1:C2"}
 
 
-@pytest.mark.parametrize("gens, steps, whole_reads", [
+@pytest.mark.parametrize("gens, steps, point_reads", [
     (build(40, 0), 40, 0),
-    ([P("((y^2-x^3)^2-4*x^5*y-x^7)*(y-x^2)"), P("x^8")], 5, 2),
+    ([P("((y^2-x^3)^2-4*x^5*y-x^7)*(y-x^2)"), P("x^8")], 5, 20),
 ], ids=["chain-40-0", "swell"])
 def test_principalize_builds_no_restriction(monkeypatch, gens, steps,
-                                            whole_reads):
-    """The scan and the diagram read integer rows.  A point-owned
-    restriction is read whole only to rule out that it vanishes
-    identically, when its t^0 coefficient is zero; swell has two such
-    reads, on integers too.  Every point-owned occurrence of the chain
-    lies on a chart with a unit residual, which is not scanned, so the
-    chain reads rows of fully owned divisors only."""
+                                            point_reads):
+    """The scan and the diagram read integer rows.  A polynomial on a line
+    y = beta is read whole: every `y_coeffs` row is all of p(t, beta), up
+    to a positive factor, without a trailing zero.  Every point-owned
+    occurrence of the chain lies on a chart with a unit residual, which is
+    not scanned, so the chain reads rows of fully owned divisors only."""
     reads, x0_reads = [], []
     y_coeffs, x0_row = BiPoly.y_coeffs, BiPoly.x0_row
 
-    def counted(p, beta, upto):
-        reads.append(upto)
-        return y_coeffs(p, beta, upto)
+    def counted(p, beta):
+        row = y_coeffs(p, beta)
+        reads.append((row, chart_restrict(p, ("y", beta))))
+        return row
 
     def counted_x0(p):
         x0_reads.append(p)
@@ -737,7 +737,9 @@ def test_principalize_builds_no_restriction(monkeypatch, gens, steps,
     monkeypatch.setattr(BiPoly, "x0_row", counted_x0)
     result = principalize(gens)
     assert result.step_count == steps
-    assert sum(upto > 1 for upto in reads) == whole_reads
+    assert len(reads) == point_reads
+    assert all(len(row) == len(want) and _positive_multiple(row, want)
+               for row, want in reads)
     assert x0_reads
 
 

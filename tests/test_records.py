@@ -9,7 +9,6 @@ from topzeta.blowup import (
     BlowUpEvent,
     CarrierDef,
     Chart,
-    DivisorRecord,
     Occurrence,
     PointMap,
     PointRecord,
@@ -32,7 +31,6 @@ GOLDEN = [parse_poly("x^4*y"), parse_poly("x^7 + x*y^4")]
 #: (record, its fields given by keyword, the defaults of the rest)
 RECORDS = [
     (PointMap, dict(side="A", offset=F(1, 3)), {}),
-    (DivisorRecord, dict(ident="E1", kind="exceptional", N=5, nu=2), {}),
     (BlowUpEvent, dict(step=0, chart_path=(), center=(F(0), F(0)),
                        divisors_through=(), new_divisor="E1", N=1, nu=2,
                        reasons=("residual-vanishes",)), {}),
@@ -108,3 +106,23 @@ def test_result_and_report_methods():
     report = GenericCheckReport(lam=[F(1)], retries=0, per_divisor={
         "E1": check, "S1": DivisorCheck("S1", 1, 1)})
     assert report.n_table() == {"E1": 1}
+
+
+def test_divisor_records_are_the_diagram_vertices():
+    """A component's numerical data is one record: the state's divisors
+    and strict records are `Vertex`es, the one `topzeta`, `topzeta.diagram`
+    and `topzeta.blowup` export, and the diagram holds the state's own."""
+    import topzeta
+    import topzeta.blowup
+
+    assert topzeta.Vertex is Vertex is topzeta.blowup.Vertex
+    assert not hasattr(topzeta, "DivisorRecord")
+    assert not hasattr(topzeta.blowup, "DivisorRecord")
+    result = principalize(GOLDEN)
+    state = result.state
+    assert all(type(v) is Vertex for v in state.divisors.values())
+    assert all(result.diagram.vertex(d) is state.divisors[d]
+               for d in state.divisor_order)
+    (rec,) = principalize([parse_poly("(y - x^2)^2*x"),
+                           parse_poly("(y - x^2)^2*y")]).state.strict_records
+    assert type(rec) is Vertex and rec == ("C1", "strict-branch", 2, 1)
