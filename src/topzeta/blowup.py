@@ -40,6 +40,7 @@ from .poly import (
     _new,
     _expand,
     _Product,
+    _grlex_key,
     _shift_rows,
     _strip,
     _gcd,
@@ -479,10 +480,11 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
     quotients g / h with h monic in grlex.
 
     Reads each generator as its product of powers (`factors` of a
-    `_Product`, or itself), and the lead of a typed product off its
-    factors.  x and y split off by their orders.  A common factor divides a
-    base of every generator, so one gcd chain over the other bases, made
-    monic, rules it out first.  Only then are the bases refined into a
+    `_Product`, or itself), and its grlex lead off the leads of its bases,
+    which make them monic.  x and y split off by their orders.  A common
+    factor divides a base of every generator, so one gcd chain over the
+    other bases, made monic, rules it out first, and without one each
+    quotient is g over x^a y^b.  With one, the bases are refined into a
     gcd-free base, each element with its exponent in every generator
     (factor refinement: Bach, Driscoll and Shallit, J. Algorithms 15,
     1993).  Yun's split runs on the base elements other than x and y,
@@ -490,32 +492,46 @@ def curve_part(gens: list[BiPoly]) -> tuple[list[tuple[BiPoly, int]],
     times the remaining powers of x, y and the base elements.
     """
     n = len(gens)
-    xs, ys = [0] * n, [0] * n
+    xs, ys, leads = [0] * n, [0] * n, []
     exps: dict[BiPoly, list[int]] = {}  # monic base -> exponent per generator
     for i, g in enumerate(gens):
-        for b, e in g.factors if isinstance(g, _Product) else ((g, 1),):
-            a, c = b.x_order(), b.y_order()
-            xs[i] += a * e
-            ys[i] += c * e
-            if len(b.nums) > 1:
-                r = b.divide_x_power(a).divide_y_power(c).monic_grlex()
+        typed = isinstance(g, _Product)
+        c = g.const if typed else 1
+        num, den = c.numerator, c.denominator
+        for b, e in g.factors if typed else ((g, 1),):
+            nums = b.nums
+            top = nums[max(nums, key=_grlex_key)]  # grlex leads multiply
+            num, den = num * top ** e, den * b.den ** e
+            u, v = b.x_order(), b.y_order()
+            xs[i] += u * e
+            ys[i] += v * e
+            if len(nums) > 1:
+                r = BiPoly.from_ints(
+                    {(s - u, t - v): m for (s, t), m in nums.items()}, top)
                 exps.setdefault(r, [0] * n)[i] += e
+        leads.append((num, den))
     common = [b for b, es in exps.items() if es[0]]
     for i in range(1, n):
         gcds = (c if c == b else gcd_bi(c, b)
                 for c in common for b, es in exps.items() if es[i])
         common = list(dict.fromkeys(d for d in gcds if not d.is_constant()))
     base = [(BiPoly.x(), xs), (BiPoly.y(), ys)]
-    base += _refine(list(exps.items())) if common else exps.items()
+    if common:
+        base += _refine(list(exps.items()))
     parts: dict[int, BiPoly] = {}
     for k, (p, es) in enumerate(base):
         if m := min(es):
             for q, j in ((p, 1),) if k < 2 else squarefree_decomposition(p):
                 parts[j * m] = parts[j * m] * q if j * m in parts else q
     split = [(parts[e], e) for e in sorted(parts)]
-    return split, [_expand(g.lead_grlex()[1], [
+    if not common:  # g over x^mx y^my, plain: here a _Product expands
+        mx, my = min(xs), min(ys)
+        return split, [g if not (mx or my or isinstance(g, _Product)) else
+                       _new(BiPoly, {(a - mx, b - my): m for (a, b), m in
+                                     g.nums.items()}, g.den) for g in gens]
+    return split, [_expand(Fraction(*leads[i]), [
         (p, k) for p, es in base if (k := es[i] - min(es))])
-        for i, g in enumerate(gens)]
+        for i in range(n)]
 
 
 def _refine(pieces: list[tuple[BiPoly, list[int]]]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import re
 import sys
 from contextlib import redirect_stdout
@@ -19,7 +18,8 @@ from functools import cache, partial
 
 from . import errors
 from .criterion import classify, cross_check
-from .diagram import diagram_payload, export_dot, load_json, validate_all
+from .diagram import (diagram_payload, export_dot, json_text, load_json,
+                      validate_all)
 from .family import admissible, build, expected_chain, realize_pole
 from .generic import certify_generic
 from .poly import BiPoly, frac_str, parse_poly, poly_to_str
@@ -78,18 +78,22 @@ def _read_gens(args) -> list[BiPoly]:
     return [parse_poly(t) for t in texts]
 
 
-# --- views: (result, report) -> (JSON payload, text lines) -------------------
+# --- views: (result, report, as_json) -> JSON payload or text lines ---------
 
-def _principalization_view(result, _report):
-    log, lines = [], ["principalization log:"]
+def _principalization_view(result, _report, as_json):
+    if as_json:
+        return {"log": [{"step": ev.step,
+                         "center": [frac_str(c) for c in ev.center],
+                         "through": ev.divisors_through,
+                         "divisor": ev.new_divisor, "N": ev.N, "nu": ev.nu}
+                        for ev in result.log],
+                "diagram": diagram_payload(result.diagram)}
+    lines = ["principalization log:"]
     for ev in result.log:
-        center = [frac_str(c) for c in ev.center]
-        log.append({"step": ev.step, "center": center,
-                    "through": list(ev.divisors_through),
-                    "divisor": ev.new_divisor, "N": ev.N, "nu": ev.nu})
+        cx, cy = map(frac_str, ev.center)
         through = ",".join(ev.divisors_through) or "origin"
         lines.append(
-            f"  step {ev.step}: blow up ({center[0]}, {center[1]}) on "
+            f"  step {ev.step}: blow up ({cx}, {cy}) on "
             f"{through} -> {ev.new_divisor} (N={ev.N}, nu={ev.nu})")
     if not result.log:
         lines.append("  identity: total transform already normal crossings")
@@ -98,11 +102,12 @@ def _principalization_view(result, _report):
         lines.append(f"  {v.ident} ({v.N},{v.nu}) [{v.kind}]")
     edges = sorted(sorted(e) for e in result.diagram.edges)
     lines.append("edges: " + ("; ".join("--".join(e) for e in edges) or "none"))
-    payload = {"log": log, "diagram": diagram_payload(result.diagram)}
-    return payload, lines
+    return lines
 
 
-def _zeta_view(_result, report):
+def _zeta_view(_result, report, as_json):
+    if as_json:
+        return report.to_json_dict()
     lines = [f"Z = {report.zeta}", "terms:"]
     for chi, factors in report.terms:
         fac = "".join(
@@ -111,27 +116,30 @@ def _zeta_view(_result, report):
         lines.append(f"  {chi} * {fac}")
     lines.append("candidates: " +
                  ", ".join(frac_str(c) for c in report.candidate_poles))
-    return report.to_json_dict(), lines
+    return lines
 
 
-def _poles_view(_result, report):
-    return report.to_json_dict(), [
-        f"{frac_str(p.location)} (order {p.order})" for p in report.poles]
+def _poles_view(_result, report, as_json):
+    if as_json:
+        return report.to_json_dict()
+    return [f"{frac_str(p.location)} (order {p.order})" for p in report.poles]
 
 
-def _classify_view(result, report):
-    payload, lines = [], []
+def _classify_view(result, report, as_json):
+    out = []
     for s0 in report.candidate_poles:
         verdict = classify(result.diagram, s0)
-        hits = [{"condition": h.condition, "witness": h.witness}
-                for h in verdict.hits]
-        payload.append({"s": frac_str(s0), "pole": verdict.is_pole,
-                        "conditions": hits})
-        conds = ", ".join(f"cond{h.condition}[{h.witness}]"
-                          for h in verdict.hits)
-        lines.append(f"{frac_str(s0)}: pole via {conds}" if verdict.is_pole
-                     else f"{frac_str(s0)}: no pole")
-    return payload, lines
+        s = frac_str(s0)
+        if as_json:
+            out.append({"s": s, "pole": verdict.is_pole, "conditions": [
+                {"condition": h.condition, "witness": h.witness}
+                for h in verdict.hits]})
+        elif verdict.is_pole:
+            out.append(f"{s}: pole via " + ", ".join(
+                f"cond{h.condition}[{h.witness}]" for h in verdict.hits))
+        else:
+            out.append(f"{s}: no pole")
+    return out
 
 
 # --- --check steps: raise InternalInvariantError on a failed check ----------
@@ -213,10 +221,9 @@ def _run(args) -> int:
     if getattr(args, "dot", False):
         sys.stdout.write(export_dot(result.diagram))
     else:
-        payload, lines = view(result, report)
-        if args.json:
-            lines = [json.dumps(payload, indent=2)]
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        out = view(result, report, args.json)
+        sys.stdout.write(json_text(out) + "\n" if args.json else
+                         "".join(line + "\n" for line in out))
     if args.check:
         check(result, report)
     return EXIT_OK

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence
 
 from .blowup import ChartState, Vertex, carrier_intersections, zero_count
@@ -326,8 +327,46 @@ def validate_all(diagram: IntersectionDiagram) -> list[Report]:
 
 # --- serialization ------------------------------------------------------------
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, in one recursive pass:
+    CPython's C encoder serves only ``indent=None``, and its Python encoder
+    pays for options no report uses.  Takes str, int, bool, None, lists,
+    tuples and dicts with str keys; anything else, a float or a Fraction
+    among them, raises TypeError."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, newline: str) -> str:
+    """obj at the level whose line break and indent is `newline`."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in obj]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        return "{" + inner + ("," + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+             for k, v in obj.items()]) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
+
+
 def export_json(diagram: IntersectionDiagram) -> str:
-    return json.dumps(diagram_payload(diagram), indent=2)
+    return json_text(diagram_payload(diagram))
 
 
 def diagram_payload(diagram: IntersectionDiagram) -> dict:

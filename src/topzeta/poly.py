@@ -372,9 +372,10 @@ class _Product(BiPoly):
     """A nonzero polynomial typed as `const` times the product of base^e
     over `factors` = ((base, e), ...), nonconstant bases, one of several
     terms at least.  `nums` and `den` are computed on their first read
-    (`_expand`) and kept; the zero test and the grlex lead are read off
-    the factors.  The read hook lives on this subclass alone, so attribute
-    reads on every other BiPoly stay plain slot reads."""
+    (`_expand`) and kept; the zero test is read off the factors, and so
+    is the grlex lead in `curve_part`.  The read hook lives on this
+    subclass alone, so attribute reads on every other BiPoly stay plain
+    slot reads."""
 
     __slots__ = ("const", "factors")
 
@@ -388,16 +389,6 @@ class _Product(BiPoly):
 
     def is_zero(self) -> bool:
         return False
-
-    def lead_grlex(self) -> tuple[tuple[int, int], Fraction]:
-        # grlex is a monomial order: leading terms multiply
-        a = b = 0
-        num, den = self.const.numerator, self.const.denominator
-        for p, e in self.factors:
-            (u, v) = k = max(p.nums, key=_grlex_key)
-            a, b = a + u * e, b + v * e
-            num, den = num * p.nums[k] ** e, den * p.den ** e
-        return (a, b), Fraction(num, den)
 
 
 def _expand(c: int | Fraction, bases: Iterable[tuple[BiPoly, int]]
@@ -947,8 +938,10 @@ def poly_to_str(p: BiPoly, names: tuple[str, str] = ("x", "y")) -> str:
 
 
 def frac_str(q: Fraction) -> str:
-    """Lowest-terms display: '-2/5', integers without denominator."""
-    q = Fraction(q)
+    """Lowest-terms display: '-2/5', integers without denominator.  An int
+    or a Fraction is read as it is; anything else goes through Fraction."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

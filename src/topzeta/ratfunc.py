@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
-from .poly import BiPoly, _lowest, _strip, _zhorner, frac_str, poly_to_str
+from .poly import BiPoly, _lowest, _strip, _zhorner, poly_to_str
 
 #: A primitive linear factor c + d*s, keyed as (c, d).
 Factor = tuple[int, int]
@@ -35,6 +35,12 @@ def _den_sort_key(item: tuple[Factor, int]):
     (nu, N), _ = item
     # ratio nu/N ascending, then N ascending; N = 0 factors cannot occur
     return (Fraction(nu, N), N)
+
+
+def _over(n: int, d: int) -> str:
+    """`frac_str` of n/d for d >= 1, through one integer gcd."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class Pole(NamedTuple):
@@ -88,7 +94,7 @@ class RationalFunctionS:
 
     def to_json_dict(self) -> dict:
         return {
-            "num": [frac_str(Fraction(n, self.scale)) for n in self.nums],
+            "num": [_over(n, self.scale) for n in self.nums],
             "den": [[nu, N, m] for (nu, N), m in self.den],
         }
 

@@ -128,6 +128,21 @@ def test_recorded_generators_pass_the_size_caps():
                for code, msg in refused_texts), refused_texts
 
 
+def _patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace every topzeta module's name for `original`."""
+    for name, mod in list(sys.modules.items()):
+        if name == "topzeta" or name.startswith("topzeta."):
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def _refusing(name: str):
+    def refused(*args):
+        raise AssertionError(f"{name} called")
+    return refused
+
+
 @pytest.mark.parametrize("argv", [
     ("zeta",), ("zeta", "--json", "--check"), ("classify", "--check"),
     ("verify",)])
@@ -142,11 +157,7 @@ def test_cli_runs_read_no_residue_contribution(capsys, monkeypatch, argv):
         calls.append(args)
         return original(*args)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "topzeta" or name.startswith("topzeta."):
-            for attr, val in list(vars(mod).items()):
-                if val is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    _patch_everywhere(monkeypatch, original, counted)
     code, _, _ = run(capsys, *argv, "x^4*y", "x^7 + x*y^4")
     assert code == 0
     assert calls == []
@@ -154,6 +165,32 @@ def test_cli_runs_read_no_residue_contribution(capsys, monkeypatch, argv):
     result = principalize([parse_poly("x^4*y"), parse_poly("x^7 + x*y^4")])
     topzeta.zeta.pole_report(result.diagram).contributions
     assert calls
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize("view", ["principalize", "zeta", "poles", "classify"])
+def test_views_build_only_the_output_they_print(capsys, monkeypatch, view,
+                                                as_json):
+    """Under --json no rational function or polynomial is formatted as
+    text; in text mode no JSON payload is built or encoded."""
+    from topzeta import diagram, poly
+    from topzeta.ratfunc import RationalFunctionS
+    from topzeta.zeta import ZetaReport
+    if as_json:
+        _patch_everywhere(monkeypatch, poly.poly_to_str,
+                          _refusing("poly_to_str"))
+        monkeypatch.setattr(RationalFunctionS, "__str__",
+                            _refusing("RationalFunctionS.__str__"))
+    else:
+        for f in (diagram.diagram_payload, diagram.json_text):
+            _patch_everywhere(monkeypatch, f, _refusing(f.__name__))
+        monkeypatch.setattr(ZetaReport, "to_json_dict",
+                            _refusing("ZetaReport.to_json_dict"))
+    flags = ["--json"] if as_json else []
+    for gens in (["x^4*y", "x^7 + x*y^4"], ["x^2"], ["y^2 - x^3", "x*y"]):
+        code, out, err = run(capsys, view, *flags, "--", *gens)
+        assert (code, err) == (0, "") and out
+        assert out.startswith(("{", "[")) == as_json
 
 
 def test_principalize_irrational_exit_3(capsys):
@@ -439,11 +476,7 @@ def test_pole_report_built_once_per_run(capsys, monkeypatch, argv):
         calls.append(diagram)
         return original(diagram)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "topzeta" or name.startswith("topzeta."):
-            for attr, val in list(vars(mod).items()):
-                if val is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    _patch_everywhere(monkeypatch, original, counted)
     code, _, _ = run(capsys, *argv, "x^4*y", "x^7 + x*y^4")
     assert code == 0
     assert len(calls) == 1

@@ -1,8 +1,11 @@
 """Diagram structure, alpha tables, validators, serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topzeta.diagram import (
     IntersectionDiagram,
@@ -10,6 +13,7 @@ from topzeta.diagram import (
     alphas,
     export_dot,
     export_json,
+    json_text,
     load_json,
     validate_alpha_bounds,
     validate_alpha_signs,
@@ -177,13 +181,40 @@ def test_json_origin_case():
 
 
 def test_json_field_shape(golden):
-    import json
     payload = json.loads(export_json(golden))
     assert list(payload) == ["vertices", "edges", "origin_case"]
     assert list(payload["vertices"][0]) == ["id", "kind", "N", "nu"]
     assert payload["origin_case"] is None
     ids = [v["id"] for v in payload["vertices"]]
     assert ids == sorted(ids, key=lambda s: (s[0], int(s[1:])))
+
+
+#: Text that json.dumps escapes: non-ASCII (astral planes and lone
+#: surrogates among it), quotes, backslashes and control characters.
+_json_strings = st.text(st.one_of(
+    st.characters(blacklist_categories=()),
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028')))
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), _json_strings,
+    st.integers(), st.integers(-10 ** 200, 10 ** 200))
+_json_values = st.recursive(_json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_json_strings, inner, max_size=4)), max_leaves=20)
+
+
+@given(_json_values)
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_json_dumps_indent_2(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    0.5, Fraction(1, 2), {1: "x"}, [{"a": [1.0]}], {"a": {(1, 2): None}},
+    {True: 1}, b"x", {"a", "b"},
+])
+def test_json_text_refuses_what_reports_never_hold(obj):
+    with pytest.raises(TypeError):
+        json_text(obj)
 
 
 def test_dot_output(golden):

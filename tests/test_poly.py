@@ -1,5 +1,6 @@
 """Exact arithmetic: parser, gcd, multiplicities, root counting."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from topzeta.errors import (
     SupportMissesOrigin,
     UnknownVariableError,
 )
-from corpus import corpus, perfbench_ideals, pool_entries
+from corpus import PERFBENCH, corpus, perfbench_ideals, pool_entries
 from reference_q import (
     compose_affine,
     const_q,
@@ -363,10 +364,9 @@ product_trees = st.recursive(_leaves, lambda children: st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_parsed_product_matches_its_eager_expansion(tree):
     """A product of powers stays typed until its numerators are read, and
-    then agrees with the expansion in every view.  The zero test and the
-    grlex lead that `initial_state` reads come from the factors, before
-    anything expands, and so does its check that the generator vanishes at
-    the origin."""
+    then agrees with the expansion in every view.  The zero test that
+    `initial_state` reads comes from the factors, before anything expands,
+    and so does its check that the generator vanishes at the origin."""
     text = _render(tree)
     try:
         p = P(text)
@@ -379,8 +379,6 @@ def test_parsed_product_matches_its_eager_expansion(tree):
     assert hasattr(p, "factors") == lazy
     assert isinstance(p, poly._Product) == lazy
     assert p.is_zero() == want.is_zero()
-    if not want.is_zero():
-        assert p.lead_grlex() == want.lead_grlex()
     if lazy:
         assert [(poly_to_str(b), e) for b, e in p.factors] == \
             [(poly_to_str(b), e) for b, e in bases]
@@ -396,6 +394,7 @@ def test_parsed_product_matches_its_eager_expansion(tree):
             assert (0, 0) not in want.nums
             # the charts transform plain polynomials only
             assert {type(s) for s, _ in state.root.residual_parts} == {BiPoly}
+        assert p.lead_grlex() == want.lead_grlex()
     assert p == want and want == p and hash(p) == hash(want)
     assert (p.nums, p.den) == (want.nums, want.den)
     assert poly_to_str(p) == poly_to_str(want)
@@ -987,6 +986,48 @@ def _reference_curve_part(gens):
     return squarefree_decomposition(h), [g.divexact(h) for g in gens]
 
 
+def _lead_route_curve_part(gens):
+    """The curve part by the earlier route, kept as an oracle: each
+    generator's lead read by `lead_grlex`, and every quotient rebuilt
+    through `_expand` from lead and monic bases, also when the generators
+    share no factor."""
+    n = len(gens)
+    xs, ys = [0] * n, [0] * n
+    exps = {}
+    for i, g in enumerate(gens):
+        for b, e in g.factors if isinstance(g, poly._Product) else ((g, 1),):
+            a, c = b.x_order(), b.y_order()
+            xs[i] += a * e
+            ys[i] += c * e
+            if len(b.nums) > 1:
+                r = b.divide_x_power(a).divide_y_power(c).monic_grlex()
+                exps.setdefault(r, [0] * n)[i] += e
+    common = [b for b, es in exps.items() if es[0]]
+    for i in range(1, n):
+        gcds = (c if c == b else gcd_bi(c, b)
+                for c in common for b, es in exps.items() if es[i])
+        common = list(dict.fromkeys(d for d in gcds if not d.is_constant()))
+    base = [(BiPoly.x(), xs), (BiPoly.y(), ys)]
+    base += blowup._refine(list(exps.items())) if common else exps.items()
+    parts = {}
+    for k, (p, es) in enumerate(base):
+        if m := min(es):
+            for q, j in ((p, 1),) if k < 2 else squarefree_decomposition(p):
+                parts[j * m] = parts[j * m] * q if j * m in parts else q
+    split = [(parts[e], e) for e in sorted(parts)]
+    return split, [poly._expand(g.lead_grlex()[1], [
+        (p, k) for p, es in base if (k := es[i] - min(es))])
+        for i, g in enumerate(gens)]
+
+
+def _assert_lead_route(texts):
+    """curve_part agrees with the lead route, its residuals plain; each side
+    parses its own generators, so neither sees the other's expansions."""
+    split, residual = curve_part([P(t) for t in texts])
+    assert (split, residual) == _lead_route_curve_part([P(t) for t in texts])
+    assert {type(r) for r in residual} == {BiPoly}
+
+
 @st.composite
 def factored_ideals(draw):
     """Generators typed as products of powers: a unit, x and y powers, and
@@ -1049,6 +1090,8 @@ def test_curve_part_cases(texts):
     expanded = [P(poly_to_str(g)) for g in gens]
     assert curve_part(gens) == _reference_curve_part(expanded)
     assert curve_part(expanded) == _reference_curve_part(expanded)
+    _assert_lead_route(texts)
+    _assert_lead_route([poly_to_str(g) for g in expanded])
 
 
 @pytest.mark.parametrize("texts", [
@@ -1086,6 +1129,28 @@ def test_curve_part_matches_reference_on_recorded_ideals():
         gens = [g for g in gens if not g.is_zero()]
         expanded = [P(poly_to_str(g)) for g in gens]
         assert curve_part(gens) == _reference_curve_part(expanded), gens
+
+
+def test_curve_part_matches_lead_route_on_benchmark_ops():
+    """Every nonzero ideal of the recorded benchmark operations, in each
+    generator order recorded, gives the lead route's curve part."""
+    ops = json.loads((PERFBENCH / "expected.json").read_text(
+        encoding="utf-8"))["ops"]
+    ideals = {}
+    for key in ops:
+        argv = json.loads(key)
+        if "--" not in argv:
+            continue
+        try:
+            nonzero = tuple(t for t in argv[argv.index("--") + 1:]
+                            if not P(t).is_zero())
+        except (ParseError, DegreeCapExceeded):
+            continue
+        if nonzero:
+            ideals[nonzero] = None
+    assert len(ideals) > 700
+    for texts in ideals:
+        _assert_lead_route(texts)
 
 
 def test_curve_part_splits_no_coordinate(monkeypatch):
@@ -1780,3 +1845,28 @@ def test_parser_builds_no_constant_per_literal(monkeypatch):
         BiPoly.const(int(nines)))
     assert str(exc.value) == (f"coefficient size bound of {bits} bits "
                               "exceeds cap 4096")
+
+
+def _frac_str_by_fraction(q):
+    """frac_str through a Fraction of every input, the earlier route."""
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+@pytest.mark.parametrize("q, text", [
+    (0, "0"), (7, "7"), (-7, "-7"), (10 ** 30, str(10 ** 30)),
+    (True, "1"), (False, "0"),
+    (Fraction(0, 5), "0"), (Fraction(-2, 4), "-1/2"), (Fraction(9, 3), "3"),
+    (Fraction(-12, 8), "-3/2"), (0.5, "1/2"), (-0.75, "-3/4"), (2.0, "2"),
+    (-0.0, "0"),
+])
+def test_frac_str_pins_the_fraction_results(q, text):
+    assert frac_str(q) == text == _frac_str_by_fraction(q)
+
+
+@given(st.one_of(st.integers(), st.booleans(), st.fractions(),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_frac_str_matches_the_fraction_route(q):
+    assert frac_str(q) == _frac_str_by_fraction(q)

@@ -21,6 +21,7 @@ from reference_q import (
     poly_q,
 )
 from topzeta import parse_poly, principalize
+from topzeta.poly import frac_str
 from topzeta.ratfunc import (
     RationalFunctionS,
     _den_sort_key,
@@ -436,3 +437,12 @@ def test_poles_match_the_fraction_route(terms):
     factors, order-two poles among them."""
     rf = rf_sum_of_terms(terms)
     assert [tuple(p) for p in poles_of(rf)] == _poles_by_fractions(rf)
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6),
+       st.integers(1, 10 ** 6))
+def test_json_numerators_are_fractions_in_lowest_terms(nums, scale):
+    """Each numerator over the scale prints as frac_str of its Fraction."""
+    rf = RationalFunctionS(nums, scale, [])
+    assert rf.to_json_dict()["num"] == [
+        frac_str(Fraction(n, rf.scale)) for n in rf.nums]
